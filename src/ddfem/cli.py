@@ -524,8 +524,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="nearest-neighbour batch width; results are "
-                            "bit-identical for every value (default: cores)")
+                       help="workers for the parallel nearest-tuple queries; "
+                            "results are bit-identical for every value "
+                            "(default: cores)")
 
     p = sub.add_parser("solve", help="run one data-driven solve from a config")
     p.add_argument("config")

@@ -11,17 +11,27 @@ distance between a local state and a tuple with the weighted metric
 where |.| is the Frobenius norm and mu0 a positive modulus-like scale.
 Tensors are stored as full row-major d*d component vectors even for the
 symmetric pairings.
+
+Nearest-tuple search, nearest-neighbour spacing and pool refinement run
+on one exact index.  Each tuple is embedded as
+
+    [sqrt(mu0/2) * strain, sqrt(1/(2 mu0)) * stress]
+
+so the metric above is plain squared Euclidean distance there, and a
+`scipy.spatial.cKDTree` over the embedded tuples answers the queries.
+The tree proposes candidates; the answer is settled by the metric
+computed from direct differences, with ties going to the lowest id.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .tensors import angular_momentum_defect
 
@@ -85,7 +95,8 @@ class DataSet:
 
     Internally the tuples live in two (n, d*d) arrays so that searches
     vectorize; `DataTuple` views are materialized on demand.  Treat
-    instances as read-only: solvers cache derived tables.
+    instances as read-only: the search tree is built on first use and
+    cached on the instance.
     """
 
     def __init__(self, kind: PairingKind, dim: int, strains, stresses,
@@ -110,6 +121,7 @@ class DataSet:
         if not (mu0 > 0.0 and np.isfinite(mu0)):
             raise ValueError(f"mu0 must be positive and finite, got {mu0}")
         self.mu0 = float(mu0)
+        self._tree: cKDTree | None = None
 
     # -- basic container protocol ------------------------------------
 
@@ -133,6 +145,12 @@ class DataSet:
 
     def stress_matrix(self, uid: int) -> np.ndarray:
         return self.stresses[uid].reshape(self.dim, self.dim)
+
+    def tree(self) -> cKDTree:
+        """k-d tree over the tuples in scaled phase space (see module doc)."""
+        if self._tree is None:
+            self._tree = cKDTree(_scaled(self.strains, self.stresses, self.mu0))
+        return self._tree
 
     def with_mu0(self, mu0: float) -> "DataSet":
         """Same tuples under a different metric scale."""
@@ -204,130 +222,62 @@ def global_penalty(strains: np.ndarray, stresses: np.ndarray, weights: np.ndarra
     return float(np.dot(np.asarray(weights, dtype=float).reshape(-1), values))
 
 
-def nearest(strain, stress, dataset: DataSet, index: "GridIndex | None" = None) -> int:
-    """Id of the tuple closest to one state (ties break to the lowest id)."""
-    e = np.asarray(strain, dtype=float).reshape(1, -1)
-    s = np.asarray(stress, dtype=float).reshape(1, -1)
-    if index is not None:
-        return int(index.query(e[0], s[0]))
-    return int(nearest_many(e, s, dataset)[0])
+def _scaled(strains: np.ndarray, stresses: np.ndarray, mu0: float) -> np.ndarray:
+    """Rows [sqrt(mu0/2) strain, sqrt(1/(2 mu0)) stress]: Euclidean = metric."""
+    return np.hstack([np.sqrt(0.5 * mu0) * strains, np.sqrt(0.5 / mu0) * stresses])
+
+
+# near-tie margin on scaled distances, relative to the query's magnitude
+# plus its distance; the scaled coordinates round at about 1e-15 of that
+_TIE_MARGIN = 1e-10
 
 
 def nearest_many(strains: np.ndarray, stresses: np.ndarray, dataset: DataSet,
-                 chunk: int = 4096) -> np.ndarray:
-    """Brute-force nearest tuple ids for a batch of states.
+                 workers: int = 1) -> np.ndarray:
+    """Exact nearest tuple ids for a batch of states; ties go to the lowest id.
 
-    `chunk` only bounds the temporary distance matrix; results do not
-    depend on it.  np.argmin keeps the lowest id on exact ties.
+    The dataset's k-d tree finds the two closest tuples per state.  When
+    the second is farther than the first by more than a small relative
+    margin, which bounds the rounding of the scaled coordinates many
+    times over, the first is the unique nearest tuple under the directly
+    computed metric.  Otherwise (a near-tie or duplicate tuples) every
+    tuple in a slightly larger ball is re-measured by direct differences.
+    `workers` runs queries in parallel; each query is independent, so
+    results do not depend on it.
     """
     dd = dataset.dim ** 2
     qe = np.ascontiguousarray(strains, dtype=float).reshape(-1, dd)
     qs = np.ascontiguousarray(stresses, dtype=float).reshape(-1, dd)
-    mu0 = dataset.mu0
-    we, ws = 0.5 * mu0, 0.5 / mu0
-    te, ts = dataset.strains, dataset.stresses
-    # squared-norm expansion: |q - t|^2 = |q|^2 - 2 q.t + |t|^2
-    t_sq = we * np.einsum("ij,ij->i", te, te) + ws * np.einsum("ij,ij->i", ts, ts)
-    out = np.empty(qe.shape[0], dtype=np.int64)
-    for lo in range(0, qe.shape[0], max(1, chunk)):
-        hi = min(lo + max(1, chunk), qe.shape[0])
-        cross = we * (qe[lo:hi] @ te.T) + ws * (qs[lo:hi] @ ts.T)
-        out[lo:hi] = np.argmin(t_sq[None, :] - 2.0 * cross, axis=1)
+    tree = dataset.tree()
+    x = _scaled(qe, qs, dataset.mu0)
+    dist, ids = tree.query(x, k=2, workers=workers)
+    out = ids[:, 0].astype(np.int64)
+    margin = _TIE_MARGIN * (dist[:, 0] + np.linalg.norm(x, axis=1))
+    near = np.flatnonzero(dist[:, 1] - dist[:, 0] <= margin)
+    if near.size:
+        balls = tree.query_ball_point(x[near], dist[near, 0] + 2.0 * margin[near],
+                                      workers=workers)
+        for i, ball in zip(near, balls):
+            cand = np.sort(np.asarray(ball, dtype=np.int64))
+            d2 = penalty_many(np.broadcast_to(qe[i], (cand.size, dd)),
+                              np.broadcast_to(qs[i], (cand.size, dd)), cand, dataset)
+            out[i] = cand[np.argmin(d2)]
     return out
-
-
-class GridIndex:
-    """Uniform-grid bucketing over the strain components.
-
-    Optional accelerator for `nearest`; query results are identical to
-    the brute-force scan because cells are visited in growing Chebyshev
-    rings until the remaining strain-distance bound exceeds the best
-    candidate distance.
-    """
-
-    def __init__(self, dataset: DataSet, cells_per_axis: int | None = None):
-        self.dataset = dataset
-        pts = dataset.strains
-        n, q = pts.shape
-        if cells_per_axis is None:
-            cells_per_axis = max(2, int(round(n ** (1.0 / q))))
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        span = hi - lo
-        self.active = span > 0.0
-        h = np.where(self.active, span / cells_per_axis, 1.0)
-        self.lo, self.h = lo, h
-        self.h_min = float(h[self.active].min()) if np.any(self.active) else 1.0
-        self.buckets: dict[tuple, np.ndarray] = {}
-        keys = np.floor((pts - lo) / h).astype(np.int64)
-        keys = np.where(self.active, keys, 0)
-        order = np.lexsort(keys.T[::-1])
-        sorted_keys = keys[order]
-        boundaries = np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
-        for group in np.split(order, boundaries):
-            # group holds original tuple ids; all share one cell key
-            self.buckets[tuple(keys[group[0]])] = np.sort(group)
-
-    def _cell_of(self, strain_flat: np.ndarray) -> np.ndarray:
-        c = np.floor((strain_flat - self.lo) / self.h).astype(np.int64)
-        return np.where(self.active, c, 0)
-
-    def query(self, strain_flat: np.ndarray, stress_flat: np.ndarray) -> int:
-        ds = self.dataset
-        mu0 = ds.mu0
-        we, ws = 0.5 * mu0, 0.5 / mu0
-        center = self._cell_of(strain_flat)
-        free = np.nonzero(self.active)[0]
-        best_id, best_d2 = -1, np.inf
-        k = 0
-        while True:
-            if best_id >= 0 and k >= 1:
-                bound = we * ((k - 1) * self.h_min) ** 2
-                if bound > best_d2:
-                    break
-            hit_any = False
-            for offs in itertools.product(range(-k, k + 1), repeat=free.size):
-                if k > 0 and max(abs(o) for o in offs) != k:
-                    continue
-                cell = center.copy()
-                cell[free] += offs
-                ids = self.buckets.get(tuple(cell))
-                if ids is None:
-                    continue
-                hit_any = True
-                de = ds.strains[ids] - strain_flat
-                dss = ds.stresses[ids] - stress_flat
-                d2 = we * np.einsum("ij,ij->i", de, de) + ws * np.einsum("ij,ij->i", dss, dss)
-                j = int(np.argmin(d2))
-                # strict < keeps the lowest id on ties across rings
-                if d2[j] < best_d2 or (d2[j] == best_d2 and ids[j] < best_id):
-                    best_id, best_d2 = int(ids[j]), float(d2[j])
-            k += 1
-            if not hit_any and best_id < 0 and k > 10_000:
-                raise RuntimeError("grid search failed to locate any tuple")
-        return best_id
 
 
 # -- refinement --------------------------------------------------------
 
 
-def median_nn_spacing(dataset: DataSet, chunk: int = 1024) -> float:
+def median_nn_spacing(dataset: DataSet) -> float:
     """Median metric distance from each tuple to its nearest neighbour."""
-    n = len(dataset)
-    if n < 2:
+    if len(dataset) < 2:
         raise ValueError("need at least two tuples to measure spacing")
-    mu0 = dataset.mu0
-    we, ws = 0.5 * mu0, 0.5 / mu0
-    te, ts = dataset.strains, dataset.stresses
-    t_sq = we * np.einsum("ij,ij->i", te, te) + ws * np.einsum("ij,ij->i", ts, ts)
-    mins = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        d2 = t_sq[lo:hi, None] - 2.0 * (we * (te[lo:hi] @ te.T) + ws * (ts[lo:hi] @ ts.T)) + t_sq[None, :]
-        rows = np.arange(lo, hi)
-        d2[rows - lo, rows] = np.inf
-        mins[lo:hi] = d2.min(axis=1)
-    return float(np.median(np.sqrt(np.maximum(mins, 0.0))))
+    tree = dataset.tree()
+    # k=2 on the tree's own points: column 1 is the nearest other tuple,
+    # or a duplicate at distance 0
+    _, ids = tree.query(tree.data, k=2)
+    d2 = penalty_many(dataset.strains, dataset.stresses, ids[:, 1], dataset)
+    return float(np.median(np.sqrt(d2)))
 
 
 RefineSource = "DataSet | Callable[[DataSet, float], Sequence[tuple[np.ndarray, np.ndarray]]]"
@@ -358,15 +308,12 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
     if isinstance(source, DataSet):
         if (source.kind, source.dim) != (current.kind, current.dim):
             raise ValueError("source and current datasets disagree in kind or dimension")
+        # tree over the support in the current scaling: the pool's own
+        # tree may use another mu0
         mu0 = current.mu0
-        we, ws = 0.5 * mu0, 0.5 / mu0
-        ce = current.strains[assigned]
-        cs = current.stresses[assigned]
-        d2 = (we * np.sum(source.strains ** 2, axis=1)[:, None]
-              - 2.0 * (we * (source.strains @ ce.T) + ws * (source.stresses @ cs.T))
-              + ws * np.sum(source.stresses ** 2, axis=1)[:, None]
-              + (we * np.sum(ce ** 2, axis=1) + ws * np.sum(cs ** 2, axis=1))[None, :])
-        near = np.sqrt(np.maximum(d2.min(axis=1), 0.0)) <= radius
+        support = cKDTree(_scaled(current.strains[assigned], current.stresses[assigned], mu0))
+        d, _ = support.query(_scaled(source.strains, source.stresses, mu0), k=1)
+        near = d <= radius
         strains.append(source.strains[near])
         stresses.append(source.stresses[near])
     else:

@@ -40,7 +40,9 @@ class CsConfig:
     backtracking (factor ls_factor, at most ls_maxsteps cuts); the
     default "none" takes plain full steps.  load_steps > 1 ramps the
     external load (and prescribed displacements) linearly with warm
-    starts.  threads only widens nearest-neighbour batches.
+    starts.  threads is the number of workers the nearest-tuple k-d tree
+    queries run on; every query is independent, so results are identical
+    for every value.
     """
 
     max_data_iterations: int = 100
@@ -259,7 +261,6 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     n_states = quad.total_points
     weights = quad.weights.ravel()
     f_ext_full = bcs.external_force(mesh)
-    chunk = max(1, -(-n_states // config.threads))
 
     seed = int(nearest_many(np.eye(d).reshape(1, -1), np.zeros((1, d * d)),
                             dataset)[0])
@@ -273,7 +274,7 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     termination = "fixed-point"
     converged = True
     data_iterations = 0
-    current = None  # (u, lam, assigned, c_qp, s_qp, locals_, penalty)
+    current = None  # (u, lam, assigned, c_qp, s_qp, locals_, residual, penalty)
 
     for step in range(1, config.load_steps + 1):
         bc_scale = step / config.load_steps
@@ -296,19 +297,26 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
             penalty = float(np.dot(weights, locals_))
             penalty_history.append(penalty)
             residual_history.append(norms[-1])
-            current = (u, lam, assigned, c_qp, s_qp, locals_, penalty)
+            current = (u, lam, assigned, c_qp, s_qp, locals_, norms[-1], penalty)
             if best is None or penalty < best[-1]:
                 best = current
 
             new_assigned = nearest_many(c_qp.reshape(n_states, -1),
                                         s_qp.reshape(n_states, -1), dataset,
-                                        chunk=chunk)
+                                        workers=config.threads)
             if np.array_equal(new_assigned, assigned):
                 termination, step_converged = "fixed-point", True
                 break
             key = new_assigned.tobytes()
             if key in seen:
                 termination, step_converged = "cycle", True
+                # settle on the best assignment the cycle visited; the
+                # next load step warm-starts from it
+                if not np.array_equal(best[2], assigned):
+                    current = best
+                    u, lam, assigned = current[:3]
+                    penalty_history.append(current[-1])
+                    residual_history.append(current[-2])
                 break
             seen[key] = data_iterations
             if (len(penalty_history) >= 2
@@ -322,7 +330,7 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
             current = best
             break
 
-    u, lam, assigned, c_qp, s_qp, locals_, penalty = current
+    u, lam, assigned, c_qp, s_qp, locals_, _, penalty = current
 
     asym = s_qp - np.swapaxes(s_qp, -1, -2)
     s_scale = max(1.0, float(np.abs(s_qp).max()))

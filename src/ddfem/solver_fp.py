@@ -36,9 +36,10 @@ from .tensors import angular_momentum_defect
 class FpConfig:
     """Knobs of the alternating scheme.
 
-    mu0 = None defers to the dataset's stored scale.  threads only widens
-    the nearest-neighbour query batches; results are identical for every
-    value.  linear_solver is "direct" (sparse LU) or "cg".
+    mu0 = None defers to the dataset's stored scale.  threads is the
+    number of workers the nearest-tuple k-d tree queries run on; every
+    query is independent, so results are identical for every value.
+    linear_solver is "direct" (sparse LU) or "cg".
     """
 
     max_data_iterations: int = 200
@@ -167,7 +168,6 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     f_ext_norm = float(np.linalg.norm(f_ext))
     lam_free = sys.lambda_free()
     eye = np.eye(d)
-    chunk = max(1, -(-n_states // config.threads))
 
     # deterministic load-free start: every point looks at (I, 0)
     seed_id = int(nearest_many(eye.reshape(1, -1), np.zeros((1, d * d)), dataset)[0])
@@ -208,7 +208,8 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         iteration += 1
 
         new_assigned = nearest_many(f_qp.reshape(n_states, -1),
-                                    p_qp.reshape(n_states, -1), dataset, chunk=chunk)
+                                    p_qp.reshape(n_states, -1), dataset,
+                                    workers=config.threads)
         if np.array_equal(new_assigned, assigned):
             termination, converged = "fixed-point", True
             break

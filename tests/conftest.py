@@ -40,6 +40,22 @@ def end_load_bcs(mesh, force):
         point_loads=[(mesh.n_nodes - 1, np.array([force]))])
 
 
+def scripted_search(*tuple_ids):
+    """Stand-in for a solver's nearest_many that ignores the states.
+
+    Call k (the seed query included) assigns every point to
+    tuple_ids[k]; calls past the end repeat the last id.
+    """
+    calls = []
+
+    def search(strains, stresses, dataset, workers=1):
+        tuple_id = tuple_ids[min(len(calls), len(tuple_ids) - 1)]
+        calls.append(tuple_id)
+        return np.full(len(strains), tuple_id, dtype=np.int64)
+
+    return search
+
+
 def random_admissible_state(mesh, rng, mu0, u_scale=0.05, lam_scale=0.04):
     """Random nodal fields plus compatible-ish symmetric data states.
 

@@ -10,7 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (end_load_bcs, fd_tangent_blocks, random_admissible_state,
-                      relative_frobenius)
+                      relative_frobenius, scripted_search)
+from ddfem import solver_cs
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import (BoundaryConditions, line_mesh, rect_mesh,
                        stiffness_vector)
@@ -302,3 +303,75 @@ class TestSolveCs:
     def test_invalid_config_raises(self, kwargs):
         with pytest.raises(ValueError):
             CsConfig(**kwargs)
+
+
+class TestTermination:
+    """One test per way the assignment loop stops.
+
+    A scripted search fixes the sequence of assignments; tuple 1,
+    (C, S) = (1.5625, 0.24 MPa), balances the end load exactly.
+    """
+
+    @pytest.fixture
+    def problem(self, rod_mesh):
+        data = cs_set([1.0, 1.5625, 2.2, 0.82], [0.0, 2.4e5, 6.0e5, -2.0e5],
+                      mu0=4.0e5)
+        return rod_mesh, end_load_bcs(rod_mesh, 1.25 * 2.4e5 * rod_mesh.area), data
+
+    def test_fixed_point(self, problem, monkeypatch):
+        monkeypatch.setattr(solver_cs, "nearest_many", scripted_search(2, 1, 1))
+        report = solve_cs(*problem)
+        assert report.converged
+        assert report.termination == "fixed-point"
+        assert report.data_iterations == 2
+        assert np.all(report.assigned == 1)
+
+    def test_cycle_rolls_back_to_the_best_visited_state(self, problem,
+                                                        monkeypatch):
+        # passes visit 2, 1, 2; the search then proposes 1 again
+        monkeypatch.setattr(solver_cs, "nearest_many",
+                            scripted_search(2, 1, 2, 1))
+        report = solve_cs(*problem)
+        assert report.converged
+        assert report.termination == "cycle"
+        assert report.data_iterations == 3
+        assert np.all(report.assigned == 1)
+        assert report.global_penalty == min(report.penalty_history[:3])
+        assert report.penalty_history[-1] == report.global_penalty
+        assert_allclose(report.u, 0.25 * problem[0].nodes[:, 0], rtol=1e-8)
+
+    def test_cycle_rollback_warm_starts_the_next_load_step(self, rod_mesh,
+                                                          monkeypatch):
+        # tuple 1 balances half the load, so step 1 cycles 2, 1, 2 and
+        # must hand tuple 1 and its fields to step 2
+        data = cs_set([1.0, 1.5625, 2.2, 0.82], [0.0, 2.4e5, 6.0e5, -2.0e5],
+                      mu0=4.0e5)
+        bcs = end_load_bcs(rod_mesh, 2.0 * 1.25 * 2.4e5 * rod_mesh.area)
+        calls = []
+        newton = solver_cs.newton_solve
+
+        def recording_newton(mesh, bcs, c_star, s_star, mu0, config, **kw):
+            result = newton(mesh, bcs, c_star, s_star, mu0, config, **kw)
+            calls.append((float(c_star[0, 0, 0, 0]), kw["u0"].copy(), result[0]))
+            return result
+
+        monkeypatch.setattr(solver_cs, "newton_solve", recording_newton)
+        monkeypatch.setattr(solver_cs, "nearest_many",
+                            scripted_search(2, 1, 2, 1, 1))
+        report = solve_cs(rod_mesh, bcs, data, CsConfig(load_steps=2))
+        assert report.termination == "fixed-point"
+        assert [c for c, _, _ in calls] == [2.2, 1.5625, 2.2, 1.5625]
+        # step 2 starts from the fields step 1 found with tuple 1
+        assert np.array_equal(calls[3][1], calls[1][2])
+
+    def test_iteration_cap_rolls_back_to_the_best_visited_state(
+            self, problem, monkeypatch):
+        monkeypatch.setattr(solver_cs, "nearest_many",
+                            scripted_search(2, 1, 3, 0))
+        report = solve_cs(*problem, CsConfig(max_data_iterations=3))
+        assert not report.converged
+        assert report.termination == "max-iterations"
+        assert report.data_iterations == 3
+        assert np.all(report.assigned == 1)
+        assert report.global_penalty == min(report.penalty_history)
+        assert_allclose(report.u, 0.25 * problem[0].nodes[:, 0], rtol=1e-8)

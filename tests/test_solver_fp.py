@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import end_load_bcs, fp_equilibrium_residual
+from conftest import end_load_bcs, fp_equilibrium_residual, scripted_search
+from ddfem import solver_fp
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import BoundaryConditions, gradient_field, line_mesh
 from ddfem.phase_space import DataSet, PairingKind
@@ -252,3 +253,51 @@ class TestSolveFp:
                         res / f_ext_norm, rtol=1e-10, atol=1e-15)
         # 1D states cannot violate angular momentum
         assert report.diagnostics["angular_momentum_defect"] == 0.0
+
+
+class TestTermination:
+    """One test per way the assignment loop stops.
+
+    A scripted search fixes the sequence of assignments; tuple 1 balances
+    the end load exactly, so it is the best state every sequence visits.
+    """
+
+    @pytest.fixture
+    def problem(self, rod_mesh):
+        data = fp_set([1.0, 1.25, 1.6, 0.8], [0.0, 0.3e6, 0.9e6, -0.4e6],
+                      mu0=1.0e6)
+        return rod_mesh, end_load_bcs(rod_mesh, 0.3e6 * rod_mesh.area), data
+
+    def test_fixed_point(self, problem, monkeypatch):
+        monkeypatch.setattr(solver_fp, "nearest_many", scripted_search(2, 1, 1))
+        report = solve_fp(*problem)
+        assert report.converged
+        assert report.termination == "fixed-point"
+        assert report.data_iterations == 2
+        assert np.all(report.assigned == 1)
+
+    def test_cycle_rolls_back_to_the_best_visited_state(self, problem,
+                                                        monkeypatch):
+        # passes visit 2, 1, 2; the search then proposes 1 again
+        monkeypatch.setattr(solver_fp, "nearest_many",
+                            scripted_search(2, 1, 2, 1))
+        report = solve_fp(*problem)
+        assert report.converged
+        assert report.termination == "cycle"
+        assert report.data_iterations == 3
+        assert np.all(report.assigned == 1)
+        assert report.global_penalty == min(report.penalty_history[:3])
+        assert report.penalty_history[-1] == report.global_penalty
+        assert_allclose(report.u, 0.25 * problem[0].nodes[:, 0], rtol=1e-12)
+
+    def test_iteration_cap_rolls_back_to_the_best_visited_state(
+            self, problem, monkeypatch):
+        monkeypatch.setattr(solver_fp, "nearest_many",
+                            scripted_search(2, 1, 3, 0))
+        report = solve_fp(*problem, FpConfig(max_data_iterations=3))
+        assert not report.converged
+        assert report.termination == "max-iterations"
+        assert report.data_iterations == 3
+        assert np.all(report.assigned == 1)
+        assert report.global_penalty == min(report.penalty_history)
+        assert_allclose(report.u, 0.25 * problem[0].nodes[:, 0], rtol=1e-12)
