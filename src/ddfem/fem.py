@@ -341,16 +341,18 @@ def _singular_error(k_ff: sp.spmatrix, context: str) -> ValueError:
         f"suppress every rigid mode")
 
 
-def factorize(k_ff: sp.csr_matrix, context: str = "stiffness"):
+def factorize(k_ff: sp.csr_matrix, context: str = "stiffness",
+              permc_spec: str = "COLAMD"):
     """Sparse LU with an informative error when the operator is singular.
 
     SuperLU happily factors a semidefinite matrix into a near-zero pivot
     instead of failing, so the U diagonal is checked explicitly.
+    `permc_spec` is SuperLU's column ordering.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", category=spla.MatrixRankWarning)
-            lu = spla.splu(k_ff.tocsc())
+            lu = spla.splu(k_ff.tocsc(), permc_spec=permc_spec)
     except RuntimeError as err:
         raise _singular_error(k_ff, context) from err
     pivots = np.abs(lu.U.diagonal())

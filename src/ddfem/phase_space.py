@@ -33,8 +33,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .tensors import angular_momentum_defect
-
 _SYM_TOL = 1e-10
 _ANGULAR_TOL = 1e-8
 
@@ -78,16 +76,36 @@ class LocalState:
     assigned: int | None = None
 
 
-def _check_pair(kind: PairingKind, strain: np.ndarray, stress: np.ndarray, where: str) -> None:
-    if not (np.all(np.isfinite(strain)) and np.all(np.isfinite(stress))):
-        raise ValueError(f"{where}: non-finite component")
-    if kind.symmetric:
-        for name, t in (("strain", strain), ("stress", stress)):
-            if np.linalg.norm(t - t.T) > _SYM_TOL * max(1.0, np.linalg.norm(t)):
-                raise ValueError(f"{where}: {name} tensor is not symmetric")
-    else:
-        if angular_momentum_defect(strain, stress) > _ANGULAR_TOL:
-            raise ValueError(f"{where}: FP pair violates angular momentum balance")
+def _asymmetric(t: np.ndarray, tol: float) -> np.ndarray:
+    """Per tensor of a (n, d, d) batch: |T - T^T| > tol * max(1, |T|)."""
+    size = np.linalg.norm(t, axis=(1, 2))
+    skew = np.linalg.norm(t - np.swapaxes(t, 1, 2), axis=(1, 2))
+    return skew > tol * np.maximum(1.0, size)
+
+
+def _validate(kind: PairingKind, dim: int, strains: np.ndarray,
+              stresses: np.ndarray) -> None:
+    """Raise for the lowest-numbered invalid tuple, naming its first failed check.
+
+    Checks in order: finite components; then a symmetric strain and a
+    symmetric stress for CS/EPS, or angular momentum balance (relative
+    asymmetry of P F^T) for FP.
+    """
+    e = strains.reshape(-1, dim, dim)
+    s = stresses.reshape(-1, dim, dim)
+    with np.errstate(invalid="ignore", over="ignore"):
+        failed = [("non-finite component",
+                   ~(np.isfinite(strains).all(axis=1) & np.isfinite(stresses).all(axis=1)))]
+        if kind.symmetric:
+            failed += [("strain tensor is not symmetric", _asymmetric(e, _SYM_TOL)),
+                       ("stress tensor is not symmetric", _asymmetric(s, _SYM_TOL))]
+        else:
+            failed.append(("FP pair violates angular momentum balance",
+                           _asymmetric(s @ np.swapaxes(e, 1, 2), _ANGULAR_TOL)))
+    first = min(((int(np.argmax(bad)), order, msg)
+                 for order, (msg, bad) in enumerate(failed) if bad.any()), default=None)
+    if first is not None:
+        raise ValueError(f"tuple {first[0]}: {first[2]}")
 
 
 class DataSet:
@@ -114,8 +132,7 @@ class DataSet:
         self.strains = strains
         self.stresses = stresses
         if validate:
-            for i in range(strains.shape[0]):
-                _check_pair(kind, self.strain_matrix(i), self.stress_matrix(i), f"tuple {i}")
+            _validate(kind, dim, strains, stresses)
         if mu0 is None:
             mu0 = auto_mu0(self)
         if not (mu0 > 0.0 and np.isfinite(mu0)):
@@ -394,8 +411,11 @@ def load_dataset(path, mu0: float | None = None) -> DataSet:
         row_lines.append(ln)
     if not strains:
         raise ValueError(f"{path}: dataset contains no tuples")
+    # drop the text and per-row arrays before the batched validation
+    strains, stresses = np.array(strains), np.array(stresses)
+    del lines
     try:
-        return DataSet(kind, dim, np.array(strains), np.array(stresses), mu0=mu0)
+        return DataSet(kind, dim, strains, stresses, mu0=mu0)
     except ValueError as err:
         # re-raise tuple-level complaints with the file position
         msg = str(err)

@@ -11,11 +11,18 @@ fixed assignment the coupled residuals
     R_u = integral (2 mu0 F (C - C*) - grad(lam) S^T) : grad(du) dV
     R_l = integral (F S) : grad(dl) dV - f_ext(dl)
 
-are driven to zero by Newton iteration with the exact tangent blocks
-(assembled in closed form below and cross-checked against finite
-differences in the test suite).  The outer loop alternates Newton solves
-with nearest-tuple reassignment, optionally inside a load continuation
-ramp.  Note K_ul = -K_lu^T: the coupled system is not symmetric.
+are driven to zero by Newton iteration with the exact tangent
+(cross-checked against finite differences in the test suite).  Each
+Newton step evaluates one closed-form element kernel, `tangent_blocks`,
+which returns the coupled element matrices over [u | lam] dofs as
+batched matmuls over the quadrature points.  A `JacobianPattern`, built
+once per `solve_cs` from the mesh and the free u and lam dofs, maps every
+element entry to its slot in the CSC data of the reduced Jacobian, so
+assembly is one bincount.  Note K_ul = -K_lu^T: the coupled system is
+not symmetric, but its sparsity is, so it is factored by sparse LU with
+the minimum-degree ordering of A^T + A.  The outer loop alternates
+Newton solves with nearest-tuple reassignment, optionally inside a load
+continuation ramp.
 """
 
 from __future__ import annotations
@@ -115,72 +122,122 @@ def residual_lambda(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
     return divergence_rhs(mesh, p_qp) - f_ext
 
 
-def tangent_blocks(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
-                   c_star: np.ndarray, s_star: np.ndarray, mu0: float):
-    """Exact derivative blocks (K_uu, K_ul, K_lu, K_ll) as sparse csr.
+def _node_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_q x_q y_q^T over the quadrature points: (e,q,r,s), (e,q,t,s) -> (e,r,t)."""
+    nel, nqp, r, s = x.shape
+    x = np.swapaxes(x, 1, 2).reshape(nel, r, nqp * s)
+    y = np.swapaxes(y, 1, 2).reshape(nel, -1, nqp * s)
+    return x @ np.swapaxes(y, 1, 2)
 
+
+def tangent_blocks(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
+                   c_star: np.ndarray, s_star: np.ndarray, mu0: float) -> np.ndarray:
+    """Exact coupled element tangents, shape (n_el, 2 nper d, 2 nper d).
+
+    Rows and columns are ordered [u dofs | lam dofs], each node-major
+    like the global numbering.  Assembled, the four blocks satisfy:
     K_uu is symmetric, K_ll is symmetric positive semidefinite (a Gram
     form weighted by F F^T), and K_ul = -K_lu^T.
     """
     quad = mesh.quadrature()
-    d = mesh.dim
-    nper = mesh.etype.nodes_per_element
-    g = quad.dndx
+    g = quad.dndx                                   # (e, q, a, j)
     w = quad.weights
-    eye = np.eye(d)
+    nel, nqp, nper, d = g.shape
+    m = nper * d
 
     f, lgrad, c = _kinematics(mesh, u, lam)
-    s_rec = s_star + mu0 * np.einsum("eqki,eqkj->eqij", f, lgrad)
-    a = c - c_star
-    fg = np.einsum("eqij,eqaj->eqai", f, g)
-    lg = np.einsum("eqij,eqaj->eqai", lgrad, g)
-    gg = np.einsum("eqaj,eqbj->eqab", g, g)
-    gag = np.einsum("eqai,eqij,eqbj->eqab", g, a, g)
-    gsg = np.einsum("eqai,eqij,eqbj->eqab", g, s_rec, g)
-    fft = np.einsum("eqia,eqka->eqik", f, f)
-    llt = np.einsum("eqia,eqka->eqik", lgrad, lgrad)
+    ft, lt = np.swapaxes(f, -1, -2), np.swapaxes(lgrad, -1, -2)
+    s_rec = s_star + mu0 * ft @ lgrad
 
-    k_uu = (2.0 * mu0 * np.einsum("eq,eqab,ik->eaibk", w, gag, eye)
-            + 2.0 * mu0 * np.einsum("eq,eqbi,eqak->eaibk", w, fg, fg)
-            + np.einsum("eq,eqik,eqab->eaibk", w, 2.0 * mu0 * fft - mu0 * llt, gg))
-    k_ul = (-np.einsum("eq,eqab,ik->eaibk", w, gsg, eye)
-            - mu0 * np.einsum("eq,eqbi,eqak->eaibk", w, lg, fg))
-    k_lu = (np.einsum("eq,eqba,ik->eaibk", w, gsg, eye)
-            + mu0 * np.einsum("eq,eqbi,eqak->eaibk", w, fg, lg))
-    k_ll = mu0 * np.einsum("eq,eqik,eqab->eaibk", w, fft, gg)
+    # outer products of F g and grad(lam) g, summed as [X a k, Y b i]
+    # over the [u | lam] blocks X, Y and stored with i and k exchanged
+    v = np.concatenate([(g @ ft).reshape(nel, nqp, m),
+                        (g @ lt).reshape(nel, nqp, m)], axis=2)
+    outer = (np.swapaxes(w[:, :, None] * v, 1, 2) @ v).reshape(nel, 2, nper, d, 2, nper, d)
+    coef = np.array([[2.0 * mu0, -mu0], [mu0, 0.0]]).reshape(1, 2, 1, 1, 2, 1, 1)
+    k = np.empty((nel, 2, nper, d, 2, nper, d))
+    np.multiply(outer.transpose(0, 1, 2, 6, 4, 5, 3), coef, out=k)
 
-    dofs = (mesh.elements[:, :, None] * d + np.arange(d)[None, None, :])
-    dofs = dofs.reshape(mesh.n_elements, nper * d)
-    rows = np.repeat(dofs, nper * d, axis=1).ravel()
-    cols = np.tile(dofs, (1, nper * d)).ravel()
-    n = mesh.n_dofs
+    # (F F^T, grad(lam) grad(lam)^T) (x) (g g^T) on the diagonal blocks
+    fft, llt = f @ ft, lgrad @ lt
+    metrics = np.stack([2.0 * mu0 * fft - mu0 * llt, mu0 * fft], axis=2)
+    ggw = (w[:, :, None, None] * (g @ np.swapaxes(g, -1, -2))).reshape(nel, nqp, nper * nper)
+    kron = (np.swapaxes(ggw, 1, 2) @ metrics.reshape(nel, nqp, 2 * d * d)).reshape(
+        nel, nper, nper, 2, d, d)
+    for x in range(2):
+        k[:, x, :, :, x] += kron[:, :, :, x].transpose(0, 1, 3, 2, 4)
 
-    def build(block: np.ndarray) -> sp.csr_matrix:
-        data = block.reshape(mesh.n_elements, nper * d, nper * d).ravel()
-        m = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-        m.sum_duplicates()
-        return m
+    # delta_ik terms: node-pair scalars g (C - C*) g^T and g S g^T
+    wg = w[:, :, None, None] * g
+    gag = _node_pairs(wg @ (c - c_star), g)
+    gsg = _node_pairs(wg @ s_rec, g)
+    for i in range(d):
+        k[:, 0, :, i, 0, :, i] += 2.0 * mu0 * gag
+        k[:, 0, :, i, 1, :, i] -= gsg
+        k[:, 1, :, i, 0, :, i] += np.swapaxes(gsg, 1, 2)
+    return k.reshape(nel, 2 * m, 2 * m)
 
-    return build(k_uu), build(k_ul), build(k_lu), build(k_ll)
+
+class JacobianPattern:
+    """Scatter map from coupled element tangents to the free-dof Jacobian.
+
+    The reduced Jacobian [[K_uu, K_ul], [K_lu, K_ll]] keeps the rows and
+    columns of the free u dofs (first) and the free multiplier dofs.
+    Every flattened element-matrix entry gets the CSC data slot it adds
+    into, or the spare slot nnz when it touches a prescribed dof, so
+    assembly is one bincount.  Build it once per mesh and constraint set.
+    """
+
+    def __init__(self, mesh: Mesh, free_u: np.ndarray, free_l: np.ndarray):
+        n, d = mesh.n_dofs, mesh.dim
+        self.free_u = free_u
+        self.free_l = free_l
+        size = free_u.size + free_l.size
+        position = np.full(2 * n, -1, dtype=np.int64)
+        position[free_u] = np.arange(free_u.size)
+        position[n + free_l] = free_u.size + np.arange(free_l.size)
+        dofs = (mesh.elements[:, :, None] * d + np.arange(d)).reshape(mesh.n_elements, -1)
+        local = position[np.concatenate([dofs, n + dofs], axis=1)]
+        dropped = size * size
+        # column-major key, so sorted keys are the CSC order
+        key = np.where((local[:, :, None] >= 0) & (local[:, None, :] >= 0),
+                       local[:, None, :] * size + local[:, :, None], dropped)
+        keys, slot = np.unique(key.ravel(), return_inverse=True)
+        self.nnz = int(np.searchsorted(keys, dropped))
+        keys = keys[:self.nnz]
+        self.slot = slot.astype(np.int32)
+        self.indices = (keys % size).astype(np.int32)
+        self.indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
+        self.size = size
+
+    def assemble(self, k_el: np.ndarray) -> sp.csc_matrix:
+        """Reduced Jacobian from element tangents ordered like tangent_blocks."""
+        data = np.bincount(self.slot, weights=k_el.ravel(),
+                           minlength=self.nnz + 1)[:self.nnz]
+        return sp.csc_matrix((data, self.indices, self.indptr),
+                             shape=(self.size, self.size))
 
 
 def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
                  s_star: np.ndarray, mu0: float, config: CsConfig,
                  u0: np.ndarray | None = None, lam0: np.ndarray | None = None,
-                 f_ext: np.ndarray | None = None, bc_scale: float = 1.0):
+                 f_ext: np.ndarray | None = None, bc_scale: float = 1.0,
+                 pattern: JacobianPattern | None = None):
     """Newton iteration at fixed assignment; returns (u, lam, iters, norms).
 
     Residuals are reduced to the free dofs; convergence is declared at
-    norm <= newton_tol * (1 + |f_ext|).  Raises NewtonError on divergence
-    or when newton_maxit is exhausted.
+    norm <= newton_tol * (1 + |f_ext|).  `pattern` must have been built
+    for the same mesh and constraints; it is built here when omitted.
+    Raises NewtonError on divergence or when newton_maxit is exhausted.
     """
     n = mesh.n_dofs
     if f_ext is None:
         f_ext = bcs.external_force(mesh) * bc_scale
     fixed_u, vals_u = bcs.fixed_dofs(mesh)
     fixed_l, vals_l = bcs.lambda_fixed_dofs(mesh)
-    free_u = free_dofs(n, fixed_u)
-    free_l = free_dofs(n, fixed_l)
+    if pattern is None:
+        pattern = JacobianPattern(mesh, free_dofs(n, fixed_u), free_dofs(n, fixed_l))
+    free_u, free_l = pattern.free_u, pattern.free_l
 
     u = np.zeros(n) if u0 is None else u0.astype(float).copy()
     lam = np.zeros(n) if lam0 is None else lam0.astype(float).copy()
@@ -205,11 +262,9 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
             return u, lam, it, history
         if it == config.newton_maxit:
             break
-        k_uu, k_ul, k_lu, k_ll = tangent_blocks(mesh, u, lam, c_star, s_star, mu0)
-        jac = sp.bmat([[k_uu[free_u][:, free_u], k_ul[free_u][:, free_l]],
-                       [k_lu[free_l][:, free_u], k_ll[free_l][:, free_l]]],
-                      format="csc")
-        dx = factorize(jac, "tangent").solve(-res)
+        jac = pattern.assemble(tangent_blocks(mesh, u, lam, c_star, s_star, mu0))
+        # the coupled Jacobian is structurally symmetric
+        dx = factorize(jac, "tangent", permc_spec="MMD_AT_PLUS_A").solve(-res)
         du, dl = dx[:free_u.size], dx[free_u.size:]
 
         if config.line_search == "backtracking":
@@ -261,6 +316,9 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     n_states = quad.total_points
     weights = quad.weights.ravel()
     f_ext_full = bcs.external_force(mesh)
+    free_l = free_dofs(mesh.n_dofs, bcs.lambda_fixed_dofs(mesh)[0])
+    pattern = JacobianPattern(mesh, free_dofs(mesh.n_dofs, bcs.fixed_dofs(mesh)[0]),
+                              free_l)
 
     seed = int(nearest_many(np.eye(d).reshape(1, -1), np.zeros((1, d * d)),
                             dataset)[0])
@@ -287,7 +345,7 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
             s_star = dataset.stresses[assigned].reshape(mesh.n_elements, quad.nqp, d, d)
             u, lam, iters, norms = newton_solve(
                 mesh, bcs, c_star, s_star, mu0, config,
-                u0=u, lam0=lam, f_ext=f_step, bc_scale=bc_scale)
+                u0=u, lam0=lam, f_ext=f_step, bc_scale=bc_scale, pattern=pattern)
             newton_history.append(iters)
             data_iterations += 1
 
@@ -334,8 +392,6 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
 
     asym = s_qp - np.swapaxes(s_qp, -1, -2)
     s_scale = max(1.0, float(np.abs(s_qp).max()))
-    fixed_l = bcs.lambda_fixed_dofs(mesh)[0]
-    free_l = free_dofs(mesh.n_dofs, fixed_l)
     f_qp = gradient_field(mesh, u) + np.eye(d)
     p_qp = np.einsum("eqik,eqkj->eqij", f_qp, s_qp)
     eq = (divergence_rhs(mesh, p_qp) - f_ext_full)[free_l]

@@ -104,6 +104,21 @@ def fd_tangent_blocks(mesh, u, lam, c_star, s_star, mu0, h=1e-6):
     return k_uu, k_ul, k_lu, k_ll
 
 
+def coupled_blocks(mesh, k_el):
+    """Dense (K_uu, K_ul, K_lu, K_ll) over all dofs from element tangents.
+
+    `k_el` is ordered like `solver_cs.tangent_blocks`: [u dofs | lam
+    dofs] per element, node-major.  The scatter is a plain np.add.at, so
+    it serves as the reference for the solver's reduced pattern.
+    """
+    n, d = mesh.n_dofs, mesh.dim
+    dofs = (mesh.elements[:, :, None] * d + np.arange(d)).reshape(mesh.n_elements, -1)
+    local = np.concatenate([dofs, n + dofs], axis=1)
+    full = np.zeros((2 * n, 2 * n))
+    np.add.at(full, (local[:, :, None], local[:, None, :]), k_el)
+    return full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:]
+
+
 def relative_frobenius(actual, desired):
     denom = max(np.linalg.norm(desired), 1e-300)
     return np.linalg.norm(actual - desired) / denom

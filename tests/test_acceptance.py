@@ -16,8 +16,9 @@ numbers, so a verbose run doubles as the sign-off protocol:
 import numpy as np
 import pytest
 
-from conftest import (end_load_bcs, fd_tangent_blocks, fp_equilibrium_residual,
-                      random_admissible_state, relative_frobenius)
+from conftest import (coupled_blocks, end_load_bcs, fd_tangent_blocks,
+                      fp_equilibrium_residual, random_admissible_state,
+                      relative_frobenius)
 from ddfem.cli import main
 from ddfem.data_gen import (Family, GeneratorSpec, augment_rotations_2d,
                             generate, load_unit_loads, piola_stress_1d,
@@ -160,7 +161,7 @@ def test_05_newton_tangents_match_central_differences():
     for mesh in (line_mesh(1.0, 3, area=0.7), rect_mesh(1.0, 0.8, 2, 2)):
         for _ in range(10):
             u, lam, c_star, s_star = random_admissible_state(mesh, rng, mu0)
-            blocks = tangent_blocks(mesh, u, lam, c_star, s_star, mu0)
+            blocks = coupled_blocks(mesh, tangent_blocks(mesh, u, lam, c_star, s_star, mu0))
             fd = fd_tangent_blocks(mesh, u, lam, c_star, s_star, mu0)
             for got, want in zip(blocks, fd):
                 got = got.toarray() if hasattr(got, "toarray") else got

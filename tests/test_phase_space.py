@@ -286,6 +286,72 @@ class TestDataSetValidation:
             DataSet.from_pairs(PairingKind.FP, 1, [(np.array([np.nan]),
                                                     np.array([0.0]))], mu0=1.0)
 
+    def test_lowest_offending_tuple_is_named(self):
+        e = np.tile(np.eye(2).reshape(1, 4), (9, 1))
+        s = np.zeros((9, 4))
+        s[7, 1] = 1.0                  # asymmetric stress
+        e[5, 2] = 0.5                  # asymmetric strain
+        e[3, 0] = np.inf               # non-finite, and nothing else wrong
+        e[6, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^tuple 3: non-finite component$"):
+            DataSet(PairingKind.CS, 2, e, s, mu0=1.0)
+        e[3, 0] = 1.0
+        with pytest.raises(ValueError, match=r"^tuple 5: strain tensor is not symmetric$"):
+            DataSet(PairingKind.CS, 2, e, s, mu0=1.0)
+
+    def test_first_failed_check_of_a_tuple_is_named(self):
+        # tuple 2 fails every check; finiteness is reported first
+        e = np.tile(np.eye(2).reshape(1, 4), (3, 1))
+        s = np.zeros((3, 4))
+        e[2] = [1.0, 0.4, 0.0, np.nan]
+        s[2] = [0.0, 1.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match=r"^tuple 2: non-finite component$"):
+            DataSet(PairingKind.CS, 2, e, s, mu0=1.0)
+        e[2, 3] = 1.0
+        with pytest.raises(ValueError, match=r"^tuple 2: strain tensor is not symmetric$"):
+            DataSet(PairingKind.CS, 2, e, s, mu0=1.0)
+
+    @pytest.mark.parametrize("kind", [PairingKind.FP, PairingKind.CS])
+    def test_batched_checks_match_a_per_tuple_oracle(self, kind, rng):
+        from ddfem.tensors import angular_momentum_defect, is_symmetric
+
+        def oracle(e, s):
+            for i in range(len(e)):
+                ei, si = e[i].reshape(3, 3), s[i].reshape(3, 3)
+                if not (np.all(np.isfinite(ei)) and np.all(np.isfinite(si))):
+                    return f"tuple {i}: non-finite component"
+                if kind.symmetric:
+                    if not is_symmetric(ei, 1e-10):
+                        return f"tuple {i}: strain tensor is not symmetric"
+                    if not is_symmetric(si, 1e-10):
+                        return f"tuple {i}: stress tensor is not symmetric"
+                elif angular_momentum_defect(ei, si) > 1e-8:
+                    return f"tuple {i}: FP pair violates angular momentum balance"
+            return None
+
+        for _ in range(30):
+            n = 40
+            f = np.eye(3) + 0.2 * rng.normal(size=(n, 3, 3))
+            sym = rng.normal(size=(n, 3, 3))
+            sym = sym + np.swapaxes(sym, 1, 2)
+            if kind is PairingKind.FP:
+                e, s = f, f @ sym
+            else:
+                e, s = np.swapaxes(f, 1, 2) @ f, sym
+            e, s = e.reshape(n, 9), s.reshape(n, 9)
+            # a few defects near and far above the tolerances
+            for _ in range(rng.integers(0, 4)):
+                i, c = rng.integers(n), rng.integers(9)
+                target = e if rng.random() < 0.5 else s
+                target[i, c] += rng.choice([np.nan, 1e-3, 1e-9, 1e-11])
+            want = oracle(e, s)
+            if want is None:
+                DataSet(kind, 3, e, s, mu0=1.0)
+            else:
+                with pytest.raises(ValueError) as excinfo:
+                    DataSet(kind, 3, e, s, mu0=1.0)
+                assert str(excinfo.value) == want
+
     def test_with_mu0_copies(self, line_set):
         other = line_set.with_mu0(7.0)
         assert other.mu0 == 7.0 and line_set.mu0 == 2.0
@@ -414,6 +480,18 @@ class TestDatasetFiles:
         path.write_text("# dd-dataset v1\nkind=FP dim=2 units=SI\n"
                         + "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match=r"bad.txt:4"):
+            load_dataset(path)
+
+    def test_first_of_several_bad_tuples_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        rows = ["1.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0",
+                "# comment", "",
+                "1.0 0.0 0.0 1.0 0.0 2.0 0.0 0.0",
+                "1.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0",
+                "1.0 0.0 0.0 1.0 nan 0.0 0.0 0.0"]
+        path.write_text("# dd-dataset v1\nkind=FP dim=2 units=SI\n"
+                        + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"bad.txt:6: FP pair violates"):
             load_dataset(path)
 
     def test_mu0_override(self, tmp_path, line_set):

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (end_load_bcs, fd_tangent_blocks, random_admissible_state,
-                      relative_frobenius, scripted_search)
+from conftest import (coupled_blocks, end_load_bcs, fd_tangent_blocks,
+                      random_admissible_state, relative_frobenius,
+                      scripted_search)
 from ddfem import solver_cs
 from ddfem.data_gen import Family, GeneratorSpec, generate
-from ddfem.fem import (BoundaryConditions, line_mesh, rect_mesh,
-                       stiffness_vector)
+from ddfem.fem import (BoundaryConditions, box_mesh, free_dofs, line_mesh,
+                       rect_mesh, stiffness_vector)
 from ddfem.phase_space import DataSet, PairingKind
-from ddfem.solver_cs import (CsConfig, NewtonError, newton_solve,
-                             recover_states_cs, residual_lambda, residual_u,
-                             solve_cs, tangent_blocks)
+from ddfem.solver_cs import (CsConfig, JacobianPattern, NewtonError,
+                             newton_solve, recover_states_cs, residual_lambda,
+                             residual_u, solve_cs, tangent_blocks)
 
 
 def cs_set(strains, stresses, mu0):
@@ -111,47 +112,45 @@ class TestTangents:
         z = np.zeros(rod_mesh.n_dofs)
         c_star = qp_field(rod_mesh, np.eye(1))
         s_star = qp_field(rod_mesh, np.zeros((1, 1)))
-        k_uu, k_ul, k_lu, k_ll = tangent_blocks(rod_mesh, z, z, c_star,
-                                                s_star, mu0)
+        k_uu, k_ul, k_lu, k_ll = coupled_blocks(
+            rod_mesh, tangent_blocks(rod_mesh, z, z, c_star, s_star, mu0))
         laplacian = stiffness_vector(rod_mesh, mu0)
-        assert_allclose(k_ll.toarray(), laplacian.toarray(), rtol=1e-13,
-                        atol=1e-16)
-        assert k_ul.count_nonzero() == 0 or np.max(np.abs(k_ul.toarray())) == 0.0
-        assert np.max(np.abs(k_lu.toarray())) == 0.0
+        assert_allclose(k_ll, laplacian.toarray(), rtol=1e-13, atol=1e-16)
+        assert np.max(np.abs(k_ul)) == 0.0
+        assert np.max(np.abs(k_lu)) == 0.0
 
     @pytest.mark.parametrize("builder", [
         lambda: line_mesh(1.0, 3, area=0.7),
         lambda: rect_mesh(1.0, 0.8, 2, 2),
+        lambda: box_mesh(1.0, 0.6, 0.5, 2, 1, 1),
     ])
     def test_blocks_match_finite_differences(self, builder, rng):
         mesh = builder()
         mu0 = 1.7
         u, lam, c_star, s_star = random_admissible_state(mesh, rng, mu0)
-        k_uu, k_ul, k_lu, k_ll = tangent_blocks(mesh, u, lam, c_star, s_star,
-                                                mu0)
+        k_uu, k_ul, k_lu, k_ll = coupled_blocks(
+            mesh, tangent_blocks(mesh, u, lam, c_star, s_star, mu0))
         fd_uu, fd_ul, fd_lu, fd_ll = fd_tangent_blocks(mesh, u, lam, c_star,
                                                        s_star, mu0)
-        assert relative_frobenius(k_uu.toarray(), fd_uu) < 1e-6
-        assert relative_frobenius(k_ul.toarray(), fd_ul) < 1e-6
-        assert relative_frobenius(k_lu.toarray(), fd_lu) < 1e-6
-        assert relative_frobenius(k_ll.toarray(), fd_ll) < 1e-6
+        assert relative_frobenius(k_uu, fd_uu) < 1e-6
+        assert relative_frobenius(k_ul, fd_ul) < 1e-6
+        assert relative_frobenius(k_lu, fd_lu) < 1e-6
+        assert relative_frobenius(k_ll, fd_ll) < 1e-6
 
     def test_block_structure(self, unit_square, rng):
         mu0 = 1.3
-        u, lam, c_star, s_star = random_admissible_state(unit_square, rng,
-                                                         mu0)
-        k_uu, k_ul, k_lu, k_ll = tangent_blocks(unit_square, u, lam, c_star,
-                                                s_star, mu0)
-        k_uu = k_uu.toarray()
-        k_ll = k_ll.toarray()
-        scale = np.max(np.abs(k_uu))
-        assert np.max(np.abs(k_uu - k_uu.T)) <= 1e-12 * scale
-        assert np.max(np.abs(k_ll - k_ll.T)) <= 1e-12 * np.max(np.abs(k_ll))
-        # the coupling blocks are exact negative transposes of each other
-        coupling = k_ul.toarray() + k_lu.toarray().T
-        assert np.max(np.abs(coupling)) <= 1e-12 * np.max(np.abs(k_ul.toarray()))
-        eigs = np.linalg.eigvalsh(k_ll)
-        assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
+        for mesh in (unit_square, box_mesh(1.0, 0.6, 0.5, 2, 1, 1)):
+            u, lam, c_star, s_star = random_admissible_state(mesh, rng, mu0)
+            k_uu, k_ul, k_lu, k_ll = coupled_blocks(
+                mesh, tangent_blocks(mesh, u, lam, c_star, s_star, mu0))
+            scale = np.max(np.abs(k_uu))
+            assert np.max(np.abs(k_uu - k_uu.T)) <= 1e-12 * scale
+            assert np.max(np.abs(k_ll - k_ll.T)) <= 1e-12 * np.max(np.abs(k_ll))
+            # the coupling blocks are exact negative transposes of each other
+            coupling = k_ul + k_lu.T
+            assert np.max(np.abs(coupling)) <= 1e-12 * np.max(np.abs(k_ul))
+            eigs = np.linalg.eigvalsh(k_ll)
+            assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
 
 
 class TestNewton:
@@ -375,3 +374,120 @@ class TestTermination:
         assert np.all(report.assigned == 1)
         assert report.global_penalty == min(report.penalty_history)
         assert_allclose(report.u, 0.25 * problem[0].nodes[:, 0], rtol=1e-8)
+
+
+def svk_cs_set(dim, n, rng, scale=0.02):
+    """CS tuples of a dimensionless Saint-Venant-Kirchhoff solid.
+
+    Strains are C = I + 2E for random symmetric E of size `scale`, with
+    S = tr(E) I + 2E (both Lame constants 1).
+    """
+    e = rng.normal(scale=scale, size=(n, dim, dim))
+    e = 0.5 * (e + np.swapaxes(e, -1, -2))
+    eye = np.eye(dim)
+    c = eye + 2.0 * e
+    s = np.trace(e, axis1=1, axis2=2)[:, None, None] * eye + 2.0 * e
+    return DataSet(PairingKind.CS, dim, c, s)
+
+
+def face_nodes(mesh, axis, value):
+    return np.flatnonzero(np.isclose(mesh.nodes[:, axis], value))
+
+
+def clamped_tip_bcs(mesh, tip):
+    """Clamp x = 0, prescribe the y-displacement `tip` at the far x face."""
+    d = mesh.dim
+    right = face_nodes(mesh, 0, mesh.nodes[:, 0].max())
+    return BoundaryConditions(
+        dirichlet=[(n, c, 0.0) for n in face_nodes(mesh, 0, 0.0) for c in range(d)]
+        + [(n, 1, tip) for n in right])
+
+
+def stretch_bcs(mesh, stretch):
+    """Rollers at x = 0, the x-displacement `stretch` at the far face, and
+    multiplier constraints that differ from u's (every component on the
+    left face, none on the right)."""
+    d = mesh.dim
+    left = face_nodes(mesh, 0, 0.0)
+    right = face_nodes(mesh, 0, mesh.nodes[:, 0].max())
+    origin = int(np.flatnonzero(np.all(np.isclose(mesh.nodes, 0.0), axis=1))[0])
+    return BoundaryConditions(
+        dirichlet=[(n, 0, 0.0) for n in left]
+        + [(origin, c, 0.0) for c in range(1, d)]
+        + [(n, 0, stretch) for n in right],
+        dirichlet_lambda=[(n, c, 0.0) for n in left for c in range(d)])
+
+
+MIXED_MESHES = [
+    lambda: rect_mesh(1.0, 0.8, 3, 2),
+    lambda: box_mesh(1.0, 0.6, 0.5, 2, 2, 1),
+]
+
+
+class TestJacobianPattern:
+    @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
+    def test_scatter_matches_the_sliced_full_blocks(self, make_mesh, rng):
+        mesh = make_mesh()
+        mu0 = 1.4
+        bcs = stretch_bcs(mesh, 0.03)
+        fixed_u, vals_u = bcs.fixed_dofs(mesh)
+        fixed_l, _ = bcs.lambda_fixed_dofs(mesh)
+        free_u = free_dofs(mesh.n_dofs, fixed_u)
+        free_l = free_dofs(mesh.n_dofs, fixed_l)
+        assert not np.array_equal(free_u, free_l)
+        assert np.any(vals_u != 0.0)
+        u, lam, c_star, s_star = random_admissible_state(mesh, rng, mu0)
+        u[fixed_u] = vals_u
+        lam[fixed_l] = 0.0
+        k_el = tangent_blocks(mesh, u, lam, c_star, s_star, mu0)
+
+        def reduced(k_el):
+            k_uu, k_ul, k_lu, k_ll = coupled_blocks(mesh, k_el)
+            return np.block([[k_uu[np.ix_(free_u, free_u)], k_ul[np.ix_(free_u, free_l)]],
+                             [k_lu[np.ix_(free_l, free_u)], k_ll[np.ix_(free_l, free_l)]]])
+
+        want = reduced(k_el)
+        got = JacobianPattern(mesh, free_u, free_l).assemble(k_el)
+        assert got.format == "csc"
+        assert got.has_canonical_format
+        assert got.shape == want.shape
+        assert_allclose(got.toarray(), want, rtol=0.0,
+                        atol=1e-14 * np.max(np.abs(want)))
+        # one stored slot per reduced dof pair that some element couples
+        assert got.nnz == np.count_nonzero(reduced(np.ones_like(k_el)))
+
+    @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
+    def test_newton_meets_nonzero_prescribed_values(self, make_mesh, rng):
+        mesh = make_mesh()
+        data = svk_cs_set(mesh.dim, 200, rng)
+        bcs = stretch_bcs(mesh, 0.01)
+        assigned = np.arange(mesh.n_elements * mesh.quadrature().nqp) % len(data)
+        shape = (mesh.n_elements, mesh.quadrature().nqp, mesh.dim, mesh.dim)
+        c_star = data.strains[assigned].reshape(shape)
+        s_star = data.stresses[assigned].reshape(shape)
+        u, lam, iters, history = newton_solve(mesh, bcs, c_star, s_star,
+                                              data.mu0, CsConfig())
+        fixed_u, vals_u = bcs.fixed_dofs(mesh)
+        assert np.array_equal(u[fixed_u], vals_u)
+        assert history[-1] <= 1e-10
+        assert 1 <= iters <= 8
+
+
+class TestSolvesShareAMesh:
+    def test_two_bc_sets_on_one_mesh_match_separate_solves(self, rng):
+        data = svk_cs_set(2, 300, rng)
+
+        def solve(mesh, which):
+            bcs = clamped_tip_bcs(mesh, 0.02) if which == "tip" else stretch_bcs(mesh, 0.01)
+            return solve_cs(mesh, bcs, data)
+
+        shared = rect_mesh(1.0, 0.5, 4, 2)
+        together = [solve(shared, "tip"), solve(shared, "stretch")]
+        for which, report in zip(("tip", "stretch"), together):
+            alone = solve(rect_mesh(1.0, 0.5, 4, 2), which)
+            assert report.converged and alone.converged
+            assert np.array_equal(report.u, alone.u)
+            assert np.array_equal(report.lam, alone.lam)
+            assert np.array_equal(report.assigned, alone.assigned)
+            assert report.global_penalty == alone.global_penalty
+        assert not np.array_equal(together[0].u, together[1].u)
