@@ -64,7 +64,12 @@ class GeneratorSpec:
 
 
 def piola_stress_1d(family: Family, lam: np.ndarray, c1: float, c3: float = 0.0) -> np.ndarray:
-    """Uniaxial first Piola-Kirchhoff stress for the three families."""
+    """Uniaxial first Piola-Kirchhoff stress for the three families.
+
+    LINEAR is c1 lam and NEOHOOKE (incompressible) 2 c1 (lam - lam^-2).
+    YEOH is the Neo-Hooke stress with c1 replaced by
+    c1 + 3 c3 (lam^2 + 2/lam - 3)^2, so c3 = 0 gives Neo-Hooke exactly.
+    """
     lam = np.asarray(lam, dtype=float)
     if family is Family.LINEAR:
         return c1 * lam
@@ -77,7 +82,13 @@ def piola_stress_1d(family: Family, lam: np.ndarray, c1: float, c3: float = 0.0)
     raise ValueError(f"unknown family {family}")
 
 
-def _build_1d(spec: GeneratorSpec, mu0: float | None) -> DataSet:
+def generate(spec: GeneratorSpec, mu0: float | None = None) -> DataSet:
+    """Uniaxial rod tuples of `spec`'s family at its sampled stretches.
+
+    FP tuples are (lam, P(lam)) with P from `piola_stress_1d`; CS tuples
+    are (lam^2, P(lam) / lam), except LINEAR, whose CS pair is the
+    published (lam^2, c1 lam^2).
+    """
     lam = spec.stretches()
     if spec.pairing is PairingKind.FP:
         strain = lam
@@ -94,33 +105,6 @@ def _build_1d(spec: GeneratorSpec, mu0: float | None) -> DataSet:
         raise ValueError("1D generators emit FP or CS pairings only")
     return DataSet(spec.pairing, 1, strain.reshape(-1, 1), stress.reshape(-1, 1),
                    mu0=mu0, validate=False)
-
-
-def gen_linear_1d(spec: GeneratorSpec, mu0: float | None = None) -> DataSet:
-    """(lam, c1 lam) tuples, or (lam^2, c1 lam^2) in the CS pairing."""
-    if spec.family is not Family.LINEAR:
-        raise ValueError("spec family must be LINEAR")
-    return _build_1d(spec, mu0)
-
-
-def gen_neohooke_1d(spec: GeneratorSpec, mu0: float | None = None) -> DataSet:
-    """Incompressible uniaxial Neo-Hooke: P = 2 c1 (lam - lam^-2)."""
-    if spec.family is not Family.NEOHOOKE:
-        raise ValueError("spec family must be NEOHOOKE")
-    return _build_1d(spec, mu0)
-
-
-def gen_yeoh_1d(spec: GeneratorSpec, mu0: float | None = None) -> DataSet:
-    """Neo-Hooke stress times (c1 + 3 c3 (lam^2 + 2/lam - 3)^2); c3 = 0
-    reduces exactly to the Neo-Hooke family."""
-    if spec.family is not Family.YEOH:
-        raise ValueError("spec family must be YEOH")
-    return _build_1d(spec, mu0)
-
-
-def generate(spec: GeneratorSpec, mu0: float | None = None) -> DataSet:
-    """Family-dispatching convenience wrapper."""
-    return _build_1d(spec, mu0)
 
 
 # -- augmentation --------------------------------------------------------

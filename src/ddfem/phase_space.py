@@ -26,7 +26,7 @@ computed from direct differences, with ties going to the lowest id.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -63,17 +63,6 @@ class DataTuple:
     strain: np.ndarray
     stress: np.ndarray
     uid: int = 0
-
-
-@dataclass
-class LocalState:
-    """Recovered state at one integration point."""
-
-    element: int
-    qp: int
-    strain: np.ndarray
-    stress: np.ndarray
-    assigned: int | None = None
 
 
 def _asymmetric(t: np.ndarray, tol: float) -> np.ndarray:

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .fem import Mesh
-from .phase_space import LocalState
 
 _VTK_CELL = {"LINE2": 3, "QUAD4": 9, "HEX8": 12}
 
@@ -48,14 +47,6 @@ class SolveReport:
     termination: str = "fixed-point"
     diagnostics: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
-
-    def local_states(self):
-        """Iterate per-qp LocalState records in (element, qp) order."""
-        n_el, nqp = self.assigned.shape
-        for e in range(n_el):
-            for q in range(nqp):
-                yield LocalState(e, q, self.strains[e, q], self.stresses[e, q],
-                                 int(self.assigned[e, q]))
 
     def end_displacement(self, node: int, comp: int = 0) -> float:
         return float(self.u[node * self.mesh.dim + comp])

@@ -20,9 +20,12 @@ once per `solve_cs` from the mesh and the free u and lam dofs, maps every
 element entry to its slot in the CSC data of the reduced Jacobian, so
 assembly is one bincount.  Note K_ul = -K_lu^T: the coupled system is
 not symmetric, but its sparsity is, so it is factored by sparse LU with
-the minimum-degree ordering of A^T + A.  The outer loop alternates
-Newton solves with nearest-tuple reassignment, optionally inside a load
-continuation ramp.
+the minimum-degree ordering of A^T + A.  One Newton solve is one pass of
+`assignment.assignment_loop`, which reassigns the nearest tuples under
+the termination contract stated there.  `solve_cs` runs that loop once
+per load step of the continuation ramp; each step starts from the
+assignment and fields the previous step returned, and the solve stops at
+the first step that reaches the iteration cap.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .assignment import assignment_loop, checked_dataset
 from .fem import (BoundaryConditions, Mesh, divergence_rhs, factorize,
                   free_dofs, gradient_field)
-from .phase_space import DataSet, PairingKind, nearest_many, penalty_many
+from .phase_space import DataSet, PairingKind, nearest_many
 from .report import SolveReport
 
 
@@ -299,96 +303,57 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
 
 def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
              config: CsConfig | None = None) -> SolveReport:
-    """Outer data-assignment loop around Newton, with load continuation."""
+    """Newton inside the assignment loop, one loop per load step."""
     config = config or CsConfig()
-    if dataset.kind is not PairingKind.CS:
-        raise ValueError(f"solver expects a CS dataset, got {dataset.kind.value}")
-    if dataset.dim != mesh.dim:
-        raise ValueError(f"dataset dimension {dataset.dim} does not match mesh "
-                         f"dimension {mesh.dim}")
-    if config.mu0 is not None:
-        dataset = dataset.with_mu0(config.mu0)
+    dataset = checked_dataset(mesh, dataset, PairingKind.CS, config.mu0)
     mu0 = dataset.mu0
     t0 = time.perf_counter()
 
     quad = mesh.quadrature()
     d = mesh.dim
-    n_states = quad.total_points
     weights = quad.weights.ravel()
     f_ext_full = bcs.external_force(mesh)
     free_l = free_dofs(mesh.n_dofs, bcs.lambda_fixed_dofs(mesh)[0])
     pattern = JacobianPattern(mesh, free_dofs(mesh.n_dofs, bcs.fixed_dofs(mesh)[0]),
                               free_l)
 
-    seed = int(nearest_many(np.eye(d).reshape(1, -1), np.zeros((1, d * d)),
-                            dataset)[0])
-    assigned = np.full(n_states, seed, dtype=np.int64)
-    u = np.zeros(mesh.n_dofs)
-    lam = np.zeros(mesh.n_dofs)
+    # each pass warm-starts Newton from the previous pass's (u, lam) and
+    # loads to the current step's bc_scale
+    warm = (np.zeros(mesh.n_dofs), np.zeros(mesh.n_dofs))
+    newton_history: list[int] = []
+
+    def solve_pass(ids: np.ndarray):
+        nonlocal warm
+        c_star = dataset.strains[ids].reshape(mesh.n_elements, quad.nqp, d, d)
+        s_star = dataset.stresses[ids].reshape(mesh.n_elements, quad.nqp, d, d)
+        u, lam, iters, norms = newton_solve(
+            mesh, bcs, c_star, s_star, mu0, config, u0=warm[0], lam0=warm[1],
+            f_ext=f_ext_full * bc_scale, bc_scale=bc_scale, pattern=pattern)
+        newton_history.append(iters)
+        warm = (u, lam)
+        c_qp, s_qp = recover_states_cs(mesh, u, lam, s_star, mu0)
+        return c_qp, s_qp, norms[-1], warm
 
     penalty_history: list[float] = []
     residual_history: list[float] = []
-    newton_history: list[int] = []
-    termination = "fixed-point"
-    converged = True
     data_iterations = 0
-    current = None  # (u, lam, assigned, c_qp, s_qp, locals_, residual, penalty)
-
+    assigned = None
     for step in range(1, config.load_steps + 1):
         bc_scale = step / config.load_steps
-        f_step = f_ext_full * bc_scale
-        seen: dict[bytes, int] = {}
-        step_converged = False
-        best = None
-        for _ in range(config.max_data_iterations):
-            c_star = dataset.strains[assigned].reshape(mesh.n_elements, quad.nqp, d, d)
-            s_star = dataset.stresses[assigned].reshape(mesh.n_elements, quad.nqp, d, d)
-            u, lam, iters, norms = newton_solve(
-                mesh, bcs, c_star, s_star, mu0, config,
-                u0=u, lam0=lam, f_ext=f_step, bc_scale=bc_scale, pattern=pattern)
-            newton_history.append(iters)
-            data_iterations += 1
-
-            c_qp, s_qp = recover_states_cs(mesh, u, lam, s_star, mu0)
-            locals_ = penalty_many(c_qp.reshape(n_states, -1),
-                                   s_qp.reshape(n_states, -1), assigned, dataset)
-            penalty = float(np.dot(weights, locals_))
-            penalty_history.append(penalty)
-            residual_history.append(norms[-1])
-            current = (u, lam, assigned, c_qp, s_qp, locals_, norms[-1], penalty)
-            if best is None or penalty < best[-1]:
-                best = current
-
-            new_assigned = nearest_many(c_qp.reshape(n_states, -1),
-                                        s_qp.reshape(n_states, -1), dataset,
-                                        workers=config.threads)
-            if np.array_equal(new_assigned, assigned):
-                termination, step_converged = "fixed-point", True
-                break
-            key = new_assigned.tobytes()
-            if key in seen:
-                termination, step_converged = "cycle", True
-                # settle on the best assignment the cycle visited; the
-                # next load step warm-starts from it
-                if not np.array_equal(best[2], assigned):
-                    current = best
-                    u, lam, assigned = current[:3]
-                    penalty_history.append(current[-1])
-                    residual_history.append(current[-2])
-                break
-            seen[key] = data_iterations
-            if (len(penalty_history) >= 2
-                    and abs(penalty_history[-1] - penalty_history[-2])
-                    <= config.penalty_tol * max(penalty_history[-2], 1e-300)):
-                termination, step_converged = "penalty-stagnation", True
-                break
-            assigned = new_assigned
-        if not step_converged:
-            termination, converged = "max-iterations", False
-            current = best
+        result = assignment_loop(
+            solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
+            dataset, weights, config, assigned)
+        penalty_history += result.penalty_history
+        residual_history += result.residual_history
+        data_iterations += result.passes
+        # the next step starts from the state this one returned
+        assigned, warm = result.final.assigned, result.final.payload
+        if not result.converged:
             break
 
-    u, lam, assigned, c_qp, s_qp, locals_, _, penalty = current
+    final = result.final
+    u, lam = final.payload
+    c_qp, s_qp = final.strains, final.stresses
 
     asym = s_qp - np.swapaxes(s_qp, -1, -2)
     s_scale = max(1.0, float(np.abs(s_qp).max()))
@@ -406,15 +371,15 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         lam=lam,
         strains=c_qp,
         stresses=s_qp,
-        assigned=assigned.reshape(mesh.n_elements, quad.nqp),
-        local_penalties=locals_.reshape(mesh.n_elements, quad.nqp),
-        global_penalty=penalty,
+        assigned=final.assigned.reshape(mesh.n_elements, quad.nqp),
+        local_penalties=final.local_penalties.reshape(mesh.n_elements, quad.nqp),
+        global_penalty=final.penalty,
         penalty_history=penalty_history,
         residual_history=residual_history,
         newton_history=newton_history,
         data_iterations=data_iterations,
-        converged=converged,
-        termination=termination,
+        converged=result.converged,
+        termination=result.termination,
         diagnostics={"equilibrium_residual": eq_rel,
                      "stress_asymmetry": float(np.linalg.norm(asym) / s_scale)},
         timings={"total": time.perf_counter() - t0},

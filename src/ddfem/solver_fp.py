@@ -9,12 +9,15 @@ and the multiplier system
 
     K lam = integral B^T P* dV - f_ext,
 
-followed by state recovery F = I + grad u, P = P* - mu0 grad lam and a
-nearest-tuple reassignment.  The multiplier system's sign pairing is
-chosen so that the recovered P satisfies the discrete weak equilibrium
-against every multiplier test function identically; the assignment loop
-stops on a fixed point, penalty stagnation, or a detected cycle.
-K is factorized once and reused for both fields and all iterations.
+followed by state recovery F = I + grad u, P = P* - mu0 grad lam.  The
+multiplier system's sign pairing is chosen so that the recovered P
+satisfies the discrete weak equilibrium against every multiplier test
+function identically.  K is factorized once and reused for both fields
+and all iterations.  One solve of the two systems is one pass of
+`assignment.assignment_loop`, which FP runs as a single load step: it
+reassigns the nearest tuples and stops on a fixed point, a cycle,
+penalty stagnation or the iteration cap, under the contract stated
+there.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .assignment import assignment_loop, checked_dataset
 from .fem import (BoundaryConditions, Mesh, divergence_rhs, expand_solution,
                   factorize, free_dofs, gradient_field, stiffness_vector)
-from .phase_space import DataSet, PairingKind, nearest_many, penalty_many
+from .phase_space import DataSet, PairingKind, nearest_many
 from .report import SolveReport
 from .tensors import angular_momentum_defect
 
@@ -116,31 +120,6 @@ class _SharedSystem:
         return self._solvers["u"][0]
 
 
-def _check_inputs(mesh: Mesh, dataset: DataSet) -> None:
-    if dataset.kind is not PairingKind.FP:
-        raise ValueError(f"solver expects an FP dataset, got {dataset.kind.value}")
-    if dataset.dim != mesh.dim:
-        raise ValueError(f"dataset dimension {dataset.dim} does not match mesh "
-                         f"dimension {mesh.dim}")
-
-
-def solve_u_system(mesh: Mesh, bcs: BoundaryConditions, f_star: np.ndarray,
-                   mu0: float, config: FpConfig | None = None) -> np.ndarray:
-    """One displacement solve against assigned deformation gradients F*."""
-    sys = _SharedSystem(mesh, bcs, mu0, config or FpConfig())
-    rhs = mu0 * divergence_rhs(mesh, f_star - np.eye(mesh.dim))
-    return sys.solve_u(rhs)
-
-
-def solve_lambda_system(mesh: Mesh, bcs: BoundaryConditions, p_star: np.ndarray,
-                        f_ext: np.ndarray, mu0: float,
-                        config: FpConfig | None = None) -> np.ndarray:
-    """One multiplier solve against assigned stresses P* and loads."""
-    sys = _SharedSystem(mesh, bcs, mu0, config or FpConfig())
-    rhs = divergence_rhs(mesh, p_star) - f_ext
-    return sys.solve_lambda(rhs)
-
-
 def recover_states(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
                    p_star: np.ndarray, mu0: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-qp F = I + grad u and P = P* - mu0 grad lam."""
@@ -151,93 +130,39 @@ def recover_states(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
 
 def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
              config: FpConfig | None = None) -> SolveReport:
-    """Run the alternating scheme to an assignment fixed point."""
+    """Run the alternating scheme under the assignment-loop contract."""
     config = config or FpConfig()
-    _check_inputs(mesh, dataset)
-    if config.mu0 is not None:
-        dataset = dataset.with_mu0(config.mu0)
+    dataset = checked_dataset(mesh, dataset, PairingKind.FP, config.mu0)
     mu0 = dataset.mu0
     t0 = time.perf_counter()
 
     quad = mesh.quadrature()
     d = mesh.dim
-    n_states = quad.total_points
-    weights = quad.weights.ravel()
     sys = _SharedSystem(mesh, bcs, mu0, config)
     f_ext = bcs.external_force(mesh)
     f_ext_norm = float(np.linalg.norm(f_ext))
     lam_free = sys.lambda_free()
     eye = np.eye(d)
 
-    # deterministic load-free start: every point looks at (I, 0)
-    seed_id = int(nearest_many(eye.reshape(1, -1), np.zeros((1, d * d)), dataset)[0])
-    assigned = np.full(n_states, seed_id, dtype=np.int64)
-
-    penalty_history: list[float] = []
-    residual_history: list[float] = []
-    seen: dict[bytes, int] = {}
-    best = None
-    termination = "max-iterations"
-    converged = False
-    iteration = 0
-
-    def run_pass(ids: np.ndarray):
+    def solve_pass(ids: np.ndarray):
         f_star = dataset.strains[ids].reshape(mesh.n_elements, quad.nqp, d, d)
         p_star = dataset.stresses[ids].reshape(mesh.n_elements, quad.nqp, d, d)
         u = sys.solve_u(mu0 * divergence_rhs(mesh, f_star - eye))
         lam = sys.solve_lambda(divergence_rhs(mesh, p_star) - f_ext)
         f_qp, p_qp = recover_states(mesh, u, lam, p_star, mu0)
-        locals_ = penalty_many(f_qp.reshape(n_states, -1),
-                               p_qp.reshape(n_states, -1), ids, dataset)
-        penalty = float(np.dot(weights, locals_))
         eq = divergence_rhs(mesh, p_qp) - f_ext
         eq_rel = float(np.linalg.norm(eq[lam_free]))
         if f_ext_norm > 0.0:
             eq_rel /= f_ext_norm
         neglected = mu0 * divergence_rhs(mesh, f_qp - f_star)
-        return u, lam, f_qp, p_qp, locals_, penalty, eq_rel, float(
-            np.linalg.norm(neglected[sys.u_free()]))
+        return f_qp, p_qp, eq_rel, (u, lam, float(np.linalg.norm(neglected[sys.u_free()])))
 
-    state = run_pass(assigned)
-    while True:
-        u, lam, f_qp, p_qp, locals_, penalty, eq_rel, neglected = state
-        penalty_history.append(penalty)
-        residual_history.append(eq_rel)
-        if best is None or penalty < best[0]:
-            best = (penalty, assigned, state)
-        iteration += 1
-
-        new_assigned = nearest_many(f_qp.reshape(n_states, -1),
-                                    p_qp.reshape(n_states, -1), dataset,
-                                    workers=config.threads)
-        if np.array_equal(new_assigned, assigned):
-            termination, converged = "fixed-point", True
-            break
-        key = new_assigned.tobytes()
-        if key in seen:
-            termination, converged = "cycle", True
-            # settle on the best assignment the cycle visited
-            if not np.array_equal(best[1], assigned):
-                assigned = best[1]
-                state = best[2]
-                u, lam, f_qp, p_qp, locals_, penalty, eq_rel, neglected = state
-                penalty_history.append(penalty)
-                residual_history.append(eq_rel)
-            break
-        seen[key] = iteration
-        if (len(penalty_history) >= 2
-                and abs(penalty_history[-1] - penalty_history[-2])
-                <= config.penalty_tol * max(penalty_history[-2], 1e-300)):
-            termination, converged = "penalty-stagnation", True
-            break
-        if iteration >= config.max_data_iterations:
-            if penalty > best[0]:
-                assigned, state = best[1], best[2]
-                u, lam, f_qp, p_qp, locals_, penalty, eq_rel, neglected = state
-            termination, converged = "max-iterations", False
-            break
-        assigned = new_assigned
-        state = run_pass(assigned)
+    step = assignment_loop(
+        solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
+        dataset, quad.weights.ravel(), config)
+    final = step.final
+    u, lam, neglected = final.payload
+    f_qp, p_qp = final.strains, final.stresses
 
     am_defect = max(
         (angular_momentum_defect(f_qp[e, q], p_qp[e, q])
@@ -250,15 +175,15 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         lam=lam,
         strains=f_qp,
         stresses=p_qp,
-        assigned=assigned.reshape(mesh.n_elements, quad.nqp),
-        local_penalties=locals_.reshape(mesh.n_elements, quad.nqp),
-        global_penalty=penalty,
-        penalty_history=penalty_history,
-        residual_history=residual_history,
-        data_iterations=iteration,
-        converged=converged,
-        termination=termination,
-        diagnostics={"equilibrium_residual": eq_rel,
+        assigned=final.assigned.reshape(mesh.n_elements, quad.nqp),
+        local_penalties=final.local_penalties.reshape(mesh.n_elements, quad.nqp),
+        global_penalty=final.penalty,
+        penalty_history=step.penalty_history,
+        residual_history=step.residual_history,
+        data_iterations=step.passes,
+        converged=step.converged,
+        termination=step.termination,
+        diagnostics={"equilibrium_residual": final.residual,
                      "angular_momentum_defect": am_defect,
                      "neglected_term": neglected},
         timings={"total": time.perf_counter() - t0},

@@ -24,24 +24,6 @@ def as_tensor(values, dim: int) -> np.ndarray:
     return a
 
 
-def as_flat(tensor: np.ndarray) -> np.ndarray:
-    """Row-major flattened copy of a (d, d) tensor."""
-    return np.asarray(tensor, dtype=float).reshape(-1).copy()
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product a : b = sum_ij a_ij b_ij."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.tensordot(a, b, axes=2))
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
-
-
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part over the trailing two axes (batch-safe)."""
     return 0.5 * (a + np.swapaxes(a, -1, -2))
@@ -88,11 +70,6 @@ def angular_momentum_defect(f: np.ndarray, p: np.ndarray) -> float:
     m = p @ f.T
     defect = m - m.T
     return float(np.linalg.norm(defect)) / max(1.0, float(np.linalg.norm(m)))
-
-
-def check_angular_momentum(f: np.ndarray, p: np.ndarray, tol: float = 1e-8) -> bool:
-    """True when the pair (F, P) satisfies angular momentum balance."""
-    return angular_momentum_defect(f, p) <= tol
 
 
 def voigt_to_tensor(v) -> np.ndarray:

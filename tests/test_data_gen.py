@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from ddfem.data_gen import (Family, GeneratorSpec, UnitLoadLibrary,
                             augment_rotations_2d, convert_pairing,
-                            gen_linear_1d, gen_neohooke_1d, gen_yeoh_1d,
                             generate, isotropic_grid_from_two_states,
                             load_unit_loads, piola_stress_1d, save_unit_loads,
                             superpose_linear)
@@ -85,7 +84,7 @@ class TestGenerators1D:
     def test_neohooke_fp_tuples(self):
         spec = GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=3,
                              stretch_range=(1.0, 2.0))
-        ds = gen_neohooke_1d(spec)
+        ds = generate(spec)
         assert ds.kind is PairingKind.FP
         assert ds.dim == 1
         assert_allclose(ds.strains.ravel(), [1.0, 1.5, 2.0], rtol=1e-15)
@@ -96,7 +95,7 @@ class TestGenerators1D:
         spec = GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=3,
                              stretch_range=(1.0, 2.0),
                              pairing=PairingKind.CS)
-        ds = gen_neohooke_1d(spec)
+        ds = generate(spec)
         assert_allclose(ds.strains.ravel(), [1.0, 2.25, 4.0], rtol=1e-15)
         assert_allclose(ds.stresses[2, 0], 291666.66666666666, rtol=1e-13)
 
@@ -105,29 +104,24 @@ class TestGenerators1D:
         spec = GeneratorSpec(Family.LINEAR, c1=1.0e6, n=2,
                              stretch_range=(1.0, 2.0),
                              pairing=PairingKind.CS)
-        ds = gen_linear_1d(spec)
+        ds = generate(spec)
         assert_allclose(ds.strains.ravel(), [1.0, 4.0])
         assert_allclose(ds.stresses.ravel(), [1.0e6, 4.0e6])
 
     def test_yeoh_generator_with_zero_c3_matches_neohooke(self):
         kwargs = dict(c1=C1_RUBBER, n=50, stretch_range=(1.0, 3.2))
-        nh = gen_neohooke_1d(GeneratorSpec(Family.NEOHOOKE, **kwargs))
-        yeoh = gen_yeoh_1d(GeneratorSpec(Family.YEOH, c3=0.0, **kwargs))
+        nh = generate(GeneratorSpec(Family.NEOHOOKE, **kwargs))
+        yeoh = generate(GeneratorSpec(Family.YEOH, c3=0.0, **kwargs))
         assert np.array_equal(nh.stresses, yeoh.stresses)
 
     def test_dispatch_matches_family_functions(self):
-        for family, fn in [(Family.LINEAR, gen_linear_1d),
-                           (Family.NEOHOOKE, gen_neohooke_1d),
-                           (Family.YEOH, gen_yeoh_1d)]:
+        for family in (Family.LINEAR, Family.NEOHOOKE, Family.YEOH):
             spec = GeneratorSpec(family, c1=C1_RUBBER, n=7, c3=2.0e3)
-            a, b = generate(spec), fn(spec)
-            assert np.array_equal(a.strains, b.strains)
-            assert np.array_equal(a.stresses, b.stresses)
-
-    def test_family_mismatch_raises(self):
-        spec = GeneratorSpec(Family.LINEAR, c1=1.0)
-        with pytest.raises(ValueError, match="NEOHOOKE"):
-            gen_neohooke_1d(spec)
+            ds = generate(spec)
+            lam = spec.stretches()
+            assert np.array_equal(ds.strains.ravel(), lam)
+            assert np.array_equal(ds.stresses.ravel(),
+                                  piola_stress_1d(family, lam, C1_RUBBER, 2.0e3))
 
     def test_eps_sigma_pairing_rejected(self):
         spec = GeneratorSpec(Family.LINEAR, c1=1.0,

@@ -308,13 +308,14 @@ class TestTermination:
     """One test per way the assignment loop stops.
 
     A scripted search fixes the sequence of assignments; tuple 1,
-    (C, S) = (1.5625, 0.24 MPa), balances the end load exactly.
+    (C, S) = (1.5625, 0.24 MPa), balances the end load exactly.  Tuple 4
+    duplicates tuple 1.
     """
 
     @pytest.fixture
     def problem(self, rod_mesh):
-        data = cs_set([1.0, 1.5625, 2.2, 0.82], [0.0, 2.4e5, 6.0e5, -2.0e5],
-                      mu0=4.0e5)
+        data = cs_set([1.0, 1.5625, 2.2, 0.82, 1.5625],
+                      [0.0, 2.4e5, 6.0e5, -2.0e5, 2.4e5], mu0=4.0e5)
         return rod_mesh, end_load_bcs(rod_mesh, 1.25 * 2.4e5 * rod_mesh.area), data
 
     def test_fixed_point(self, problem, monkeypatch):
@@ -373,7 +374,33 @@ class TestTermination:
         assert report.data_iterations == 3
         assert np.all(report.assigned == 1)
         assert report.global_penalty == min(report.penalty_history)
+        assert report.penalty_history[-1] == report.global_penalty
         assert_allclose(report.u, 0.25 * problem[0].nodes[:, 0], rtol=1e-8)
+
+    def test_penalty_stagnation(self, problem, monkeypatch):
+        # passes visit 2, 1 and its duplicate 4, so the last two penalties
+        # are equal although the search still moves
+        monkeypatch.setattr(solver_cs, "nearest_many",
+                            scripted_search(2, 1, 4, 3))
+        report = solve_cs(*problem)
+        assert report.converged
+        assert report.termination == "penalty-stagnation"
+        assert report.data_iterations == 3
+        assert np.all(report.assigned == 4)
+
+    def test_penalty_stagnation_compares_passes_of_one_load_step(
+            self, problem, monkeypatch):
+        # without load both steps solve the same problem: step 1 stops on a
+        # fixed point at tuple 1, and step 2's first pass repeats its
+        # penalty, which must not end step 2 before its second pass
+        mesh, _, data = problem
+        monkeypatch.setattr(solver_cs, "nearest_many",
+                            scripted_search(1, 1, 4, 1))
+        report = solve_cs(mesh, end_load_bcs(mesh, 0.0), data,
+                          CsConfig(load_steps=2))
+        assert report.termination == "penalty-stagnation"
+        assert report.data_iterations == 3
+        assert np.all(report.assigned == 4)
 
 
 def svk_cs_set(dim, n, rng, scale=0.02):

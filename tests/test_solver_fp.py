@@ -1,6 +1,6 @@
 """Tests for the alternating solver in the deformation-gradient pairing.
 
-The single-system helpers are pinned against hand-solved rod and patch
+The two shared-stiffness solves are pinned against hand-solved rod and patch
 problems; the recovered stress field is required to satisfy the discrete
 equilibrium identity, which the tests recompute independently from the
 reported states.
@@ -13,10 +13,9 @@ from numpy.testing import assert_allclose
 from conftest import end_load_bcs, fp_equilibrium_residual, scripted_search
 from ddfem import solver_fp
 from ddfem.data_gen import Family, GeneratorSpec, generate
-from ddfem.fem import BoundaryConditions, gradient_field, line_mesh
+from ddfem.fem import BoundaryConditions, divergence_rhs, gradient_field, line_mesh
 from ddfem.phase_space import DataSet, PairingKind
-from ddfem.solver_fp import (FpConfig, recover_states, solve_fp,
-                             solve_lambda_system, solve_u_system)
+from ddfem.solver_fp import FpConfig, _SharedSystem, recover_states, solve_fp
 
 
 def fp_set(strains, stresses, mu0=1.0):
@@ -31,14 +30,16 @@ class TestSingleSystems:
         bcs = end_load_bcs(rod_mesh, 0.0)
         quad = rod_mesh.quadrature()
         f_star = np.ones((rod_mesh.n_elements, quad.nqp, 1, 1))
-        u = solve_u_system(rod_mesh, bcs, f_star, mu0=2.0)
+        u = _SharedSystem(rod_mesh, bcs, 2.0, FpConfig()).solve_u(
+            2.0 * divergence_rhs(rod_mesh, f_star - np.eye(1)))
         assert_allclose(u, 0.0, atol=1e-18)
 
     def test_uniform_stretch_data_gives_the_linear_ramp(self, rod_mesh):
         bcs = end_load_bcs(rod_mesh, 0.0)
         quad = rod_mesh.quadrature()
         f_star = np.full((rod_mesh.n_elements, quad.nqp, 1, 1), 1.1)
-        u = solve_u_system(rod_mesh, bcs, f_star, mu0=2.0)
+        u = _SharedSystem(rod_mesh, bcs, 2.0, FpConfig()).solve_u(
+            2.0 * divergence_rhs(rod_mesh, f_star - np.eye(1)))
         assert_allclose(u, 0.1 * rod_mesh.nodes[:, 0], rtol=1e-12,
                         atol=1e-16)
 
@@ -59,7 +60,8 @@ class TestSingleSystems:
         quad = unit_square.quadrature()
         f_star = np.broadcast_to(
             f_bar, (unit_square.n_elements, quad.nqp, 2, 2))
-        u = solve_u_system(unit_square, bcs, f_star, mu0=1.5)
+        u = _SharedSystem(unit_square, bcs, 1.5, FpConfig()).solve_u(
+            1.5 * divergence_rhs(unit_square, f_star - np.eye(2)))
         assert_allclose(gradient_field(unit_square, u),
                         np.broadcast_to(grad, f_star.shape), atol=1e-12)
 
@@ -69,16 +71,16 @@ class TestSingleSystems:
         quad = rod_mesh.quadrature()
         p_star = np.full((rod_mesh.n_elements, quad.nqp, 1, 1),
                          n0 / rod_mesh.area)
-        lam = solve_lambda_system(rod_mesh, bcs, p_star,
-                                  bcs.external_force(rod_mesh), mu0=2.0)
+        lam = _SharedSystem(rod_mesh, bcs, 2.0, FpConfig()).solve_lambda(
+            divergence_rhs(rod_mesh, p_star) - bcs.external_force(rod_mesh))
         assert_allclose(lam, 0.0, atol=1e-12)
 
     def test_zero_loads_zero_stress_data(self, rod_mesh):
         bcs = end_load_bcs(rod_mesh, 0.0)
         quad = rod_mesh.quadrature()
         p_star = np.zeros((rod_mesh.n_elements, quad.nqp, 1, 1))
-        lam = solve_lambda_system(rod_mesh, bcs, p_star,
-                                  bcs.external_force(rod_mesh), mu0=2.0)
+        lam = _SharedSystem(rod_mesh, bcs, 2.0, FpConfig()).solve_lambda(
+            divergence_rhs(rod_mesh, p_star) - bcs.external_force(rod_mesh))
         assert_allclose(lam, 0.0, atol=1e-18)
 
     def test_recovery_subtracts_the_scaled_multiplier_gradient(self):
@@ -260,12 +262,13 @@ class TestTermination:
 
     A scripted search fixes the sequence of assignments; tuple 1 balances
     the end load exactly, so it is the best state every sequence visits.
+    Tuple 4 duplicates tuple 1.
     """
 
     @pytest.fixture
     def problem(self, rod_mesh):
-        data = fp_set([1.0, 1.25, 1.6, 0.8], [0.0, 0.3e6, 0.9e6, -0.4e6],
-                      mu0=1.0e6)
+        data = fp_set([1.0, 1.25, 1.6, 0.8, 1.25],
+                      [0.0, 0.3e6, 0.9e6, -0.4e6, 0.3e6], mu0=1.0e6)
         return rod_mesh, end_load_bcs(rod_mesh, 0.3e6 * rod_mesh.area), data
 
     def test_fixed_point(self, problem, monkeypatch):
@@ -300,4 +303,16 @@ class TestTermination:
         assert report.data_iterations == 3
         assert np.all(report.assigned == 1)
         assert report.global_penalty == min(report.penalty_history)
+        assert report.penalty_history[-1] == report.global_penalty
         assert_allclose(report.u, 0.25 * problem[0].nodes[:, 0], rtol=1e-12)
+
+    def test_penalty_stagnation(self, problem, monkeypatch):
+        # passes visit 2, 1 and its duplicate 4, so the last two penalties
+        # are equal although the search still moves
+        monkeypatch.setattr(solver_fp, "nearest_many",
+                            scripted_search(2, 1, 4, 3))
+        report = solve_fp(*problem)
+        assert report.converged
+        assert report.termination == "penalty-stagnation"
+        assert report.data_iterations == 3
+        assert np.all(report.assigned == 4)
