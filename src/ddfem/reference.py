@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import bisect
 
 from .data_gen import Family, piola_stress_1d
 from .fem import BoundaryConditions, Mesh, expand_solution, factorize, reduce_system
@@ -99,6 +98,10 @@ def rod_analytic(family: Family, c1: float, load: float, length: float,
     Inverts P(lam) = load/area by bisection to 1e-12 after bracketing the
     root on the monotone branch; loads outside that branch raise.
     """
+    # scipy.optimize costs about 10 MB of resident memory on import, and
+    # this is its only use in the package
+    from scipy.optimize import bisect
+
     target = load / area
 
     def residual(lam: float) -> float:

@@ -20,12 +20,17 @@ once per `solve_cs` from the mesh and the free u and lam dofs, maps every
 element entry to its slot in the CSC data of the reduced Jacobian, so
 assembly is one bincount.  Note K_ul = -K_lu^T: the coupled system is
 not symmetric, but its sparsity is, so it is factored by sparse LU with
-the minimum-degree ordering of A^T + A.  One Newton solve is one pass of
-`assignment.assignment_loop`, which reassigns the nearest tuples under
-the termination contract stated there.  `solve_cs` runs that loop once
-per load step of the continuation ramp; each step starts from the
-assignment and fields the previous step returned, and the solve stops at
-the first step that reaches the iteration cap.
+the minimum-degree ordering of A^T + A.  One factor is kept for the
+whole `solve_cs`, across Newton steps, passes and load steps, because
+the Jacobian drifts slowly between them: a Newton step solves with
+GMRES preconditioned by the kept LU, and refactors only when one
+restart cycle does not reach the GMRES tolerance.  Both residuals of a
+trial (u, lam) come from one kinematics evaluation.  One Newton solve is
+one pass of `assignment.assignment_loop`, which reassigns the nearest
+tuples under the termination contract stated there.  `solve_cs` runs
+that loop once per load step of the continuation ramp; each step starts
+from the assignment and fields the previous step returned, and the
+solve stops at the first step that reaches the iteration cap.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .assignment import assignment_loop, checked_dataset
 from .fem import (BoundaryConditions, Mesh, divergence_rhs, factorize,
@@ -90,40 +96,50 @@ class NewtonError(RuntimeError):
         self.history = history
 
 
-def _kinematics(mesh: Mesh, u: np.ndarray, lam: np.ndarray):
+def _kinematics(mesh: Mesh, u: np.ndarray, lam: np.ndarray, s_star: np.ndarray,
+                mu0: float):
+    """Per-qp F, grad(lam), C = F^T F and S = S* + mu0 F^T grad(lam)."""
     d = mesh.dim
     f = gradient_field(mesh, u) + np.eye(d)
     lgrad = gradient_field(mesh, lam)
     c = np.einsum("eqki,eqkj->eqij", f, f)
-    return f, lgrad, c
+    s = s_star + mu0 * np.einsum("eqki,eqkj->eqij", f, lgrad)
+    return f, lgrad, c, s
+
+
+def _strain_matching(kin, c_star: np.ndarray, mu0: float) -> np.ndarray:
+    """Per-qp integrand 2 mu0 F (C - C*) - grad(lam) S^T of R_u."""
+    f, lgrad, c, s = kin
+    return (2.0 * mu0 * np.einsum("eqik,eqkj->eqij", f, c - c_star)
+            - np.einsum("eqik,eqjk->eqij", lgrad, s))
+
+
+def _first_piola(kin) -> np.ndarray:
+    """Per-qp integrand P = F S of R_l."""
+    f, _, _, s = kin
+    return np.einsum("eqik,eqkj->eqij", f, s)
 
 
 def recover_states_cs(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
                       s_star: np.ndarray, mu0: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-qp C = F^T F (symmetric by construction) and S = S* + mu0 F^T grad(lam)."""
-    f, lgrad, c = _kinematics(mesh, u, lam)
-    s = s_star + mu0 * np.einsum("eqki,eqkj->eqij", f, lgrad)
+    _, _, c, s = _kinematics(mesh, u, lam, s_star, mu0)
     return c, s
 
 
 def residual_u(mesh: Mesh, u: np.ndarray, lam: np.ndarray, c_star: np.ndarray,
                s_star: np.ndarray, mu0: float) -> np.ndarray:
     """Unconstrained nodal residual of the strain-matching equation."""
-    f, lgrad, c = _kinematics(mesh, u, lam)
-    s_rec = s_star + mu0 * np.einsum("eqki,eqkj->eqij", f, lgrad)
-    r_qp = (2.0 * mu0 * np.einsum("eqik,eqkj->eqij", f, c - c_star)
-            - np.einsum("eqik,eqjk->eqij", lgrad, s_rec))
-    return divergence_rhs(mesh, r_qp)
+    kin = _kinematics(mesh, u, lam, s_star, mu0)
+    return divergence_rhs(mesh, _strain_matching(kin, c_star, mu0))
 
 
 def residual_lambda(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
                     s_star: np.ndarray, mu0: float,
                     f_ext: np.ndarray) -> np.ndarray:
     """Unconstrained nodal equilibrium residual of P = F S."""
-    f, lgrad, _ = _kinematics(mesh, u, lam)
-    s_rec = s_star + mu0 * np.einsum("eqki,eqkj->eqij", f, lgrad)
-    p_qp = np.einsum("eqik,eqkj->eqij", f, s_rec)
-    return divergence_rhs(mesh, p_qp) - f_ext
+    kin = _kinematics(mesh, u, lam, s_star, mu0)
+    return divergence_rhs(mesh, _first_piola(kin)) - f_ext
 
 
 def _node_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -149,9 +165,8 @@ def tangent_blocks(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
     nel, nqp, nper, d = g.shape
     m = nper * d
 
-    f, lgrad, c = _kinematics(mesh, u, lam)
+    f, lgrad, c, s_rec = _kinematics(mesh, u, lam, s_star, mu0)
     ft, lt = np.swapaxes(f, -1, -2), np.swapaxes(lgrad, -1, -2)
-    s_rec = s_star + mu0 * ft @ lgrad
 
     # outer products of F g and grad(lam) g, summed as [X a k, Y b i]
     # over the [u | lam] blocks X, Y and stored with i and k exchanged
@@ -222,16 +237,69 @@ class JacobianPattern:
                              shape=(self.size, self.size))
 
 
+# A Newton step solves with GMRES preconditioned by the kept LU, within
+# one restart cycle, to a true residual of GMRES_RTOL relative to the
+# right-hand side; a step that falls short refactors.
+GMRES_RTOL = 1e-12
+GMRES_RESTART = 20
+GMRES_MAXITER = 1
+
+
+class _TangentSolver:
+    """Solves J dx = b, keeping the last sparse LU of J across calls.
+
+    Jacobians of one `solve_cs` share a pattern and drift slowly between
+    Newton steps, passes and load steps, so a stale factor is a good
+    preconditioner for the current one.  A call runs one GMRES restart
+    cycle on it; when that stalls, or no factor exists yet, the old LU
+    is dropped and the current Jacobian is factored and solved directly.
+    Counts the factorizations and the GMRES iterations it ran.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.factorizations = 0
+        self.krylov_iterations = 0
+
+    def _count_iteration(self, _residual) -> None:
+        self.krylov_iterations += 1
+
+    def _gmres(self, jac: sp.csc_matrix, rhs: np.ndarray):
+        """GMRES on the kept factor; None when it stalls."""
+        precond = spla.LinearOperator(jac.shape, matvec=self.lu.solve, dtype=float)
+        dx, info = spla.gmres(jac, rhs, rtol=GMRES_RTOL, atol=0.0,
+                              restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
+                              M=precond, callback=self._count_iteration,
+                              callback_type="pr_norm")
+        return dx if info == 0 else None
+
+    def solve(self, jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+        if self.lu is not None:
+            dx = self._gmres(jac, rhs)
+            if dx is not None:
+                return dx
+        # hold one factor at a time: release the old one before building
+        # the next (its preconditioner went with _gmres's frame)
+        self.lu = None
+        # the coupled Jacobian is structurally symmetric
+        self.lu = factorize(jac, "tangent", permc_spec="MMD_AT_PLUS_A")
+        self.factorizations += 1
+        return self.lu.solve(rhs)
+
+
 def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
                  s_star: np.ndarray, mu0: float, config: CsConfig,
                  u0: np.ndarray | None = None, lam0: np.ndarray | None = None,
                  f_ext: np.ndarray | None = None, bc_scale: float = 1.0,
-                 pattern: JacobianPattern | None = None):
+                 pattern: JacobianPattern | None = None,
+                 solver: _TangentSolver | None = None):
     """Newton iteration at fixed assignment; returns (u, lam, iters, norms).
 
     Residuals are reduced to the free dofs; convergence is declared at
     norm <= newton_tol * (1 + |f_ext|).  `pattern` must have been built
     for the same mesh and constraints; it is built here when omitted.
+    `solver` solves the Newton systems and may carry a factor over from
+    earlier solves on the same pattern; a fresh one is made when omitted.
     Raises NewtonError on divergence or when newton_maxit is exhausted.
     """
     n = mesh.n_dofs
@@ -242,6 +310,8 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
     if pattern is None:
         pattern = JacobianPattern(mesh, free_dofs(n, fixed_u), free_dofs(n, fixed_l))
     free_u, free_l = pattern.free_u, pattern.free_l
+    if solver is None:
+        solver = _TangentSolver()
 
     u = np.zeros(n) if u0 is None else u0.astype(float).copy()
     lam = np.zeros(n) if lam0 is None else lam0.astype(float).copy()
@@ -251,8 +321,9 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
     scale = max(1.0, 1.0 + float(np.linalg.norm(f_ext)))
 
     def reduced_residual(u_try, lam_try):
-        ru = residual_u(mesh, u_try, lam_try, c_star, s_star, mu0)[free_u]
-        rl = residual_lambda(mesh, u_try, lam_try, s_star, mu0, f_ext)[free_l]
+        kin = _kinematics(mesh, u_try, lam_try, s_star, mu0)
+        ru = divergence_rhs(mesh, _strain_matching(kin, c_star, mu0))[free_u]
+        rl = (divergence_rhs(mesh, _first_piola(kin)) - f_ext)[free_l]
         return np.concatenate([ru, rl])
 
     history: list[float] = []
@@ -267,8 +338,7 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
         if it == config.newton_maxit:
             break
         jac = pattern.assemble(tangent_blocks(mesh, u, lam, c_star, s_star, mu0))
-        # the coupled Jacobian is structurally symmetric
-        dx = factorize(jac, "tangent", permc_spec="MMD_AT_PLUS_A").solve(-res)
+        dx = solver.solve(jac, -res)
         du, dl = dx[:free_u.size], dx[free_u.size:]
 
         if config.line_search == "backtracking":
@@ -316,6 +386,7 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     free_l = free_dofs(mesh.n_dofs, bcs.lambda_fixed_dofs(mesh)[0])
     pattern = JacobianPattern(mesh, free_dofs(mesh.n_dofs, bcs.fixed_dofs(mesh)[0]),
                               free_l)
+    solver = _TangentSolver()
 
     # each pass warm-starts Newton from the previous pass's (u, lam) and
     # loads to the current step's bc_scale
@@ -328,7 +399,8 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         s_star = dataset.stresses[ids].reshape(mesh.n_elements, quad.nqp, d, d)
         u, lam, iters, norms = newton_solve(
             mesh, bcs, c_star, s_star, mu0, config, u0=warm[0], lam0=warm[1],
-            f_ext=f_ext_full * bc_scale, bc_scale=bc_scale, pattern=pattern)
+            f_ext=f_ext_full * bc_scale, bc_scale=bc_scale, pattern=pattern,
+            solver=solver)
         newton_history.append(iters)
         warm = (u, lam)
         c_qp, s_qp = recover_states_cs(mesh, u, lam, s_star, mu0)
@@ -381,6 +453,8 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         converged=result.converged,
         termination=result.termination,
         diagnostics={"equilibrium_residual": eq_rel,
-                     "stress_asymmetry": float(np.linalg.norm(asym) / s_scale)},
+                     "stress_asymmetry": float(np.linalg.norm(asym) / s_scale),
+                     "factorizations": solver.factorizations,
+                     "krylov_iterations": solver.krylov_iterations},
         timings={"total": time.perf_counter() - t0},
     )

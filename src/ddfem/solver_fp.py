@@ -154,19 +154,18 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         eq_rel = float(np.linalg.norm(eq[lam_free]))
         if f_ext_norm > 0.0:
             eq_rel /= f_ext_norm
-        neglected = mu0 * divergence_rhs(mesh, f_qp - f_star)
-        return f_qp, p_qp, eq_rel, (u, lam, float(np.linalg.norm(neglected[sys.u_free()])))
+        return f_qp, p_qp, eq_rel, (u, lam)
 
     step = assignment_loop(
         solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
         dataset, quad.weights.ravel(), config)
     final = step.final
-    u, lam, neglected = final.payload
+    u, lam = final.payload
     f_qp, p_qp = final.strains, final.stresses
 
-    am_defect = max(
-        (angular_momentum_defect(f_qp[e, q], p_qp[e, q])
-         for e in range(mesh.n_elements) for q in range(quad.nqp)), default=0.0)
+    f_star = dataset.strains[final.assigned].reshape(f_qp.shape)
+    neglected = mu0 * divergence_rhs(mesh, f_qp - f_star)[sys.u_free()]
+    am_defect = angular_momentum_defect(f_qp, p_qp)
     return SolveReport(
         formulation="FP",
         mesh=mesh,
@@ -185,6 +184,6 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         termination=step.termination,
         diagnostics={"equilibrium_residual": final.residual,
                      "angular_momentum_defect": am_defect,
-                     "neglected_term": neglected},
+                     "neglected_term": float(np.linalg.norm(neglected))},
         timings={"total": time.perf_counter() - t0},
     )

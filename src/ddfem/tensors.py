@@ -66,10 +66,16 @@ def rotate_pair(strain: np.ndarray, stress: np.ndarray, q: np.ndarray):
 
 
 def angular_momentum_defect(f: np.ndarray, p: np.ndarray) -> float:
-    """Relative asymmetry of P F^T (zero exactly when P = F S, S = S^T)."""
-    m = p @ f.T
-    defect = m - m.T
-    return float(np.linalg.norm(defect)) / max(1.0, float(np.linalg.norm(m)))
+    """Largest relative asymmetry of P F^T over (..., d, d) batches of F and P.
+
+    Each tensor pair contributes |P F^T - F P^T| / max(1, |P F^T|) in the
+    Frobenius norm, which is zero exactly when P = F S with S = S^T.  An
+    empty batch has defect 0.
+    """
+    m = p @ np.swapaxes(f, -1, -2)
+    defect = np.linalg.norm(m - np.swapaxes(m, -1, -2), axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)))
+    return float(np.max(defect / scale, initial=0.0))
 
 
 def voigt_to_tensor(v) -> np.ndarray:

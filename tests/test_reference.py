@@ -1,5 +1,10 @@
 """Tests for the classical comparison solvers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -171,3 +176,15 @@ class TestRodAnalytic:
         with pytest.raises(ValueError, match="monotone"):
             rod_analytic(Family.LINEAR, c1=1.0e6, load=0.0, length=0.1,
                          area=1.0e-4)
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # rod_analytic imports it on first call, so a solve never pays for it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ddfem.cli, ddfem.reference, ddfem.multilevel; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

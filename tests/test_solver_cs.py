@@ -5,8 +5,12 @@ every tangent block is compared with a central finite-difference Jacobian
 of the residuals themselves.
 """
 
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from conftest import (coupled_blocks, end_load_bcs, fd_tangent_blocks,
@@ -498,6 +502,110 @@ class TestJacobianPattern:
         assert np.array_equal(u[fixed_u], vals_u)
         assert history[-1] <= 1e-10
         assert 1 <= iters <= 8
+
+
+class FreshLU:
+    """Reference Newton linear solve: a new sparse LU of every Jacobian."""
+
+    def solve(self, jac, rhs):
+        return spla.spsolve(jac.tocsc(), rhs)
+
+
+def assigned_stars(mesh, data, shift):
+    """(C*, S*) with point k assigned tuple (k + shift) mod len(data)."""
+    quad = mesh.quadrature()
+    ids = (np.arange(mesh.n_elements * quad.nqp) + shift) % len(data)
+    shape = (mesh.n_elements, quad.nqp, mesh.dim, mesh.dim)
+    return data.strains[ids].reshape(shape), data.stresses[ids].reshape(shape)
+
+
+def assert_same_newton(got, want):
+    assert got[2] == want[2]
+    for x, y in zip(got[:2], want[:2]):
+        assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
+
+
+class TestKeptFactor:
+    @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
+    def test_reused_factor_matches_a_fresh_lu_per_step(self, make_mesh, rng):
+        mesh = make_mesh()
+        data = svk_cs_set(mesh.dim, 200, rng)
+        solver = solver_cs._TangentSolver()
+        # a second solve at another assignment and load, warm-started from
+        # the first and preconditioned by the first solve's factor
+        start = (None, None)
+        steps = 0
+        for shift, stretch in ((0, 0.01), (100, 0.02)):
+            bcs = stretch_bcs(mesh, stretch)
+            c_star, s_star = assigned_stars(mesh, data, shift)
+            args = (mesh, bcs, c_star, s_star, data.mu0, CsConfig(), *start)
+            kept = newton_solve(*args, solver=solver)
+            assert_same_newton(kept, newton_solve(*args, solver=FreshLU()))
+            steps += kept[2]
+            start = kept[:2]
+        assert solver.factorizations < steps
+        assert solver.krylov_iterations > 0
+
+    @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
+    def test_factor_of_an_unrelated_jacobian_is_replaced(self, make_mesh, rng):
+        mesh = make_mesh()
+        data = svk_cs_set(mesh.dim, 200, rng)
+        bcs = stretch_bcs(mesh, 0.01)
+        pattern = JacobianPattern(mesh, free_dofs(mesh.n_dofs, bcs.fixed_dofs(mesh)[0]),
+                                  free_dofs(mesh.n_dofs, bcs.lambda_fixed_dofs(mesh)[0]))
+        u, lam, c_far, s_far = random_admissible_state(mesh, rng, data.mu0,
+                                                       u_scale=0.3, lam_scale=0.3)
+        solver = solver_cs._TangentSolver()
+        solver.solve(pattern.assemble(tangent_blocks(mesh, u, lam, c_far, s_far, data.mu0)),
+                     np.ones(pattern.size))
+        assert solver.factorizations == 1
+
+        c_star, s_star = assigned_stars(mesh, data, 0)
+        args = (mesh, bcs, c_star, s_star, data.mu0, CsConfig())
+        kept = newton_solve(*args, pattern=pattern, solver=solver)
+        assert solver.factorizations >= 2
+        assert_same_newton(kept, newton_solve(*args, solver=FreshLU()))
+
+    def test_singular_tangent_raises_with_or_without_a_kept_factor(self):
+        # no displacement constraint: the tangent keeps every rigid mode
+        mesh = rect_mesh(1.0, 0.5, 2, 1)
+        bcs = BoundaryConditions(point_loads=[(mesh.n_nodes - 1, np.array([1.0, 0.0]))])
+        c_star = qp_field(mesh, np.eye(2))
+        s_star = qp_field(mesh, np.zeros((2, 2)))
+        primed = solver_cs._TangentSolver()
+        primed.solve(sp.identity(4 * mesh.n_nodes, format="csc"), np.ones(4 * mesh.n_nodes))
+        for solver in (None, primed):
+            with pytest.raises(ValueError, match="singular tangent matrix"):
+                newton_solve(mesh, bcs, c_star, s_star, 1.0, CsConfig(), solver=solver)
+
+    def test_multi_pass_solve_factors_rarely_and_one_factor_at_a_time(
+            self, rng, monkeypatch):
+        factorize = solver_cs.factorize
+        built = []
+
+        class TrackedLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in built), "two factors held at once"
+            lu = TrackedLU(factorize(*args, **kwargs))
+            built.append(weakref.ref(lu))
+            return lu
+
+        monkeypatch.setattr(solver_cs, "factorize", tracked)
+        mesh = rect_mesh(1.0, 0.5, 4, 2)
+        report = solve_cs(mesh, clamped_tip_bcs(mesh, 0.1), svk_cs_set(2, 300, rng),
+                          CsConfig(load_steps=2))
+        assert report.converged and report.data_iterations > 2
+        factorizations = report.diagnostics["factorizations"]
+        krylov = report.diagnostics["krylov_iterations"]
+        assert type(factorizations) is int and type(krylov) is int
+        assert 2 <= len(built) == factorizations < sum(report.newton_history)
+        assert krylov > 0
 
 
 class TestSolvesShareAMesh:

@@ -13,7 +13,8 @@ from numpy.testing import assert_allclose
 from conftest import end_load_bcs, fp_equilibrium_residual, scripted_search
 from ddfem import solver_fp
 from ddfem.data_gen import Family, GeneratorSpec, generate
-from ddfem.fem import BoundaryConditions, divergence_rhs, gradient_field, line_mesh
+from ddfem.fem import (BoundaryConditions, divergence_rhs, free_dofs, gradient_field,
+                       line_mesh)
 from ddfem.phase_space import DataSet, PairingKind
 from ddfem.solver_fp import FpConfig, _SharedSystem, recover_states, solve_fp
 
@@ -255,6 +256,11 @@ class TestSolveFp:
                         res / f_ext_norm, rtol=1e-10, atol=1e-15)
         # 1D states cannot violate angular momentum
         assert report.diagnostics["angular_momentum_defect"] == 0.0
+        # the update the alternating scheme drops: mu0 div(F - F*) on free u dofs
+        f_star = data.strains[report.assigned.ravel()].reshape(report.strains.shape)
+        neglected = data.mu0 * divergence_rhs(rod_mesh, report.strains - f_star)
+        free_u = free_dofs(rod_mesh.n_dofs, bcs.fixed_dofs(rod_mesh)[0])
+        assert report.diagnostics["neglected_term"] == np.linalg.norm(neglected[free_u])
 
 
 class TestTermination:

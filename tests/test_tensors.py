@@ -89,6 +89,15 @@ class TestAngularMomentum:
         assert angular_momentum_defect(q @ f, q @ p) <= 1e-12
         assert angular_momentum_defect(f, p + np.array([[0.0, 0.3], [0.0, 0.0]])) > 1e-3
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_gives_the_largest_pairwise_defect(self, d, rng):
+        f = np.eye(d) + 0.1 * rng.standard_normal((4, 5, d, d))
+        p = 3.0 * rng.standard_normal((4, 5, d, d))
+        pairwise = [angular_momentum_defect(f[e, q], p[e, q])
+                    for e in range(4) for q in range(5)]
+        assert_allclose(angular_momentum_defect(f, p), max(pairwise), rtol=1e-14)
+        assert angular_momentum_defect(f[:0], p[:0]) == 0.0
+
 
 class TestVoigt:
     def test_round_trip(self, rng):
