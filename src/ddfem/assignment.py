@@ -10,8 +10,8 @@ recovered state.  The step stops at the first of these that holds, in
 this order:
 
 1. ``fixed-point``: the search returns the current assignment.
-2. ``cycle``: the search returns an assignment it already proposed in
-   this step.
+2. ``cycle``: the search returns an assignment this step already solved
+   at: the step's start assignment or one it proposed earlier.
 3. ``penalty-stagnation``: the penalties of the last two passes of this
    step differ by at most ``penalty_tol`` relative to the earlier one.
 4. ``max-iterations``: the step has run ``max_data_iterations`` passes.
@@ -96,7 +96,7 @@ def assignment_loop(solve_pass: Callable, search: Callable, dataset: DataSet,
 
     penalties: list[float] = []
     residuals: list[float] = []
-    seen: set[bytes] = set()
+    seen = {assigned.tobytes()}
     best = None
     termination = None
     while termination is None:

@@ -5,10 +5,22 @@ quadrilaterals (QUAD4) and 8-node hexahedra (HEX8), all with full 2-point
 Gauss quadrature per direction.  Displacement dofs are numbered
 node-major: dof = node * dim + component.  All loads are dead loads on
 the reference configuration.
+
+Gradients and weak divergences go through one sparse discrete gradient
+`B` (`GradientOperator`).  Its rows are the quadrature-point tensor
+components in (element, qp, i, j) order and its columns the dofs; row
+(e, q, i, j) holds dN_a/dX_j at column node_a * dim + i for the element's
+nper nodes, with int32 indices.  Then grad(u) is `B u` reshaped to
+(nel, nqp, d, d), and the divergence of a qp tensor field T is
+`B^T (w T)`, taken from a stored CSR copy of the transpose because
+`B.T @ x` builds a new matrix object on every call.  A solver holds one
+operator for the length of a solve (`gradient_operator`) and releases it
+when the solve returns; a call outside that block builds a temporary one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import warnings
 from dataclasses import dataclass, field
@@ -152,6 +164,8 @@ class Quadrature:
         self.weights = det * w[None, :] * scale
         self.nqp = nqp
         self.mesh = mesh
+        # the GradientOperator of the solve in progress, if any
+        self.operator = None
 
     @property
     def total_points(self) -> int:
@@ -161,24 +175,57 @@ class Quadrature:
         return float(self.weights.sum())
 
 
+class GradientOperator:
+    """The discrete gradient B of one mesh and its stored CSR transpose."""
+
+    def __init__(self, quad: Quadrature):
+        mesh = quad.mesh
+        nel, nqp, nper, d = quad.dndx.shape
+        n_rows = nel * nqp * d * d
+        # entry (e, q, i, j, a): dN_a/dX_j at dof node_a * d + i; scipy
+        # narrows the indices to int32 whenever they fit
+        dofs = mesh.elements[:, None, :] * d + np.arange(d)[None, :, None]  # (e, i, a)
+        cols = np.broadcast_to(dofs[:, None, :, None, :], (nel, nqp, d, d, nper))
+        vals = np.broadcast_to(np.swapaxes(quad.dndx, 2, 3)[:, :, None],
+                               (nel, nqp, d, d, nper))
+        self.b = sp.csr_matrix((vals.ravel(), cols.ravel(),
+                                np.arange(0, n_rows * nper + 1, nper)),
+                               shape=(n_rows, mesh.n_dofs))
+        self.bt = self.b.T.tocsr()
+        self.shape = (nel, nqp, d, d)
+        self.weights = quad.weights[:, :, None, None]
+
+
+def _operator(mesh: Mesh) -> GradientOperator:
+    quad = mesh.quadrature()
+    return quad.operator or GradientOperator(quad)
+
+
+@contextlib.contextmanager
+def gradient_operator(mesh: Mesh):
+    """Hold the mesh's GradientOperator for the block, release it on exit."""
+    quad = mesh.quadrature()
+    quad.operator = GradientOperator(quad)
+    try:
+        yield
+    finally:
+        quad.operator = None
+
+
 def gradient_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """(nel, nqp, d, d) gradients of a nodal vector field, G_ij = dv_i/dX_j.
 
     Works for the displacement u and for the displacement-like multiplier
     field alike; both carry dim components per node.
     """
-    quad = mesh.quadrature()
-    u_el = u.reshape(mesh.n_nodes, mesh.dim)[mesh.elements]  # (nel, nper, d)
-    return np.einsum("eai,eqaj->eqij", u_el, quad.dndx)
+    op = _operator(mesh)
+    return (op.b @ u.reshape(-1)).reshape(op.shape)
 
 
 def divergence_rhs(mesh: Mesh, tensor_qp: np.ndarray) -> np.ndarray:
     """Assemble R[(a,i)] = integral A_ij dN_a/dX_j for a qp tensor field."""
-    quad = mesh.quadrature()
-    contrib = np.einsum("eq,eqij,eqaj->eai", quad.weights, tensor_qp, quad.dndx)
-    out = np.zeros((mesh.n_nodes, mesh.dim))
-    np.add.at(out, mesh.elements, contrib)
-    return out.ravel()
+    op = _operator(mesh)
+    return op.bt @ (op.weights * tensor_qp).ravel()
 
 
 def stiffness_scalar(mesh: Mesh, mu0: float = 1.0) -> sp.csr_matrix:

@@ -358,6 +358,34 @@ def save_dataset(dataset: DataSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_rows(path: Path, rows: list[str], row_lines: list[int],
+                width: int) -> np.ndarray:
+    """The tuple lines as one (n, width) array.
+
+    One np.loadtxt call parses a well-formed file; whatever it rejects or
+    reads into another shape goes through the line loop, which accepts
+    exactly `float()` tokens and names the first bad line.  loadtxt
+    accepts no token that `float()` rejects, and comment stripping is off
+    so that an inline '#' stays an error.
+    """
+    try:
+        table = np.loadtxt(rows, comments=None, ndmin=2)
+        if table.shape == (len(rows), width):
+            return table
+    except ValueError:
+        pass
+    table = np.empty((len(rows), width))
+    for i, (ln, text) in enumerate(zip(row_lines, rows)):
+        parts = text.split()
+        if len(parts) != width:
+            raise ValueError(f"{path}:{ln}: expected {width} components, got {len(parts)}")
+        try:
+            table[i] = [float(x) for x in parts]
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: malformed number") from None
+    return table
+
+
 def load_dataset(path, mu0: float | None = None) -> DataSet:
     """Parse a dataset file; errors carry 1-based line numbers."""
     path = Path(path)
@@ -383,26 +411,14 @@ def load_dataset(path, mu0: float | None = None) -> DataSet:
     if header["units"] != "SI":
         raise ValueError(f"{path}:2: unsupported units '{header['units']}'")
     dd = dim * dim
-    strains, stresses, row_lines = [], [], []
-    for ln, raw in enumerate(lines[2:], start=3):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 2 * dd:
-            raise ValueError(f"{path}:{ln}: expected {2 * dd} components, got {len(parts)}")
-        try:
-            row = np.array([float(x) for x in parts])
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: malformed number") from None
-        strains.append(row[:dd])
-        stresses.append(row[dd:])
-        row_lines.append(ln)
-    if not strains:
+    row_lines = [ln for ln, raw in enumerate(lines[2:], start=3)
+                 if (text := raw.strip()) and not text.startswith("#")]
+    if not row_lines:
         raise ValueError(f"{path}: dataset contains no tuples")
-    # drop the text and per-row arrays before the batched validation
-    strains, stresses = np.array(strains), np.array(stresses)
+    table = _parse_rows(path, [lines[ln - 1] for ln in row_lines], row_lines, 2 * dd)
+    # drop the text before the batched validation
     del lines
+    strains, stresses = table[:, :dd], table[:, dd:]
     try:
         return DataSet(kind, dim, strains, stresses, mu0=mu0)
     except ValueError as err:

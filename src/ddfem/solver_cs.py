@@ -24,8 +24,12 @@ the minimum-degree ordering of A^T + A.  One factor is kept for the
 whole `solve_cs`, across Newton steps, passes and load steps, because
 the Jacobian drifts slowly between them: a Newton step solves with
 GMRES preconditioned by the kept LU, and refactors only when one
-restart cycle does not reach the GMRES tolerance.  Both residuals of a
-trial (u, lam) come from one kinematics evaluation.  One Newton solve is
+restart cycle does not reach the GMRES tolerance.  Kinematics (F,
+grad(lam), C and S) are computed once per Newton iterate: both residuals
+of a trial (u, lam) come from one evaluation, and the accepted iterate's
+evaluation also feeds its tangent and, at convergence, the pass's state
+recovery.  Gradients and divergences are products with the mesh's sparse
+discrete gradient, held for the length of `solve_cs`.  One Newton solve is
 one pass of `assignment.assignment_loop`, which reassigns the nearest
 tuples under the termination contract stated there.  `solve_cs` runs
 that loop once per load step of the continuation ramp; each step starts
@@ -44,7 +48,7 @@ import scipy.sparse.linalg as spla
 
 from .assignment import assignment_loop, checked_dataset
 from .fem import (BoundaryConditions, Mesh, divergence_rhs, factorize,
-                  free_dofs, gradient_field)
+                  free_dofs, gradient_field, gradient_operator)
 from .phase_space import DataSet, PairingKind, nearest_many
 from .report import SolveReport
 
@@ -99,31 +103,34 @@ class NewtonError(RuntimeError):
 def _kinematics(mesh: Mesh, u: np.ndarray, lam: np.ndarray, s_star: np.ndarray,
                 mu0: float):
     """Per-qp F, grad(lam), C = F^T F and S = S* + mu0 F^T grad(lam)."""
-    d = mesh.dim
-    f = gradient_field(mesh, u) + np.eye(d)
+    f = gradient_field(mesh, u) + np.eye(mesh.dim)
     lgrad = gradient_field(mesh, lam)
-    c = np.einsum("eqki,eqkj->eqij", f, f)
-    s = s_star + mu0 * np.einsum("eqki,eqkj->eqij", f, lgrad)
-    return f, lgrad, c, s
+    ft = np.swapaxes(f, -1, -2)
+    return f, lgrad, ft @ f, s_star + mu0 * (ft @ lgrad)
 
 
 def _strain_matching(kin, c_star: np.ndarray, mu0: float) -> np.ndarray:
     """Per-qp integrand 2 mu0 F (C - C*) - grad(lam) S^T of R_u."""
     f, lgrad, c, s = kin
-    return (2.0 * mu0 * np.einsum("eqik,eqkj->eqij", f, c - c_star)
-            - np.einsum("eqik,eqjk->eqij", lgrad, s))
+    return 2.0 * mu0 * (f @ (c - c_star)) - lgrad @ np.swapaxes(s, -1, -2)
 
 
 def _first_piola(kin) -> np.ndarray:
     """Per-qp integrand P = F S of R_l."""
     f, _, _, s = kin
-    return np.einsum("eqik,eqkj->eqij", f, s)
+    return f @ s
 
 
 def recover_states_cs(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
-                      s_star: np.ndarray, mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-qp C = F^T F (symmetric by construction) and S = S* + mu0 F^T grad(lam)."""
-    _, _, c, s = _kinematics(mesh, u, lam, s_star, mu0)
+                      s_star: np.ndarray, mu0: float,
+                      kin=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-qp C = F^T F (symmetric by construction) and S = S* + mu0 F^T grad(lam).
+
+    `kin` is the kinematics already evaluated at (u, lam), if any.
+    """
+    if kin is None:
+        kin = _kinematics(mesh, u, lam, s_star, mu0)
+    _, _, c, s = kin
     return c, s
 
 
@@ -151,13 +158,15 @@ def _node_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def tangent_blocks(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
-                   c_star: np.ndarray, s_star: np.ndarray, mu0: float) -> np.ndarray:
+                   c_star: np.ndarray, s_star: np.ndarray, mu0: float,
+                   kin=None) -> np.ndarray:
     """Exact coupled element tangents, shape (n_el, 2 nper d, 2 nper d).
 
     Rows and columns are ordered [u dofs | lam dofs], each node-major
     like the global numbering.  Assembled, the four blocks satisfy:
     K_uu is symmetric, K_ll is symmetric positive semidefinite (a Gram
-    form weighted by F F^T), and K_ul = -K_lu^T.
+    form weighted by F F^T), and K_ul = -K_lu^T.  `kin` is the
+    kinematics already evaluated at (u, lam); omitted, it is computed.
     """
     quad = mesh.quadrature()
     g = quad.dndx                                   # (e, q, a, j)
@@ -165,7 +174,9 @@ def tangent_blocks(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
     nel, nqp, nper, d = g.shape
     m = nper * d
 
-    f, lgrad, c, s_rec = _kinematics(mesh, u, lam, s_star, mu0)
+    if kin is None:
+        kin = _kinematics(mesh, u, lam, s_star, mu0)
+    f, lgrad, c, s_rec = kin
     ft, lt = np.swapaxes(f, -1, -2), np.swapaxes(lgrad, -1, -2)
 
     # outer products of F g and grad(lam) g, summed as [X a k, Y b i]
@@ -293,7 +304,9 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
                  f_ext: np.ndarray | None = None, bc_scale: float = 1.0,
                  pattern: JacobianPattern | None = None,
                  solver: _TangentSolver | None = None):
-    """Newton iteration at fixed assignment; returns (u, lam, iters, norms).
+    """Newton iteration at fixed assignment; returns (u, lam, iters, norms, kin).
+
+    `kin` is the kinematics (F, grad(lam), C, S) of the returned (u, lam).
 
     Residuals are reduced to the free dofs; convergence is declared at
     norm <= newton_tol * (1 + |f_ext|).  `pattern` must have been built
@@ -324,20 +337,21 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
         kin = _kinematics(mesh, u_try, lam_try, s_star, mu0)
         ru = divergence_rhs(mesh, _strain_matching(kin, c_star, mu0))[free_u]
         rl = (divergence_rhs(mesh, _first_piola(kin)) - f_ext)[free_l]
-        return np.concatenate([ru, rl])
+        return np.concatenate([ru, rl]), kin
 
     history: list[float] = []
-    res = reduced_residual(u, lam)
+    res, kin = reduced_residual(u, lam)
     norm = float(np.linalg.norm(res))
     history.append(norm)
     for it in range(config.newton_maxit + 1):
         if not np.isfinite(norm):
             raise NewtonError("Newton residual is not finite", history)
         if norm <= config.newton_tol * scale:
-            return u, lam, it, history
+            return u, lam, it, history, kin
         if it == config.newton_maxit:
             break
-        jac = pattern.assemble(tangent_blocks(mesh, u, lam, c_star, s_star, mu0))
+        jac = pattern.assemble(tangent_blocks(mesh, u, lam, c_star, s_star, mu0,
+                                              kin=kin))
         dx = solver.solve(jac, -res)
         du, dl = dx[:free_u.size], dx[free_u.size:]
 
@@ -349,7 +363,7 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
                 lam_try = lam.copy()
                 u_try[free_u] += alpha * du
                 lam_try[free_l] += alpha * dl
-                res_try = reduced_residual(u_try, lam_try)
+                res_try, kin_try = reduced_residual(u_try, lam_try)
                 norm_try = float(np.linalg.norm(res_try))
                 if np.isfinite(norm_try) and norm_try < norm * (1.0 - 1e-4 * alpha):
                     accepted = True
@@ -357,11 +371,11 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
                 alpha *= config.ls_factor
             if not accepted:
                 raise NewtonError("line search could not reduce the residual", history)
-            u, lam, res, norm = u_try, lam_try, res_try, norm_try
+            u, lam, res, norm, kin = u_try, lam_try, res_try, norm_try, kin_try
         else:
             u[free_u] += du
             lam[free_l] += dl
-            res = reduced_residual(u, lam)
+            res, kin = reduced_residual(u, lam)
             norm = float(np.linalg.norm(res))
             if norm > 1e8 * scale + 1e4 * history[0]:
                 raise NewtonError("Newton iteration diverged", history + [norm])
@@ -397,41 +411,41 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         nonlocal warm
         c_star = dataset.strains[ids].reshape(mesh.n_elements, quad.nqp, d, d)
         s_star = dataset.stresses[ids].reshape(mesh.n_elements, quad.nqp, d, d)
-        u, lam, iters, norms = newton_solve(
+        u, lam, iters, norms, kin = newton_solve(
             mesh, bcs, c_star, s_star, mu0, config, u0=warm[0], lam0=warm[1],
             f_ext=f_ext_full * bc_scale, bc_scale=bc_scale, pattern=pattern,
             solver=solver)
         newton_history.append(iters)
         warm = (u, lam)
-        c_qp, s_qp = recover_states_cs(mesh, u, lam, s_star, mu0)
+        c_qp, s_qp = recover_states_cs(mesh, u, lam, s_star, mu0, kin=kin)
         return c_qp, s_qp, norms[-1], warm
 
     penalty_history: list[float] = []
     residual_history: list[float] = []
     data_iterations = 0
     assigned = None
-    for step in range(1, config.load_steps + 1):
-        bc_scale = step / config.load_steps
-        result = assignment_loop(
-            solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
-            dataset, weights, config, assigned)
-        penalty_history += result.penalty_history
-        residual_history += result.residual_history
-        data_iterations += result.passes
-        # the next step starts from the state this one returned
-        assigned, warm = result.final.assigned, result.final.payload
-        if not result.converged:
-            break
+    with gradient_operator(mesh):
+        for step in range(1, config.load_steps + 1):
+            bc_scale = step / config.load_steps
+            result = assignment_loop(
+                solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
+                dataset, weights, config, assigned)
+            penalty_history += result.penalty_history
+            residual_history += result.residual_history
+            data_iterations += result.passes
+            # the next step starts from the state this one returned
+            assigned, warm = result.final.assigned, result.final.payload
+            if not result.converged:
+                break
 
-    final = result.final
-    u, lam = final.payload
-    c_qp, s_qp = final.strains, final.stresses
+        final = result.final
+        u, lam = final.payload
+        c_qp, s_qp = final.strains, final.stresses
+        f_qp = gradient_field(mesh, u) + np.eye(d)
+        eq = (divergence_rhs(mesh, f_qp @ s_qp) - f_ext_full)[free_l]
 
     asym = s_qp - np.swapaxes(s_qp, -1, -2)
     s_scale = max(1.0, float(np.abs(s_qp).max()))
-    f_qp = gradient_field(mesh, u) + np.eye(d)
-    p_qp = np.einsum("eqik,eqkj->eqij", f_qp, s_qp)
-    eq = (divergence_rhs(mesh, p_qp) - f_ext_full)[free_l]
     f_norm = float(np.linalg.norm(f_ext_full))
     eq_rel = float(np.linalg.norm(eq)) / f_norm if f_norm > 0 else float(np.linalg.norm(eq))
 

@@ -30,7 +30,8 @@ import scipy.sparse.linalg as spla
 
 from .assignment import assignment_loop, checked_dataset
 from .fem import (BoundaryConditions, Mesh, divergence_rhs, expand_solution,
-                  factorize, free_dofs, gradient_field, stiffness_vector)
+                  factorize, free_dofs, gradient_field, gradient_operator,
+                  stiffness_vector)
 from .phase_space import DataSet, PairingKind, nearest_many
 from .report import SolveReport
 from .tensors import angular_momentum_defect
@@ -156,15 +157,15 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
             eq_rel /= f_ext_norm
         return f_qp, p_qp, eq_rel, (u, lam)
 
-    step = assignment_loop(
-        solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
-        dataset, quad.weights.ravel(), config)
-    final = step.final
-    u, lam = final.payload
-    f_qp, p_qp = final.strains, final.stresses
-
-    f_star = dataset.strains[final.assigned].reshape(f_qp.shape)
-    neglected = mu0 * divergence_rhs(mesh, f_qp - f_star)[sys.u_free()]
+    with gradient_operator(mesh):
+        step = assignment_loop(
+            solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
+            dataset, quad.weights.ravel(), config)
+        final = step.final
+        u, lam = final.payload
+        f_qp, p_qp = final.strains, final.stresses
+        f_star = dataset.strains[final.assigned].reshape(f_qp.shape)
+        neglected = mu0 * divergence_rhs(mesh, f_qp - f_star)[sys.u_free()]
     am_defect = angular_momentum_defect(f_qp, p_qp)
     return SolveReport(
         formulation="FP",

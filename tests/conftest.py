@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,21 @@ def scripted_search(*tuple_ids):
     return search
 
 
+def spy_gradient_operators(module, monkeypatch):
+    """Record (weak reference, id) of the operator behind each
+    `module.gradient_field` call; the list fills as the solver runs."""
+    held = []
+    gradient = module.gradient_field
+
+    def spy(mesh, u):
+        operator = mesh.quadrature().operator
+        held.append((weakref.ref(operator), id(operator)))
+        return gradient(mesh, u)
+
+    monkeypatch.setattr(module, "gradient_field", spy)
+    return held
+
+
 def random_admissible_state(mesh, rng, mu0, u_scale=0.05, lam_scale=0.04):
     """Random nodal fields plus compatible-ish symmetric data states.
 
@@ -78,7 +95,12 @@ def random_admissible_state(mesh, rng, mu0, u_scale=0.05, lam_scale=0.04):
 
 
 def fd_tangent_blocks(mesh, u, lam, c_star, s_star, mu0, h=1e-6):
-    """Central-difference Jacobian blocks of the two coupled residuals."""
+    """Central-difference Jacobian blocks of the two coupled residuals.
+
+    The residuals run inside one `gradient_operator` block, so the 8 n
+    evaluations share one discrete gradient instead of building their own.
+    """
+    from ddfem.fem import gradient_operator
     from ddfem.solver_cs import residual_lambda, residual_u
 
     n = mesh.n_dofs
@@ -94,13 +116,14 @@ def fd_tangent_blocks(mesh, u, lam, c_star, s_star, mu0, h=1e-6):
     k_ul = np.empty((n, n))
     k_lu = np.empty((n, n))
     k_ll = np.empty((n, n))
-    for j in range(n):
-        dx = np.zeros(n)
-        dx[j] = h
-        k_uu[:, j] = (ru(u + dx, lam) - ru(u - dx, lam)) / (2.0 * h)
-        k_ul[:, j] = (ru(u, lam + dx) - ru(u, lam - dx)) / (2.0 * h)
-        k_lu[:, j] = (rl(u + dx, lam) - rl(u - dx, lam)) / (2.0 * h)
-        k_ll[:, j] = (rl(u, lam + dx) - rl(u, lam - dx)) / (2.0 * h)
+    with gradient_operator(mesh):
+        for j in range(n):
+            dx = np.zeros(n)
+            dx[j] = h
+            k_uu[:, j] = (ru(u + dx, lam) - ru(u - dx, lam)) / (2.0 * h)
+            k_ul[:, j] = (ru(u, lam + dx) - ru(u, lam - dx)) / (2.0 * h)
+            k_lu[:, j] = (rl(u + dx, lam) - rl(u - dx, lam)) / (2.0 * h)
+            k_ll[:, j] = (rl(u, lam + dx) - rl(u, lam - dx)) / (2.0 * h)
     return k_uu, k_ul, k_lu, k_ll
 
 

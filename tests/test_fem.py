@@ -6,15 +6,18 @@ solvers do reduces to gradient_field / divergence_rhs / stiffness being
 exact for affine fields.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ddfem.fem import (BoundaryConditions, ElementType, Mesh, box_mesh,
                        divergence_rhs, expand_solution, factorize, free_dofs,
-                       gauss_points, gradient_field, line_mesh, load_mesh,
-                       rect_mesh, reduce_system, save_mesh, shape_functions,
-                       stiffness_scalar, stiffness_vector)
+                       gauss_points, gradient_field, gradient_operator,
+                       line_mesh, load_mesh, rect_mesh, reduce_system,
+                       save_mesh, shape_functions, stiffness_scalar,
+                       stiffness_vector)
 
 
 @pytest.fixture
@@ -94,6 +97,69 @@ class TestGradientField:
         u = (mesh.nodes @ a.T).ravel()
         grad = gradient_field(mesh, u)
         assert_allclose(grad, np.broadcast_to(a, grad.shape), atol=1e-12)
+
+
+def einsum_gradient(mesh, u):
+    """The element-loop gradient the sparse operator replaced: the oracle."""
+    quad = mesh.quadrature()
+    u_el = u.reshape(mesh.n_nodes, mesh.dim)[mesh.elements]
+    return np.einsum("eai,eqaj->eqij", u_el, quad.dndx)
+
+
+def einsum_divergence(mesh, tensor_qp):
+    """The element-loop weak divergence the sparse operator replaced."""
+    quad = mesh.quadrature()
+    contrib = np.einsum("eq,eqij,eqaj->eai", quad.weights, tensor_qp, quad.dndx)
+    out = np.zeros((mesh.n_nodes, mesh.dim))
+    np.add.at(out, mesh.elements, contrib)
+    return out.ravel()
+
+
+OPERATOR_MESHES = {
+    "LINE2": lambda: line_mesh(2.0, 7, area=3.0),
+    "QUAD4": lambda: rect_mesh(1.3, 0.8, 4, 3, thickness=0.7),
+    "distorted QUAD4": lambda: Mesh(
+        np.array([[0.0, 0.0], [1.3, 0.1], [2.4, -0.1], [-0.2, 1.2], [1.1, 0.9],
+                  [2.2, 1.3]]),
+        np.array([[0, 1, 4, 3], [1, 2, 5, 4]]), ElementType.QUAD4),
+    "HEX8": lambda: box_mesh(1.0, 0.6, 0.5, 3, 2, 2),
+}
+
+
+@pytest.mark.parametrize("make_mesh", OPERATOR_MESHES.values(),
+                         ids=OPERATOR_MESHES.keys())
+class TestGradientOperator:
+    def random_pair(self, mesh, rng):
+        shape = (mesh.n_elements, mesh.quadrature().nqp, mesh.dim, mesh.dim)
+        return rng.standard_normal(mesh.n_dofs), rng.standard_normal(shape)
+
+    def test_matches_the_element_loop_formulas(self, make_mesh, rng):
+        mesh = make_mesh()
+        u, t = self.random_pair(mesh, rng)
+        for held in (False, True):
+            with gradient_operator(mesh) if held else contextlib.nullcontext():
+                grad, div = gradient_field(mesh, u), divergence_rhs(mesh, t)
+            want_grad, want_div = einsum_gradient(mesh, u), einsum_divergence(mesh, t)
+            assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
+            assert np.max(np.abs(div - want_div)) <= 1e-14 * np.max(np.abs(want_div))
+
+    def test_divergence_is_the_adjoint_of_the_gradient(self, make_mesh, rng):
+        # u . div(T) = sum over points of w grad(u) : T
+        mesh = make_mesh()
+        u, t = self.random_pair(mesh, rng)
+        weights = mesh.quadrature().weights[:, :, None, None]
+        assert_allclose(u @ divergence_rhs(mesh, t),
+                        np.sum(weights * gradient_field(mesh, u) * t), rtol=1e-13)
+
+    def test_operator_is_held_for_the_block_only(self, make_mesh):
+        mesh = make_mesh()
+        quad = mesh.quadrature()
+        assert quad.operator is None
+        with gradient_operator(mesh):
+            op = quad.operator
+            assert op.b.indices.dtype == np.int32
+            assert np.all(np.diff(op.b.indptr) == mesh.etype.nodes_per_element)
+        assert quad.operator is None
 
 
 class TestStiffness:

@@ -473,6 +473,29 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"bad.txt:5"):
             load_dataset(path)
 
+    def test_inline_comment_is_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# dd-dataset v1\nkind=FP dim=1 units=SI\n"
+                        "1.0 0.0\n1.5 0.25 # note\n")
+        with pytest.raises(ValueError, match=r"bad.txt:4: expected 2 components, got 4"):
+            load_dataset(path)
+
+    def test_malformed_number_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# dd-dataset v1\nkind=FP dim=1 units=SI\n"
+                        "1.0 0.0\n\n1.5 0.2.5\n")
+        with pytest.raises(ValueError, match=r"bad.txt:5: malformed number"):
+            load_dataset(path)
+
+    def test_every_float_token_is_accepted(self, tmp_path):
+        # the batched parse rejects these; the line loop reads them like float()
+        path = tmp_path / "data.txt"
+        path.write_text("# dd-dataset v1\nkind=FP dim=1 units=SI\n"
+                        "1_000.5 0.25\n  1.5\t-2.5e-1 \n")
+        data = load_dataset(path, mu0=1.0)
+        assert np.array_equal(data.strains, [[1000.5], [1.5]])
+        assert np.array_equal(data.stresses, [[0.25], [-0.25]])
+
     def test_momentum_violation_names_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         rows = ["1.0 0.0 0.0 1.0 0.1 0.0 0.0 0.2",

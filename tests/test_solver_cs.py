@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from conftest import (coupled_blocks, end_load_bcs, fd_tangent_blocks,
                       random_admissible_state, relative_frobenius,
-                      scripted_search)
+                      scripted_search, spy_gradient_operators)
 from ddfem import solver_cs
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import (BoundaryConditions, box_mesh, free_dofs, line_mesh,
@@ -141,6 +141,20 @@ class TestTangents:
         assert relative_frobenius(k_lu, fd_lu) < 1e-6
         assert relative_frobenius(k_ll, fd_ll) < 1e-6
 
+    @pytest.mark.parametrize("builder", [
+        lambda: line_mesh(1.0, 3, area=0.7),
+        lambda: rect_mesh(1.0, 0.8, 2, 2),
+        lambda: box_mesh(1.0, 0.6, 0.5, 2, 1, 1),
+    ])
+    def test_passed_kinematics_give_bit_equal_blocks(self, builder, rng):
+        mesh = builder()
+        mu0 = 1.7
+        u, lam, c_star, s_star = random_admissible_state(mesh, rng, mu0)
+        kin = solver_cs._kinematics(mesh, u, lam, s_star, mu0)
+        assert np.array_equal(
+            tangent_blocks(mesh, u, lam, c_star, s_star, mu0, kin=kin),
+            tangent_blocks(mesh, u, lam, c_star, s_star, mu0))
+
     def test_block_structure(self, unit_square, rng):
         mu0 = 1.3
         for mesh in (unit_square, box_mesh(1.0, 0.6, 0.5, 2, 1, 1)):
@@ -162,8 +176,8 @@ class TestNewton:
         c_star = qp_field(rod_mesh, np.eye(1))
         s_star = qp_field(rod_mesh, np.zeros((1, 1)))
         bcs = end_load_bcs(rod_mesh, 0.0)
-        u, lam, iters, history = newton_solve(rod_mesh, bcs, c_star, s_star,
-                                              2.0, CsConfig())
+        u, lam, iters, history, _ = newton_solve(rod_mesh, bcs, c_star, s_star,
+                                                 2.0, CsConfig())
         assert iters == 0
         assert history == [0.0]
         assert_allclose(u, 0.0, atol=1e-18)
@@ -178,8 +192,8 @@ class TestNewton:
         c_star = qp_field(rod_mesh, np.array([[f_ex ** 2]]))
         s_star = qp_field(rod_mesh, np.array([[s_ex]]))
         config = CsConfig(mu0=4.0e5)
-        u, lam, iters, _ = newton_solve(rod_mesh, bcs, c_star, s_star, 4.0e5,
-                                        config)
+        u, lam, iters, _, _ = newton_solve(rod_mesh, bcs, c_star, s_star, 4.0e5,
+                                           config)
         assert_allclose(u, 0.1 * rod_mesh.nodes[:, 0], rtol=1e-7)
         assert_allclose(lam, 0.0, atol=1e-10)
         assert iters <= 6
@@ -216,6 +230,17 @@ class TestSolveCs:
         assert report.global_penalty == 0.0
         assert np.all(report.assigned == 0)
         assert_allclose(report.u, 0.0, atol=1e-18)
+
+    def test_gradient_operator_does_not_outlive_the_solve(self, rod_mesh,
+                                                          monkeypatch):
+        held = spy_gradient_operators(solver_cs, monkeypatch)
+        data = cs_set([1.0, 1.5625, 2.2, 0.82], [0.0, 2.4e5, 6.0e5, -2.0e5], mu0=4.0e5)
+        report = solve_cs(rod_mesh, end_load_bcs(rod_mesh, 1.25 * 2.4e5 * rod_mesh.area),
+                          data, CsConfig(load_steps=2))
+        # one operator served every load step and is gone when the solve returns
+        assert report.converged and len({key for _, key in held}) == 1
+        assert all(ref() is None for ref, _ in held)
+        assert rod_mesh.quadrature().operator is None
 
     def test_consistent_data_fixed_point_in_two_passes(self, rod_mesh):
         # (C, S) = (1.5625, 0.24 MPa) balances the end load exactly
@@ -332,22 +357,35 @@ class TestTermination:
 
     def test_cycle_rolls_back_to_the_best_visited_state(self, problem,
                                                         monkeypatch):
-        # passes visit 2, 1, 2; the search then proposes 1 again
+        # passes visit 2, 1; the search then proposes the start 2 again
         monkeypatch.setattr(solver_cs, "nearest_many",
                             scripted_search(2, 1, 2, 1))
         report = solve_cs(*problem)
         assert report.converged
         assert report.termination == "cycle"
-        assert report.data_iterations == 3
+        assert report.data_iterations == 2
         assert np.all(report.assigned == 1)
-        assert report.global_penalty == min(report.penalty_history[:3])
+        assert report.global_penalty == min(report.penalty_history[:2])
         assert report.penalty_history[-1] == report.global_penalty
+        assert_allclose(report.u, 0.25 * problem[0].nodes[:, 0], rtol=1e-8)
+
+    def test_cycle_back_to_the_start_rolls_back_to_it(self, problem,
+                                                      monkeypatch):
+        # passes visit 1, 2; the search then proposes the start 1 again
+        monkeypatch.setattr(solver_cs, "nearest_many", scripted_search(1, 2, 1))
+        report = solve_cs(*problem)
+        assert report.termination == "cycle"
+        assert report.data_iterations == 2
+        assert np.all(report.assigned == 1)
+        assert len(report.penalty_history) == 3
+        assert report.penalty_history[-1] == report.penalty_history[0]
         assert_allclose(report.u, 0.25 * problem[0].nodes[:, 0], rtol=1e-8)
 
     def test_cycle_rollback_warm_starts_the_next_load_step(self, rod_mesh,
                                                           monkeypatch):
-        # tuple 1 balances half the load, so step 1 cycles 2, 1, 2 and
-        # must hand tuple 1 and its fields to step 2
+        # tuple 1 balances half the load, so step 1 visits 1, 2, cycles
+        # back to its start 1 and must hand tuple 1 and the fields of its
+        # first pass to step 2
         data = cs_set([1.0, 1.5625, 2.2, 0.82], [0.0, 2.4e5, 6.0e5, -2.0e5],
                       mu0=4.0e5)
         bcs = end_load_bcs(rod_mesh, 2.0 * 1.25 * 2.4e5 * rod_mesh.area)
@@ -361,12 +399,12 @@ class TestTermination:
 
         monkeypatch.setattr(solver_cs, "newton_solve", recording_newton)
         monkeypatch.setattr(solver_cs, "nearest_many",
-                            scripted_search(2, 1, 2, 1, 1))
+                            scripted_search(1, 2, 1, 1))
         report = solve_cs(rod_mesh, bcs, data, CsConfig(load_steps=2))
         assert report.termination == "fixed-point"
-        assert [c for c, _, _ in calls] == [2.2, 1.5625, 2.2, 1.5625]
+        assert [c for c, _, _ in calls] == [1.5625, 2.2, 1.5625]
         # step 2 starts from the fields step 1 found with tuple 1
-        assert np.array_equal(calls[3][1], calls[1][2])
+        assert np.array_equal(calls[2][1], calls[0][2])
 
     def test_iteration_cap_rolls_back_to_the_best_visited_state(
             self, problem, monkeypatch):
@@ -399,7 +437,7 @@ class TestTermination:
         # penalty, which must not end step 2 before its second pass
         mesh, _, data = problem
         monkeypatch.setattr(solver_cs, "nearest_many",
-                            scripted_search(1, 1, 4, 1))
+                            scripted_search(1, 1, 4, 3))
         report = solve_cs(mesh, end_load_bcs(mesh, 0.0), data,
                           CsConfig(load_steps=2))
         assert report.termination == "penalty-stagnation"
@@ -496,12 +534,24 @@ class TestJacobianPattern:
         shape = (mesh.n_elements, mesh.quadrature().nqp, mesh.dim, mesh.dim)
         c_star = data.strains[assigned].reshape(shape)
         s_star = data.stresses[assigned].reshape(shape)
-        u, lam, iters, history = newton_solve(mesh, bcs, c_star, s_star,
-                                              data.mu0, CsConfig())
+        u, lam, iters, history, _ = newton_solve(mesh, bcs, c_star, s_star,
+                                                 data.mu0, CsConfig())
         fixed_u, vals_u = bcs.fixed_dofs(mesh)
         assert np.array_equal(u[fixed_u], vals_u)
         assert history[-1] <= 1e-10
         assert 1 <= iters <= 8
+
+    @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
+    def test_returned_kinematics_are_those_of_the_returned_fields(self, make_mesh,
+                                                                  rng):
+        mesh = make_mesh()
+        data = svk_cs_set(mesh.dim, 200, rng)
+        c_star, s_star = assigned_stars(mesh, data, 0)
+        u, lam, iters, _, kin = newton_solve(mesh, stretch_bcs(mesh, 0.01), c_star,
+                                             s_star, data.mu0, CsConfig())
+        assert iters >= 1
+        for got, want in zip(kin, solver_cs._kinematics(mesh, u, lam, s_star, data.mu0)):
+            assert np.array_equal(got, want)
 
 
 class FreshLU:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import end_load_bcs, fp_equilibrium_residual, scripted_search
+from conftest import (end_load_bcs, fp_equilibrium_residual, scripted_search,
+                      spy_gradient_operators)
 from ddfem import solver_fp
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import (BoundaryConditions, divergence_rhs, free_dofs, gradient_field,
@@ -120,6 +121,16 @@ class TestSolveFp:
         assert np.all(report.assigned == 1)
         assert_allclose(report.u, 0.25 * rod_mesh.nodes[:, 0], rtol=1e-12)
         assert_allclose(report.lam, 0.0, atol=1e-12 * 0.25)
+
+    def test_gradient_operator_does_not_outlive_the_solve(self, rod_mesh,
+                                                          monkeypatch):
+        held = spy_gradient_operators(solver_fp, monkeypatch)
+        data = fp_set([1.0, 1.25, 1.6, 0.8], [0.0, 0.3e6, 0.9e6, -0.4e6], mu0=1.0e6)
+        report = solve_fp(rod_mesh, end_load_bcs(rod_mesh, 0.3e6 * rod_mesh.area), data)
+        # one operator served the whole solve and is gone when it returns
+        assert report.converged and len({key for _, key in held}) == 1
+        assert all(ref() is None for ref, _ in held)
+        assert rod_mesh.quadrature().operator is None
 
     def test_rest_state_converges_in_one_iteration(self, rod_mesh):
         data = fp_set([0.9, 1.0, 1.1], [-0.5, 0.0, 0.5])
@@ -287,16 +298,28 @@ class TestTermination:
 
     def test_cycle_rolls_back_to_the_best_visited_state(self, problem,
                                                         monkeypatch):
-        # passes visit 2, 1, 2; the search then proposes 1 again
+        # passes visit 2, 1; the search then proposes the start 2 again
         monkeypatch.setattr(solver_fp, "nearest_many",
                             scripted_search(2, 1, 2, 1))
         report = solve_fp(*problem)
         assert report.converged
         assert report.termination == "cycle"
-        assert report.data_iterations == 3
+        assert report.data_iterations == 2
         assert np.all(report.assigned == 1)
-        assert report.global_penalty == min(report.penalty_history[:3])
+        assert report.global_penalty == min(report.penalty_history[:2])
         assert report.penalty_history[-1] == report.global_penalty
+        assert_allclose(report.u, 0.25 * problem[0].nodes[:, 0], rtol=1e-12)
+
+    def test_cycle_back_to_the_start_rolls_back_to_it(self, problem,
+                                                      monkeypatch):
+        # passes visit 1, 2; the search then proposes the start 1 again
+        monkeypatch.setattr(solver_fp, "nearest_many", scripted_search(1, 2, 1))
+        report = solve_fp(*problem)
+        assert report.termination == "cycle"
+        assert report.data_iterations == 2
+        assert np.all(report.assigned == 1)
+        assert len(report.penalty_history) == 3
+        assert report.penalty_history[-1] == report.penalty_history[0]
         assert_allclose(report.u, 0.25 * problem[0].nodes[:, 0], rtol=1e-12)
 
     def test_iteration_cap_rolls_back_to_the_best_visited_state(
