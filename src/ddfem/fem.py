@@ -15,7 +15,8 @@ nper nodes, with int32 indices.  Then grad(u) is `B u` reshaped to
 `B^T (w T)`, taken from a stored CSR copy of the transpose because
 `B.T @ x` builds a new matrix object on every call.  A solver holds one
 operator for the length of a solve (`gradient_operator`) and releases it
-when the solve returns; a call outside that block builds a temporary one.
+when the solve returns; a block nested in it reuses that operator, and a
+call outside any block builds a temporary one.
 """
 
 from __future__ import annotations
@@ -203,8 +204,15 @@ def _operator(mesh: Mesh) -> GradientOperator:
 
 @contextlib.contextmanager
 def gradient_operator(mesh: Mesh):
-    """Hold the mesh's GradientOperator for the block, release it on exit."""
+    """Hold the mesh's GradientOperator for the block, release it on exit.
+
+    A block nested in another on the same mesh uses the operator already
+    held and leaves it in place when it exits.
+    """
     quad = mesh.quadrature()
+    if quad.operator is not None:
+        yield
+        return
     quad.operator = GradientOperator(quad)
     try:
         yield

@@ -11,20 +11,24 @@ fixed assignment the coupled residuals
     R_u = integral (2 mu0 F (C - C*) - grad(lam) S^T) : grad(du) dV
     R_l = integral (F S) : grad(dl) dV - f_ext(dl)
 
-are driven to zero by Newton iteration with the exact tangent
-(cross-checked against finite differences in the test suite).  Each
-Newton step evaluates one closed-form element kernel, `tangent_blocks`,
-which returns the coupled element matrices over [u | lam] dofs as
+are driven to zero by Newton's method with the exact tangent
+(cross-checked against finite differences in the test suite).  The
+tangent is one closed-form element kernel, `tangent_blocks`, which
+returns the coupled element matrices over [u | lam] dofs as
 batched matmuls over the quadrature points.  A `JacobianPattern`, built
-once per `solve_cs` from the mesh and the free u and lam dofs, maps every
-element entry to its slot in the CSC data of the reduced Jacobian, so
-assembly is one bincount.  Note K_ul = -K_lu^T: the coupled system is
-not symmetric, but its sparsity is, so it is factored by sparse LU with
-the minimum-degree ordering of A^T + A.  One factor is kept for the
-whole `solve_cs`, across Newton steps, passes and load steps, because
-the Jacobian drifts slowly between them: a Newton step solves with
-GMRES preconditioned by the kept LU, and refactors only when one
-restart cycle does not reach the GMRES tolerance.  Kinematics (F,
+once per `solve_cs` from the mesh and the boundary conditions, holds the
+prescribed u and lam dofs with their values and maps every element entry
+to its slot in the CSC data of the reduced Jacobian, so assembly is one
+bincount.  Note K_ul = -K_lu^T: the coupled system is not symmetric, but
+its sparsity is, so it is factored by sparse LU with the minimum-degree
+ordering of A^T + A.  One factor is kept for the whole `solve_cs`,
+across Newton steps, passes and load steps, because the Jacobian drifts
+slowly between them.  Each step first tries a chord (simplified-Newton)
+step on the kept factor and accepts it when it cuts the residual norm by
+at least `CHORD_RATE`; otherwise it drops the factor, evaluates and
+factors the exact tangent at the current iterate and takes a full
+Newton step, under the line search when one is configured.  Most steps
+therefore cost one triangular solve and one residual.  Kinematics (F,
 grad(lam), C and S) are computed once per Newton iterate: both residuals
 of a trial (u, lam) come from one evaluation, and the accepted iterate's
 evaluation also feeds its tangent and, at convergence, the pass's state
@@ -44,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assignment import assignment_loop, checked_dataset
 from .fem import (BoundaryConditions, Mesh, divergence_rhs, factorize,
@@ -57,13 +60,15 @@ from .report import SolveReport
 class CsConfig:
     """Newton and outer-loop knobs.
 
-    line_search "backtracking" guards Newton with residual-decrease
-    backtracking (factor ls_factor, at most ls_maxsteps cuts); the
-    default "none" takes plain full steps.  load_steps > 1 ramps the
-    external load (and prescribed displacements) linearly with warm
-    starts.  threads is the number of workers the nearest-tuple k-d tree
-    queries run on; every query is independent, so results are identical
-    for every value.
+    line_search "backtracking" guards each full Newton step with
+    residual-decrease backtracking (factor ls_factor, at most ls_maxsteps
+    cuts); the default "none" takes plain full steps.  Chord steps are
+    accepted only on a CHORD_RATE contraction in either mode.
+    newton_maxit caps the steps of one Newton solve, chord and full
+    Newton steps together.  load_steps > 1 ramps the external load (and
+    prescribed displacements) linearly with warm starts.  threads is the
+    number of workers the nearest-tuple k-d tree queries run on; every
+    query is independent, so results are identical for every value.
     """
 
     max_data_iterations: int = 100
@@ -137,16 +142,18 @@ def recover_states_cs(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
 def residual_u(mesh: Mesh, u: np.ndarray, lam: np.ndarray, c_star: np.ndarray,
                s_star: np.ndarray, mu0: float) -> np.ndarray:
     """Unconstrained nodal residual of the strain-matching equation."""
-    kin = _kinematics(mesh, u, lam, s_star, mu0)
-    return divergence_rhs(mesh, _strain_matching(kin, c_star, mu0))
+    with gradient_operator(mesh):
+        kin = _kinematics(mesh, u, lam, s_star, mu0)
+        return divergence_rhs(mesh, _strain_matching(kin, c_star, mu0))
 
 
 def residual_lambda(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
                     s_star: np.ndarray, mu0: float,
                     f_ext: np.ndarray) -> np.ndarray:
     """Unconstrained nodal equilibrium residual of P = F S."""
-    kin = _kinematics(mesh, u, lam, s_star, mu0)
-    return divergence_rhs(mesh, _first_piola(kin)) - f_ext
+    with gradient_operator(mesh):
+        kin = _kinematics(mesh, u, lam, s_star, mu0)
+        return divergence_rhs(mesh, _first_piola(kin)) - f_ext
 
 
 def _node_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -209,19 +216,24 @@ def tangent_blocks(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
 
 
 class JacobianPattern:
-    """Scatter map from coupled element tangents to the free-dof Jacobian.
+    """Constrained dofs of one solve and the scatter map from coupled
+    element tangents to the free-dof Jacobian.
 
-    The reduced Jacobian [[K_uu, K_ul], [K_lu, K_ll]] keeps the rows and
-    columns of the free u dofs (first) and the free multiplier dofs.
-    Every flattened element-matrix entry gets the CSC data slot it adds
-    into, or the spare slot nnz when it touches a prescribed dof, so
-    assembly is one bincount.  Build it once per mesh and constraint set.
+    `fixed_u`/`vals_u` and `fixed_l`/`vals_l` are the prescribed u and
+    multiplier dofs with their values, collected once.  The reduced
+    Jacobian [[K_uu, K_ul], [K_lu, K_ll]] keeps the rows and columns of
+    the free u dofs (first) and the free multiplier dofs.  Every
+    flattened element-matrix entry gets the CSC data slot it adds into,
+    or the spare slot nnz when it touches a prescribed dof, so assembly
+    is one bincount.  Build it once per mesh and constraint set.
     """
 
-    def __init__(self, mesh: Mesh, free_u: np.ndarray, free_l: np.ndarray):
+    def __init__(self, mesh: Mesh, bcs: BoundaryConditions):
         n, d = mesh.n_dofs, mesh.dim
-        self.free_u = free_u
-        self.free_l = free_l
+        self.fixed_u, self.vals_u = bcs.fixed_dofs(mesh)
+        self.fixed_l, self.vals_l = bcs.lambda_fixed_dofs(mesh)
+        self.free_u = free_u = free_dofs(n, self.fixed_u)
+        self.free_l = free_l = free_dofs(n, self.fixed_l)
         size = free_u.size + free_l.size
         position = np.full(2 * n, -1, dtype=np.int64)
         position[free_u] = np.arange(free_u.size)
@@ -248,54 +260,36 @@ class JacobianPattern:
                              shape=(self.size, self.size))
 
 
-# A Newton step solves with GMRES preconditioned by the kept LU, within
-# one restart cycle, to a true residual of GMRES_RTOL relative to the
-# right-hand side; a step that falls short refactors.
-GMRES_RTOL = 1e-12
-GMRES_RESTART = 20
-GMRES_MAXITER = 1
+# A chord step on the kept factor is accepted when it cuts the residual
+# norm to at most this fraction; a slower step refactors.  The bound is
+# stricter than the line search's sufficient-decrease test, so a chord
+# step needs no line search.
+CHORD_RATE = 0.25
 
 
 class _TangentSolver:
-    """Solves J dx = b, keeping the last sparse LU of J across calls.
+    """The sparse LU kept across the Newton solves of one `solve_cs`.
 
-    Jacobians of one `solve_cs` share a pattern and drift slowly between
-    Newton steps, passes and load steps, so a stale factor is a good
-    preconditioner for the current one.  A call runs one GMRES restart
-    cycle on it; when that stalls, or no factor exists yet, the old LU
-    is dropped and the current Jacobian is factored and solved directly.
-    Counts the factorizations and the GMRES iterations it ran.
+    Jacobians of one solve share a pattern and drift slowly between
+    Newton steps, passes and load steps, so `newton_solve` takes chord
+    steps on `lu` while they contract and calls `factor` when one does
+    not.  Counts the tangents `newton_solve` evaluated and the
+    factorizations.
     """
 
     def __init__(self):
         self.lu = None
         self.factorizations = 0
-        self.krylov_iterations = 0
+        self.tangent_evaluations = 0
 
-    def _count_iteration(self, _residual) -> None:
-        self.krylov_iterations += 1
-
-    def _gmres(self, jac: sp.csc_matrix, rhs: np.ndarray):
-        """GMRES on the kept factor; None when it stalls."""
-        precond = spla.LinearOperator(jac.shape, matvec=self.lu.solve, dtype=float)
-        dx, info = spla.gmres(jac, rhs, rtol=GMRES_RTOL, atol=0.0,
-                              restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
-                              M=precond, callback=self._count_iteration,
-                              callback_type="pr_norm")
-        return dx if info == 0 else None
-
-    def solve(self, jac: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-        if self.lu is not None:
-            dx = self._gmres(jac, rhs)
-            if dx is not None:
-                return dx
+    def factor(self, jac: sp.csc_matrix):
+        """Replace the kept LU by one of `jac` and return it."""
         # hold one factor at a time: release the old one before building
-        # the next (its preconditioner went with _gmres's frame)
         self.lu = None
         # the coupled Jacobian is structurally symmetric
         self.lu = factorize(jac, "tangent", permc_spec="MMD_AT_PLUS_A")
         self.factorizations += 1
-        return self.lu.solve(rhs)
+        return self.lu
 
 
 def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
@@ -306,43 +300,49 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
                  solver: _TangentSolver | None = None):
     """Newton iteration at fixed assignment; returns (u, lam, iters, norms, kin).
 
-    `kin` is the kinematics (F, grad(lam), C, S) of the returned (u, lam).
+    `iters` counts the accepted steps, chord and Newton alike, and `kin`
+    is the kinematics (F, grad(lam), C, S) of the returned (u, lam).
 
     Residuals are reduced to the free dofs; convergence is declared at
     norm <= newton_tol * (1 + |f_ext|).  `pattern` must have been built
     for the same mesh and constraints; it is built here when omitted.
-    `solver` solves the Newton systems and may carry a factor over from
-    earlier solves on the same pattern; a fresh one is made when omitted.
-    Raises NewtonError on divergence or when newton_maxit is exhausted.
+    `solver` holds the factor chord steps use and may carry one over
+    from earlier solves on the same pattern; a fresh one is made when
+    omitted.  Raises NewtonError on divergence or when newton_maxit is
+    exhausted.
     """
     n = mesh.n_dofs
     if f_ext is None:
         f_ext = bcs.external_force(mesh) * bc_scale
-    fixed_u, vals_u = bcs.fixed_dofs(mesh)
-    fixed_l, vals_l = bcs.lambda_fixed_dofs(mesh)
     if pattern is None:
-        pattern = JacobianPattern(mesh, free_dofs(n, fixed_u), free_dofs(n, fixed_l))
+        pattern = JacobianPattern(mesh, bcs)
     free_u, free_l = pattern.free_u, pattern.free_l
     if solver is None:
         solver = _TangentSolver()
 
     u = np.zeros(n) if u0 is None else u0.astype(float).copy()
     lam = np.zeros(n) if lam0 is None else lam0.astype(float).copy()
-    u[fixed_u] = vals_u * bc_scale
-    lam[fixed_l] = vals_l
+    u[pattern.fixed_u] = pattern.vals_u * bc_scale
+    lam[pattern.fixed_l] = pattern.vals_l
 
     scale = max(1.0, 1.0 + float(np.linalg.norm(f_ext)))
 
-    def reduced_residual(u_try, lam_try):
-        kin = _kinematics(mesh, u_try, lam_try, s_star, mu0)
-        ru = divergence_rhs(mesh, _strain_matching(kin, c_star, mu0))[free_u]
-        rl = (divergence_rhs(mesh, _first_piola(kin)) - f_ext)[free_l]
-        return np.concatenate([ru, rl]), kin
+    def evaluate(u_try, lam_try):
+        """(u, lam, reduced residual, its norm, kinematics) at (u_try, lam_try)."""
+        kin_try = _kinematics(mesh, u_try, lam_try, s_star, mu0)
+        ru = divergence_rhs(mesh, _strain_matching(kin_try, c_star, mu0))[free_u]
+        rl = (divergence_rhs(mesh, _first_piola(kin_try)) - f_ext)[free_l]
+        res_try = np.concatenate([ru, rl])
+        return u_try, lam_try, res_try, float(np.linalg.norm(res_try)), kin_try
 
-    history: list[float] = []
-    res, kin = reduced_residual(u, lam)
-    norm = float(np.linalg.norm(res))
-    history.append(norm)
+    def trial(dx, alpha=1.0):
+        u_try, lam_try = u.copy(), lam.copy()
+        u_try[free_u] += alpha * dx[:free_u.size]
+        lam_try[free_l] += alpha * dx[free_u.size:]
+        return evaluate(u_try, lam_try)
+
+    u, lam, res, norm, kin = evaluate(u, lam)
+    history = [norm]
     for it in range(config.newton_maxit + 1):
         if not np.isfinite(norm):
             raise NewtonError("Newton residual is not finite", history)
@@ -350,35 +350,32 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
             return u, lam, it, history, kin
         if it == config.newton_maxit:
             break
-        jac = pattern.assemble(tangent_blocks(mesh, u, lam, c_star, s_star, mu0,
-                                              kin=kin))
-        dx = solver.solve(jac, -res)
-        du, dl = dx[:free_u.size], dx[free_u.size:]
-
-        if config.line_search == "backtracking":
-            alpha = 1.0
-            accepted = False
-            for _ in range(config.ls_maxsteps + 1):
-                u_try = u.copy()
-                lam_try = lam.copy()
-                u_try[free_u] += alpha * du
-                lam_try[free_l] += alpha * dl
-                res_try, kin_try = reduced_residual(u_try, lam_try)
-                norm_try = float(np.linalg.norm(res_try))
-                if np.isfinite(norm_try) and norm_try < norm * (1.0 - 1e-4 * alpha):
-                    accepted = True
-                    break
-                alpha *= config.ls_factor
-            if not accepted:
-                raise NewtonError("line search could not reduce the residual", history)
-            u, lam, res, norm, kin = u_try, lam_try, res_try, norm_try, kin_try
-        else:
-            u[free_u] += du
-            lam[free_l] += dl
-            res, kin = reduced_residual(u, lam)
-            norm = float(np.linalg.norm(res))
-            if norm > 1e8 * scale + 1e4 * history[0]:
-                raise NewtonError("Newton iteration diverged", history + [norm])
+        # step = (u, lam, res, norm, kin) of the accepted trial
+        step = None
+        if solver.lu is not None:
+            step = trial(solver.lu.solve(-res))
+            if not step[3] <= CHORD_RATE * norm:     # a NaN norm fails too
+                step = None
+        if step is None:
+            jac = pattern.assemble(tangent_blocks(mesh, u, lam, c_star, s_star, mu0,
+                                                  kin=kin))
+            solver.tangent_evaluations += 1
+            dx = solver.factor(jac).solve(-res)
+            if config.line_search == "backtracking":
+                alpha = 1.0
+                for _ in range(config.ls_maxsteps + 1):
+                    step = trial(dx, alpha)
+                    if np.isfinite(step[3]) and step[3] < norm * (1.0 - 1e-4 * alpha):
+                        break
+                    alpha *= config.ls_factor
+                else:
+                    raise NewtonError("line search could not reduce the residual",
+                                      history)
+            else:
+                step = trial(dx)
+                if step[3] > 1e8 * scale + 1e4 * history[0]:
+                    raise NewtonError("Newton iteration diverged", history + [step[3]])
+        u, lam, res, norm, kin = step
         history.append(norm)
     raise NewtonError(
         f"no convergence in {config.newton_maxit} Newton iterations "
@@ -397,9 +394,7 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     d = mesh.dim
     weights = quad.weights.ravel()
     f_ext_full = bcs.external_force(mesh)
-    free_l = free_dofs(mesh.n_dofs, bcs.lambda_fixed_dofs(mesh)[0])
-    pattern = JacobianPattern(mesh, free_dofs(mesh.n_dofs, bcs.fixed_dofs(mesh)[0]),
-                              free_l)
+    pattern = JacobianPattern(mesh, bcs)
     solver = _TangentSolver()
 
     # each pass warm-starts Newton from the previous pass's (u, lam) and
@@ -442,7 +437,7 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         u, lam = final.payload
         c_qp, s_qp = final.strains, final.stresses
         f_qp = gradient_field(mesh, u) + np.eye(d)
-        eq = (divergence_rhs(mesh, f_qp @ s_qp) - f_ext_full)[free_l]
+        eq = (divergence_rhs(mesh, f_qp @ s_qp) - f_ext_full)[pattern.free_l]
 
     asym = s_qp - np.swapaxes(s_qp, -1, -2)
     s_scale = max(1.0, float(np.abs(s_qp).max()))
@@ -469,6 +464,6 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         diagnostics={"equilibrium_residual": eq_rel,
                      "stress_asymmetry": float(np.linalg.norm(asym) / s_scale),
                      "factorizations": solver.factorizations,
-                     "krylov_iterations": solver.krylov_iterations},
+                     "tangent_evaluations": solver.tangent_evaluations},
         timings={"total": time.perf_counter() - t0},
     )

@@ -159,6 +159,10 @@ class TestGradientOperator:
             op = quad.operator
             assert op.b.indices.dtype == np.int32
             assert np.all(np.diff(op.b.indptr) == mesh.etype.nodes_per_element)
+            # a nested block reuses the held operator and leaves it in place
+            with gradient_operator(mesh):
+                assert quad.operator is op
+            assert quad.operator is op
         assert quad.operator is None
 
 

@@ -16,11 +16,12 @@ from numpy.testing import assert_allclose
 from conftest import (coupled_blocks, end_load_bcs, fd_tangent_blocks,
                       random_admissible_state, relative_frobenius,
                       scripted_search, spy_gradient_operators)
-from ddfem import solver_cs
+from ddfem import fem, solver_cs
 from ddfem.data_gen import Family, GeneratorSpec, generate
-from ddfem.fem import (BoundaryConditions, box_mesh, free_dofs, line_mesh,
-                       rect_mesh, stiffness_vector)
+from ddfem.fem import (BoundaryConditions, box_mesh, free_dofs, gradient_field,
+                       gradient_operator, line_mesh, rect_mesh, stiffness_vector)
 from ddfem.phase_space import DataSet, PairingKind
+from ddfem.reference import LinearElasticLaw, solve_linear_elastic
 from ddfem.solver_cs import (CsConfig, JacobianPattern, NewtonError,
                              newton_solve, recover_states_cs, residual_lambda,
                              residual_u, solve_cs, tangent_blocks)
@@ -81,6 +82,80 @@ class TestResiduals:
         r = residual_lambda(rod_mesh, z, z,
                             qp_field(rod_mesh, np.zeros((1, 1))), 2.0, f_ext)
         assert np.array_equal(r, -f_ext)
+
+
+def count_operator_builds(monkeypatch):
+    """List that gains an entry per GradientOperator built from here on."""
+    builds = []
+
+    class Counted(fem.GradientOperator):
+        def __init__(self, quad):
+            builds.append(quad)
+            super().__init__(quad)
+
+    monkeypatch.setattr(fem, "GradientOperator", Counted)
+    return builds
+
+
+class TestResidualOperator:
+    """The residuals run in one `gradient_operator` block: a call builds
+    one operator, or none inside a block that holds one."""
+
+    def calls(self, mesh, rng):
+        u, lam, c_star, s_star = random_admissible_state(mesh, rng, 1.3)
+        f_ext = np.zeros(mesh.n_dofs)
+        return (lambda: residual_u(mesh, u, lam, c_star, s_star, 1.3),
+                lambda: residual_lambda(mesh, u, lam, s_star, 1.3, f_ext))
+
+    def test_one_operator_per_call_outside_a_solve(self, unit_square, rng,
+                                                   monkeypatch):
+        calls = self.calls(unit_square, rng)
+        held = spy_gradient_operators(solver_cs, monkeypatch)
+        builds = count_operator_builds(monkeypatch)
+        for k, call in enumerate(calls, start=1):
+            del held[:]
+            call()
+            assert len(builds) == k
+            # both gradients of the call saw it, and it died with the call
+            assert len(held) == 2 and held[0][1] == held[1][1]
+            assert all(ref() is None for ref, _ in held)
+        assert unit_square.quadrature().operator is None
+
+    def test_no_operator_built_inside_a_held_block(self, unit_square, rng,
+                                                   monkeypatch):
+        calls = self.calls(unit_square, rng)
+        held = spy_gradient_operators(solver_cs, monkeypatch)
+        builds = count_operator_builds(monkeypatch)
+        quad = unit_square.quadrature()
+        with gradient_operator(unit_square):
+            outer = quad.operator
+            for call in calls * 2:
+                call()
+            assert quad.operator is outer
+        assert len(builds) == 1 and len(held) == 8
+        assert all(key == id(outer) for _, key in held)
+        assert quad.operator is None
+
+    def test_nested_block_in_a_solve_keeps_the_solve_operator(self, rod_mesh,
+                                                              monkeypatch):
+        newton = solver_cs.newton_solve
+
+        def nested(mesh, bcs, c_star, s_star, mu0, config, **kw):
+            outer = mesh.quadrature().operator
+            z = np.zeros(mesh.n_dofs)
+            with gradient_operator(mesh):
+                residual_u(mesh, z, z, c_star, s_star, mu0)
+            assert mesh.quadrature().operator is outer
+            return newton(mesh, bcs, c_star, s_star, mu0, config, **kw)
+
+        monkeypatch.setattr(solver_cs, "newton_solve", nested)
+        held = spy_gradient_operators(solver_cs, monkeypatch)
+        data = cs_set([1.0, 1.5625, 2.2, 0.82], [0.0, 2.4e5, 6.0e5, -2.0e5], mu0=4.0e5)
+        report = solve_cs(rod_mesh, end_load_bcs(rod_mesh, 1.25 * 2.4e5 * rod_mesh.area),
+                          data, CsConfig(load_steps=2))
+        assert report.converged and len({key for _, key in held}) == 1
+        assert all(ref() is None for ref, _ in held)
+        assert rod_mesh.quadrature().operator is None
 
 
 class TestRecovery:
@@ -192,11 +267,12 @@ class TestNewton:
         c_star = qp_field(rod_mesh, np.array([[f_ex ** 2]]))
         s_star = qp_field(rod_mesh, np.array([[s_ex]]))
         config = CsConfig(mu0=4.0e5)
-        u, lam, iters, _, _ = newton_solve(rod_mesh, bcs, c_star, s_star, 4.0e5,
-                                           config)
+        solver = solver_cs._TangentSolver()
+        u, lam, _, _, _ = newton_solve(rod_mesh, bcs, c_star, s_star, 4.0e5,
+                                       config, solver=solver)
         assert_allclose(u, 0.1 * rod_mesh.nodes[:, 0], rtol=1e-7)
         assert_allclose(lam, 0.0, atol=1e-10)
-        assert iters <= 6
+        assert solver.tangent_evaluations <= 6
 
     def test_unreachable_load_raises_with_history(self, rod_mesh):
         bcs = end_load_bcs(rod_mesh, 500.0)
@@ -242,6 +318,27 @@ class TestSolveCs:
         assert all(ref() is None for ref, _ in held)
         assert rod_mesh.quadrature().operator is None
 
+    def test_dirichlet_dofs_are_collected_once_per_solve(self, rng, monkeypatch):
+        collect = fem._collect_dirichlet
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return collect(*args)
+
+        monkeypatch.setattr(fem, "_collect_dirichlet", counted)
+        mesh = rect_mesh(1.0, 0.5, 4, 2)
+        bcs, data = clamped_tip_bcs(mesh, 0.1), svk_cs_set(2, 300, rng)
+        counts = {}
+        for cap in (1, 100):
+            del calls[:]
+            report = solve_cs(mesh, bcs, data,
+                              CsConfig(load_steps=2, max_data_iterations=cap))
+            counts[report.data_iterations] = len(calls)
+        passes = sorted(counts)
+        assert passes[0] == 1 and passes[1] > 4
+        assert counts[passes[0]] == counts[passes[1]]
+
     def test_consistent_data_fixed_point_in_two_passes(self, rod_mesh):
         # (C, S) = (1.5625, 0.24 MPa) balances the end load exactly
         s_ex, lam_ex = 2.4e5, 1.25
@@ -256,7 +353,7 @@ class TestSolveCs:
         assert report.global_penalty <= 1e-15
         assert_allclose(report.u, 0.25 * rod_mesh.nodes[:, 0], rtol=1e-8)
         assert_allclose(report.lam, 0.0, atol=1e-9)
-        assert report.newton_history[-1] <= 6
+        assert report.diagnostics["tangent_evaluations"] <= 6
         assert report.diagnostics["stress_asymmetry"] <= 1e-12
 
     def test_dense_data_recovers_the_large_stretch_answer(self, rod_mesh):
@@ -331,6 +428,32 @@ class TestSolveCs:
     def test_invalid_config_raises(self, kwargs):
         with pytest.raises(ValueError):
             CsConfig(**kwargs)
+
+
+class TestSiUnits:
+    def test_hex8_cantilever_in_si_units_converges(self):
+        """Metres and pascals with a prescribed tip deflection and no load:
+        newton_tol is then an absolute bound on residuals of order 0.1 N,
+        the regime where steps near round-off could stall."""
+        e_mod, nu = 1.0e6, 0.3
+        mesh = box_mesh(0.02, 0.004, 0.004, 5, 1, 1)
+        bcs = clamped_tip_bcs(mesh, 1.0e-3)
+        grad = gradient_field(mesh, solve_linear_elastic(mesh, bcs,
+                                                         LinearElasticLaw(e_mod, nu)))
+        # tuples of a Saint-Venant-Kirchhoff solid along the linear path
+        rng = np.random.default_rng(5)
+        eps = (0.5 * (grad + np.swapaxes(grad, -1, -2))).reshape(-1, 3, 3)
+        f = np.eye(3) + rng.uniform(0.0, 1.2, size=(300, 1, 1)) * eps[
+            rng.integers(len(eps), size=300)]
+        green = 0.5 * (np.swapaxes(f, -1, -2) @ f - np.eye(3))
+        lame = e_mod * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
+        s = (lame * np.trace(green, axis1=1, axis2=2)[:, None, None] * np.eye(3)
+             + e_mod / (1.0 + nu) * green)
+        data = DataSet(PairingKind.CS, 3, np.eye(3) + 2.0 * green, s)
+        report = solve_cs(mesh, bcs, data, CsConfig(load_steps=2))
+        assert not np.any(bcs.external_force(mesh))
+        assert report.converged
+        assert report.diagnostics["equilibrium_residual"] <= 1e-9
 
 
 class TestTermination:
@@ -475,14 +598,19 @@ def clamped_tip_bcs(mesh, tip):
 def stretch_bcs(mesh, stretch):
     """Rollers at x = 0, the x-displacement `stretch` at the far face, and
     multiplier constraints that differ from u's (every component on the
-    left face, none on the right)."""
+    left face, none on the right).  The pinned origin, and in 3D the y
+    component of the left-face corner above it, suppress the rigid modes
+    the rollers leave."""
     d = mesh.dim
     left = face_nodes(mesh, 0, 0.0)
     right = face_nodes(mesh, 0, mesh.nodes[:, 0].max())
-    origin = int(np.flatnonzero(np.all(np.isclose(mesh.nodes, 0.0), axis=1))[0])
+    corner = mesh.nodes.max(axis=0) * (np.arange(d) == 2)
+    origin, above = (int(np.flatnonzero(np.all(np.isclose(mesh.nodes, x), axis=1))[0])
+                     for x in (0.0, corner))
     return BoundaryConditions(
         dirichlet=[(n, 0, 0.0) for n in left]
         + [(origin, c, 0.0) for c in range(1, d)]
+        + [(above, 1, 0.0)] * (d == 3)
         + [(n, 0, stretch) for n in right],
         dirichlet_lambda=[(n, c, 0.0) for n in left for c in range(d)])
 
@@ -499,8 +627,12 @@ class TestJacobianPattern:
         mesh = make_mesh()
         mu0 = 1.4
         bcs = stretch_bcs(mesh, 0.03)
+        pattern = JacobianPattern(mesh, bcs)
         fixed_u, vals_u = bcs.fixed_dofs(mesh)
-        fixed_l, _ = bcs.lambda_fixed_dofs(mesh)
+        fixed_l, vals_l = bcs.lambda_fixed_dofs(mesh)
+        for got, want in zip((pattern.fixed_u, pattern.vals_u, pattern.fixed_l,
+                              pattern.vals_l), (fixed_u, vals_u, fixed_l, vals_l)):
+            assert np.array_equal(got, want)
         free_u = free_dofs(mesh.n_dofs, fixed_u)
         free_l = free_dofs(mesh.n_dofs, fixed_l)
         assert not np.array_equal(free_u, free_l)
@@ -516,7 +648,7 @@ class TestJacobianPattern:
                              [k_lu[np.ix_(free_l, free_u)], k_ll[np.ix_(free_l, free_l)]]])
 
         want = reduced(k_el)
-        got = JacobianPattern(mesh, free_u, free_l).assemble(k_el)
+        got = pattern.assemble(k_el)
         assert got.format == "csc"
         assert got.has_canonical_format
         assert got.shape == want.shape
@@ -534,12 +666,13 @@ class TestJacobianPattern:
         shape = (mesh.n_elements, mesh.quadrature().nqp, mesh.dim, mesh.dim)
         c_star = data.strains[assigned].reshape(shape)
         s_star = data.stresses[assigned].reshape(shape)
+        solver = solver_cs._TangentSolver()
         u, lam, iters, history, _ = newton_solve(mesh, bcs, c_star, s_star,
-                                                 data.mu0, CsConfig())
+                                                 data.mu0, CsConfig(), solver=solver)
         fixed_u, vals_u = bcs.fixed_dofs(mesh)
         assert np.array_equal(u[fixed_u], vals_u)
         assert history[-1] <= 1e-10
-        assert 1 <= iters <= 8
+        assert iters >= 1 and 1 <= solver.tangent_evaluations <= 8
 
     @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
     def test_returned_kinematics_are_those_of_the_returned_fields(self, make_mesh,
@@ -554,11 +687,13 @@ class TestJacobianPattern:
             assert np.array_equal(got, want)
 
 
-class FreshLU:
-    """Reference Newton linear solve: a new sparse LU of every Jacobian."""
+class FreshLU(solver_cs._TangentSolver):
+    """Reference Newton: a new sparse LU of every step's Jacobian and,
+    since no factor is kept, no chord steps."""
 
-    def solve(self, jac, rhs):
-        return spla.spsolve(jac.tocsc(), rhs)
+    def factor(self, jac):
+        self.factorizations += 1
+        return spla.splu(jac.tocsc())
 
 
 def assigned_stars(mesh, data, shift):
@@ -569,10 +704,28 @@ def assigned_stars(mesh, data, shift):
     return data.strains[ids].reshape(shape), data.stresses[ids].reshape(shape)
 
 
-def assert_same_newton(got, want):
-    assert got[2] == want[2]
+# Newton solves that stop at different iterates agree to about
+# |J^-1| newton_tol; a tight tolerance makes a 1e-10 comparison test the
+# solver rather than where it stopped.
+TIGHT = dict(newton_tol=1e-13)
+
+
+def assert_same_fields(got, want):
     for x, y in zip(got[:2], want[:2]):
         assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
+
+
+def two_solves(mesh, data, config, solver):
+    """Newton at two assignments and loads, the second warm-started from
+    the first and sharing its solver; the two results."""
+    start = (None, None)
+    results = []
+    for shift, stretch in ((0, 0.01), (100, 0.02)):
+        c_star, s_star = assigned_stars(mesh, data, shift)
+        results.append(newton_solve(mesh, stretch_bcs(mesh, stretch), c_star, s_star,
+                                    data.mu0, config, *start, solver=solver))
+        start = results[-1][:2]
+    return results
 
 
 class TestKeptFactor:
@@ -580,41 +733,49 @@ class TestKeptFactor:
     def test_reused_factor_matches_a_fresh_lu_per_step(self, make_mesh, rng):
         mesh = make_mesh()
         data = svk_cs_set(mesh.dim, 200, rng)
-        solver = solver_cs._TangentSolver()
-        # a second solve at another assignment and load, warm-started from
-        # the first and preconditioned by the first solve's factor
-        start = (None, None)
-        steps = 0
-        for shift, stretch in ((0, 0.01), (100, 0.02)):
-            bcs = stretch_bcs(mesh, stretch)
-            c_star, s_star = assigned_stars(mesh, data, shift)
-            args = (mesh, bcs, c_star, s_star, data.mu0, CsConfig(), *start)
-            kept = newton_solve(*args, solver=solver)
-            assert_same_newton(kept, newton_solve(*args, solver=FreshLU()))
-            steps += kept[2]
-            start = kept[:2]
-        assert solver.factorizations < steps
-        assert solver.krylov_iterations > 0
+        solver, fresh = solver_cs._TangentSolver(), FreshLU()
+        kept = two_solves(mesh, data, CsConfig(**TIGHT), solver)
+        reference = two_solves(mesh, data, CsConfig(**TIGHT), fresh)
+        for got, want in zip(kept, reference):
+            assert_same_fields(got, want)
+        # chord steps on the kept factor: fewer tangents than steps, each
+        # tangent factored once; the reference evaluates one per step
+        steps = sum(result[2] for result in kept)
+        assert solver.tangent_evaluations == solver.factorizations < steps
+        assert fresh.tangent_evaluations == fresh.factorizations == sum(
+            result[2] for result in reference)
+
+    @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
+    def test_backtracking_reaches_the_same_answer(self, make_mesh, rng):
+        mesh = make_mesh()
+        data = svk_cs_set(mesh.dim, 200, rng)
+        guarded = two_solves(mesh, data, CsConfig(line_search="backtracking", **TIGHT),
+                             solver_cs._TangentSolver())
+        for got, want in zip(guarded, two_solves(mesh, data, CsConfig(**TIGHT),
+                                                 FreshLU())):
+            assert_same_fields(got, want)
 
     @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
     def test_factor_of_an_unrelated_jacobian_is_replaced(self, make_mesh, rng):
         mesh = make_mesh()
         data = svk_cs_set(mesh.dim, 200, rng)
         bcs = stretch_bcs(mesh, 0.01)
-        pattern = JacobianPattern(mesh, free_dofs(mesh.n_dofs, bcs.fixed_dofs(mesh)[0]),
-                                  free_dofs(mesh.n_dofs, bcs.lambda_fixed_dofs(mesh)[0]))
+        pattern = JacobianPattern(mesh, bcs)
         u, lam, c_far, s_far = random_admissible_state(mesh, rng, data.mu0,
                                                        u_scale=0.3, lam_scale=0.3)
         solver = solver_cs._TangentSolver()
-        solver.solve(pattern.assemble(tangent_blocks(mesh, u, lam, c_far, s_far, data.mu0)),
-                     np.ones(pattern.size))
-        assert solver.factorizations == 1
+        unrelated = solver.factor(pattern.assemble(
+            tangent_blocks(mesh, u, lam, c_far, s_far, data.mu0)))
 
         c_star, s_star = assigned_stars(mesh, data, 0)
-        args = (mesh, bcs, c_star, s_star, data.mu0, CsConfig())
+        args = (mesh, bcs, c_star, s_star, data.mu0, CsConfig(**TIGHT))
         kept = newton_solve(*args, pattern=pattern, solver=solver)
-        assert solver.factorizations >= 2
-        assert_same_newton(kept, newton_solve(*args, solver=FreshLU()))
+        fresh = newton_solve(*args, solver=FreshLU())
+        # the chord step on the unrelated factor fails the contraction
+        # test, so the first step is the Newton step
+        assert_allclose(kept[3][:2], fresh[3][:2], rtol=1e-8)
+        assert solver.lu is not unrelated and solver.factorizations >= 2
+        assert_same_fields(kept, fresh)
 
     def test_singular_tangent_raises_with_or_without_a_kept_factor(self):
         # no displacement constraint: the tangent keeps every rigid mode
@@ -623,7 +784,7 @@ class TestKeptFactor:
         c_star = qp_field(mesh, np.eye(2))
         s_star = qp_field(mesh, np.zeros((2, 2)))
         primed = solver_cs._TangentSolver()
-        primed.solve(sp.identity(4 * mesh.n_nodes, format="csc"), np.ones(4 * mesh.n_nodes))
+        primed.factor(sp.identity(4 * mesh.n_nodes, format="csc"))
         for solver in (None, primed):
             with pytest.raises(ValueError, match="singular tangent matrix"):
                 newton_solve(mesh, bcs, c_star, s_star, 1.0, CsConfig(), solver=solver)
@@ -652,10 +813,9 @@ class TestKeptFactor:
                           CsConfig(load_steps=2))
         assert report.converged and report.data_iterations > 2
         factorizations = report.diagnostics["factorizations"]
-        krylov = report.diagnostics["krylov_iterations"]
-        assert type(factorizations) is int and type(krylov) is int
-        assert 2 <= len(built) == factorizations < sum(report.newton_history)
-        assert krylov > 0
+        tangents = report.diagnostics["tangent_evaluations"]
+        assert type(factorizations) is int and type(tangents) is int
+        assert 2 <= len(built) == factorizations == tangents < sum(report.newton_history)
 
 
 class TestSolvesShareAMesh:
