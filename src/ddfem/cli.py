@@ -16,7 +16,7 @@ import configparser
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +37,6 @@ _COMP_LABELS = {v: k for k, v in _COMP_NAMES.items()}
 _RUN_KEYS = {"formulation", "mesh", "dataset", "output", "area",
              "emit_fields", "emit_states", "emit_history", "emit_vtk",
              "emit_level_table"}
-_FP_KEYS = ("mu0", "max_data_iterations", "penalty_tol", "linear_solver",
-            "cg_tol", "cg_maxit")
-_CS_KEYS = ("mu0", "max_data_iterations", "penalty_tol", "newton_tol",
-            "newton_maxit", "line_search", "ls_factor", "ls_maxsteps",
-            "load_steps")
 _GEN_KEYS = {"family", "c1", "c3", "n", "stretch_min", "stretch_max",
              "pairing", "log_spacing"}
 _ML_KEYS = {"source", "max_levels", "stop_delta", "keep_all", "radius",
@@ -128,8 +123,28 @@ def _parse_dirichlet(name: str, raw: str) -> list:
     return triples
 
 
+def _solver_keys(cls) -> dict:
+    """[solver] keys of a solver config class with their defaults.
+
+    Every field is a key except threads, which is a command-line flag.
+    """
+    return {f.name: f.default for f in fields(cls) if f.name != "threads"}
+
+
+def _solver_value(key: str, default, raw: str):
+    """Parse by the type of the field's default; None means 'auto' or a number."""
+    if default is None:
+        return None if raw.strip().lower() == "auto" else _get_float("solver", key, raw)
+    if isinstance(default, str):
+        return raw.strip()
+    if isinstance(default, int):
+        return _get_int("solver", key, raw)
+    return _get_float("solver", key, raw)
+
+
 def _solver_config(cp: configparser.ConfigParser, formulation: str):
-    keys = _FP_KEYS if formulation == "FP" else _CS_KEYS
+    cls = FpConfig if formulation == "FP" else CsConfig
+    keys = _solver_keys(cls)
     kwargs = {}
     if cp.has_section("solver"):
         for key, raw in cp.items("solver"):
@@ -137,17 +152,7 @@ def _solver_config(cp: configparser.ConfigParser, formulation: str):
                 _fail("solver", key, "threads is a command-line flag, not a config key")
             if key not in keys:
                 _fail("solver", key, f"unknown key for formulation {formulation}")
-            if key == "mu0":
-                kwargs[key] = None if raw.strip().lower() == "auto" \
-                    else _get_float("solver", key, raw)
-            elif key in ("linear_solver", "line_search"):
-                kwargs[key] = raw.strip()
-            elif key in ("max_data_iterations", "cg_maxit", "newton_maxit",
-                         "ls_maxsteps", "load_steps"):
-                kwargs[key] = _get_int("solver", key, raw)
-            else:
-                kwargs[key] = _get_float("solver", key, raw)
-    cls = FpConfig if formulation == "FP" else CsConfig
+            kwargs[key] = _solver_value(key, keys[key], raw)
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -319,11 +324,10 @@ def serialize_config(cfg: RunConfig) -> str:
             out.append(f"body_force = {' '.join(repr(v) for v in cfg.body_force)}")
 
     out.extend(["", "[solver]"])
-    keys = _FP_KEYS if cfg.formulation == "FP" else _CS_KEYS
-    for key in keys:
+    for key in _solver_keys(type(cfg.solver)):
         value = getattr(cfg.solver, key)
-        if key == "mu0":
-            out.append(f"mu0 = {'auto' if value is None else repr(value)}")
+        if value is None:
+            out.append(f"{key} = auto")
         elif isinstance(value, (int, str)):
             out.append(f"{key} = {value}")
         else:
@@ -471,8 +475,7 @@ def cmd_reference(args) -> int:
     u = solve_linear_elastic(mesh, bcs, law)
     grad = gradient_field(mesh, u)
     eps = sym(grad)
-    sigma = np.stack([[law.stress(eps[e, q]) for q in range(eps.shape[1])]
-                      for e in range(eps.shape[0])])
+    sigma = law.stress(eps)
     zeros = np.zeros_like(eps[..., 0, 0])
     report = SolveReport(
         formulation="reference", mesh=mesh, mu0=law.e_mod, u=u,

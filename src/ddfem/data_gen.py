@@ -298,11 +298,17 @@ def isotropic_grid_from_two_states(elong: DataTuple, shear: DataTuple,
 # -- pairing conversion ----------------------------------------------------
 
 
-def _spd_sqrt(c: np.ndarray, uid: int) -> np.ndarray:
+def _raise_first(bad: np.ndarray, what: str) -> None:
+    """Raise for the lowest-index tuple flagged in `bad`, if any."""
+    if bad.any():
+        raise ValueError(f"tuple {int(np.argmax(bad))}: {what}")
+
+
+def _spd_sqrt(c: np.ndarray) -> np.ndarray:
+    """Symmetric positive-definite square roots of a (n, d, d) batch."""
     w, v = np.linalg.eigh(c)
-    if np.any(w <= 0.0):
-        raise ValueError(f"tuple {uid}: strain tensor is not positive definite")
-    return (v * np.sqrt(w)) @ v.T
+    _raise_first(np.any(w <= 0.0, axis=1), "strain tensor is not positive definite")
+    return (v * np.sqrt(w)[:, None, :]) @ np.swapaxes(v, 1, 2)
 
 
 def convert_pairing(dataset: DataSet, target: PairingKind,
@@ -321,30 +327,24 @@ def convert_pairing(dataset: DataSet, target: PairingKind,
         return DataSet(dataset.kind, d, dataset.strains, dataset.stresses,
                        mu0=dataset.mu0 if mu0 is None else mu0, validate=False)
 
-    strains = np.empty_like(dataset.strains)
-    stresses = np.empty_like(dataset.stresses)
+    eye = np.eye(d)
+    e = dataset.strains.reshape(n, d, d)
+    s = dataset.stresses.reshape(n, d, d)
+    if dataset.kind is PairingKind.FP:
+        norm = np.linalg.norm(e, axis=(1, 2))
+        _raise_first(np.abs(np.linalg.det(e)) < 1e-14 * np.maximum(1.0, norm ** d),
+                     "deformation gradient is singular")
+        c, s = np.swapaxes(e, 1, 2) @ e, np.linalg.solve(e, s)
+    else:
+        c = 2.0 * e + eye if dataset.kind is PairingKind.EPS_SIGMA else e
+        s = s.copy()
 
-    def to_cs(i: int) -> tuple[np.ndarray, np.ndarray]:
-        kind = dataset.kind
-        e = dataset.strain_matrix(i)
-        s = dataset.stress_matrix(i)
-        if kind is PairingKind.FP:
-            if abs(np.linalg.det(e)) < 1e-14 * max(1.0, np.linalg.norm(e) ** d):
-                raise ValueError(f"tuple {i}: deformation gradient is singular")
-            return e.T @ e, np.linalg.solve(e, s)
-        if kind is PairingKind.EPS_SIGMA:
-            return 2.0 * e + np.eye(d), s.copy()
-        return e.copy(), s.copy()
-
-    for i in range(n):
-        c, s = to_cs(i)
-        if target is PairingKind.CS:
-            strains[i], stresses[i] = c.reshape(-1), s.reshape(-1)
-        elif target is PairingKind.EPS_SIGMA:
-            strains[i] = (0.5 * (c - np.eye(d))).reshape(-1)
-            stresses[i] = s.reshape(-1)
-        else:  # FP
-            f = _spd_sqrt(0.5 * (c + c.T), i)
-            strains[i] = f.reshape(-1)
-            stresses[i] = (f @ s).reshape(-1)
+    if target is PairingKind.CS:
+        strains, stresses = c, s
+    elif target is PairingKind.EPS_SIGMA:
+        strains, stresses = 0.5 * (c - eye), s
+    else:  # FP
+        f = _spd_sqrt(0.5 * (c + np.swapaxes(c, 1, 2)))
+        strains, stresses = f, f @ s
+    strains, stresses = strains.reshape(n, -1), stresses.reshape(n, -1)
     return DataSet(target, d, strains, stresses, mu0=mu0, validate=False)

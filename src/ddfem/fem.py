@@ -373,15 +373,34 @@ def free_dofs(n_total: int, fixed: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def reduce_system(k: sp.spmatrix, rhs: np.ndarray, fixed: np.ndarray,
-                  values: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Eliminate prescribed dofs; returns (K_ff, rhs_f, free index array)."""
-    k = k.tocsr()
-    free = free_dofs(k.shape[0], fixed)
-    rhs_f = rhs[free].copy()
-    if fixed.size and np.any(values != 0.0):
-        rhs_f -= k[free][:, fixed] @ values
-    return k[free][:, free].tocsr(), rhs_f, free
+class ReducedSystem:
+    """K with its prescribed dofs eliminated, for any prescribed values.
+
+    Holds the free dofs, K_ff and K_fc.  `rhs` lifts the prescribed
+    values into a free right-hand side and `expand` rebuilds the full
+    vector from a free solution.  Factoring K_ff is left to the caller.
+    """
+
+    def __init__(self, k: sp.spmatrix, fixed: np.ndarray):
+        self.n_total = k.shape[0]
+        self.fixed = fixed
+        self.free = free_dofs(self.n_total, fixed)
+        rows = k.tocsr()[self.free]
+        self.k_ff = rows[:, self.free].tocsr()
+        self.k_fc = rows[:, fixed].tocsr() if fixed.size else None
+
+    def rhs(self, b: np.ndarray, values: np.ndarray) -> np.ndarray:
+        b_f = b[self.free]
+        if self.k_fc is not None and np.any(values != 0.0):
+            b_f = b_f - self.k_fc @ values
+        return b_f
+
+    def expand(self, x_free: np.ndarray, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n_total)
+        out[self.free] = x_free
+        if self.fixed.size:
+            out[self.fixed] = values
+        return out
 
 
 def _singular_error(k_ff: sp.spmatrix, context: str) -> ValueError:
@@ -414,15 +433,6 @@ def factorize(k_ff: sp.csr_matrix, context: str = "stiffness",
     if pivots.size and pivots.min() <= 1e-13 * max(pivots.max(), 1e-300):
         raise _singular_error(k_ff, context)
     return lu
-
-
-def expand_solution(n_total: int, free: np.ndarray, x_free: np.ndarray,
-                    fixed: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros(n_total)
-    out[free] = x_free
-    if fixed.size:
-        out[fixed] = values
-    return out
 
 
 # -- structured meshes ---------------------------------------------------

@@ -352,9 +352,8 @@ _MAGIC = "# dd-dataset v1"
 def save_dataset(dataset: DataSet, path) -> None:
     lines = [_MAGIC,
              f"kind={dataset.kind.value} dim={dataset.dim} units=SI"]
-    for i in range(len(dataset)):
-        row = np.concatenate([dataset.strains[i], dataset.stresses[i]])
-        lines.append(" ".join(repr(float(x)) for x in row))
+    lines.extend(" ".join(map(repr, row))
+                 for row in np.hstack([dataset.strains, dataset.stresses]).tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

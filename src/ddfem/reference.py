@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data_gen import Family, piola_stress_1d
-from .fem import BoundaryConditions, Mesh, expand_solution, factorize, reduce_system
+from .fem import BoundaryConditions, Mesh, ReducedSystem, factorize
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ def solve_linear_elastic(mesh: Mesh, bcs: BoundaryConditions,
     k = elastic_stiffness(mesh, law)
     f = bcs.external_force(mesh)
     fixed, values = bcs.fixed_dofs(mesh)
-    k_ff, f_f, free = reduce_system(k, f, fixed, values)
-    lu = factorize(k_ff, "elastic stiffness")
-    return expand_solution(mesh.n_dofs, free, lu.solve(f_f), fixed, values)
+    red = ReducedSystem(k, fixed)
+    lu = factorize(red.k_ff, "elastic stiffness")
+    return red.expand(lu.solve(red.rhs(f, values)), values)
 
 
 def rod_analytic(family: Family, c1: float, load: float, length: float,

@@ -48,9 +48,6 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
-    def end_displacement(self, node: int, comp: int = 0) -> float:
-        return float(self.u[node * self.mesh.dim + comp])
-
 
 def _header(name: str, config_hash: str, report: SolveReport) -> list[str]:
     status = "CONVERGED" if report.converged else "NONCONVERGED"

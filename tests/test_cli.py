@@ -5,6 +5,7 @@ stderr, and the emitted files.
 """
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from ddfem.cli import main, parse_config, serialize_config
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import line_mesh, save_mesh
 from ddfem.phase_space import PairingKind, load_dataset, save_dataset
+from ddfem.solver_cs import CsConfig
+from ddfem.solver_fp import FpConfig
 
 C1_RUBBER = 1.0e6 / 6.0
 LOAD_FOR_DOUBLE = 3.5 * C1_RUBBER  # traction [Pa] that doubles the rod
@@ -159,6 +162,34 @@ pairing = CS
                 "[solver]\nnewton_tol = 1e-9\n")
         with pytest.raises(ValueError, match="unknown key for formulation FP"):
             parse_config(text)
+
+    @pytest.mark.parametrize("formulation, cls, values", [
+        ("FP", FpConfig, {"max_data_iterations": 77, "penalty_tol": 1e-9,
+                          "mu0": 1.5e6}),
+        ("CS", CsConfig, {"max_data_iterations": 41, "newton_tol": 1e-8,
+                          "newton_maxit": 12, "line_search": "backtracking",
+                          "ls_factor": 0.25, "ls_maxsteps": 5, "load_steps": 3,
+                          "mu0": 2.5e5, "penalty_tol": 1e-10})])
+    def test_every_solver_field_parses_and_round_trips(
+            self, workspace, formulation, cls, values):
+        _, mesh_path, data_path = workspace
+        settable = {f.name: f.default for f in fields(cls) if f.name != "threads"}
+        assert set(values) == set(settable)
+        assert all(values[key] != default for key, default in settable.items())
+        solver = "".join(f"{key} = {value}\n" for key, value in values.items())
+        text = (f"[run]\nformulation = {formulation}\nmesh = {mesh_path}\n"
+                f"dataset = {data_path}\noutput = o\n[solver]\n{solver}")
+        cfg = parse_config(text)
+        assert cfg.solver == cls(**values)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("line", ["linear_solver = cg", "cg_tol = 1e-14",
+                                      "cg_maxit = 100"])
+    def test_linear_solver_keys_are_unknown_to_fp(self, workspace, capsys, line):
+        tmp_path, mesh_path, data_path = workspace
+        cfg = rod_config(tmp_path, mesh_path, data_path, extra_solver=line)
+        assert main(["solve", str(cfg)]) == 1
+        assert "unknown key for formulation FP" in capsys.readouterr().err
 
     def test_generator_pairing_must_match_formulation(self, workspace):
         _, mesh_path, _ = workspace

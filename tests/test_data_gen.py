@@ -477,6 +477,21 @@ class TestPairingConversion:
         with pytest.raises(ValueError, match="singular"):
             convert_pairing(ds, PairingKind.CS)
 
+    def test_the_lowest_failing_tuple_is_named(self):
+        eye = [1.0, 0.0, 0.0, 1.0]
+        f = np.array([eye, [1.0, 0.0, 0.0, 0.0], eye, [0.0] * 4])
+        ds = DataSet(PairingKind.FP, 2, f, np.zeros((4, 4)), mu0=1.0,
+                     validate=False)
+        with pytest.raises(ValueError,
+                           match="^tuple 1: deformation gradient is singular$"):
+            convert_pairing(ds, PairingKind.CS)
+        c = np.array([eye, eye, [1.0, 0.0, 0.0, -0.5], [0.0, 1.0, 1.0, 0.0]])
+        ds = DataSet(PairingKind.CS, 2, c, np.zeros((4, 4)), mu0=1.0,
+                     validate=False)
+        with pytest.raises(ValueError,
+                           match="^tuple 2: strain tensor is not positive definite$"):
+            convert_pairing(ds, PairingKind.FP)
+
     def test_same_kind_copies_and_honors_mu0(self):
         ds = DataSet(PairingKind.FP, 1, np.array([[1.1]]), np.array([[2.0]]),
                      mu0=4.0, validate=False)

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ddfem.fem import (BoundaryConditions, ElementType, Mesh, box_mesh,
-                       divergence_rhs, expand_solution, factorize, free_dofs,
+from ddfem.fem import (BoundaryConditions, ElementType, Mesh, ReducedSystem,
+                       box_mesh, divergence_rhs, factorize, free_dofs,
                        gauss_points, gradient_field, gradient_operator,
-                       line_mesh, load_mesh, rect_mesh, reduce_system,
-                       save_mesh, shape_functions, stiffness_scalar,
-                       stiffness_vector)
+                       line_mesh, load_mesh, rect_mesh, save_mesh,
+                       shape_functions, stiffness_scalar, stiffness_vector)
 
 
 @pytest.fixture
@@ -278,9 +277,9 @@ class TestSolvePath:
         fixed = np.array([0])
         vals = np.array([0.3])
         rhs = np.zeros(mesh.n_nodes)
-        k_ff, rhs_f, free = reduce_system(k, rhs, fixed, vals)
-        x = factorize(k_ff, "rod").solve(rhs_f)
-        full = expand_solution(mesh.n_nodes, free, x, fixed, vals)
+        red = ReducedSystem(k, fixed)
+        x = factorize(red.k_ff, "rod").solve(red.rhs(rhs, vals))
+        full = red.expand(x, vals)
         # pure Dirichlet problem with zero interior source: constant field
         assert_allclose(full, 0.3, rtol=1e-12)
 

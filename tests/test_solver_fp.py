@@ -1,10 +1,12 @@
 """Tests for the alternating solver in the deformation-gradient pairing.
 
-The two shared-stiffness solves are pinned against hand-solved rod and patch
-problems; the recovered stress field is required to satisfy the discrete
-equilibrium identity, which the tests recompute independently from the
-reported states.
+The two constrained Laplacian solves are pinned against hand-solved rod
+and patch problems; the recovered stress field is required to satisfy
+the discrete equilibrium identity, which the tests recompute
+independently from the reported states.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +16,10 @@ from conftest import (end_load_bcs, fp_equilibrium_residual, scripted_search,
                       spy_gradient_operators)
 from ddfem import solver_fp
 from ddfem.data_gen import Family, GeneratorSpec, generate
-from ddfem.fem import (BoundaryConditions, divergence_rhs, free_dofs, gradient_field,
-                       line_mesh)
+from ddfem.fem import (BoundaryConditions, ReducedSystem, divergence_rhs, factorize,
+                       free_dofs, gradient_field, line_mesh, stiffness_vector)
 from ddfem.phase_space import DataSet, PairingKind
-from ddfem.solver_fp import FpConfig, _SharedSystem, recover_states, solve_fp
+from ddfem.solver_fp import FpConfig, recover_states, solve_fp
 
 
 def fp_set(strains, stresses, mu0=1.0):
@@ -27,21 +29,29 @@ def fp_set(strains, stresses, mu0=1.0):
                    validate=False)
 
 
+def laplacian_solve(mesh, mu0, constraints, rhs):
+    """One of FP's linear solves: the mu0-scaled Laplacian with the
+    prescribed (dofs, values) of `constraints` eliminated."""
+    fixed, values = constraints
+    red = ReducedSystem(stiffness_vector(mesh, mu0), fixed)
+    return red.expand(factorize(red.k_ff).solve(red.rhs(rhs, values)), values)
+
+
 class TestSingleSystems:
     def test_identity_gradients_leave_the_body_at_rest(self, rod_mesh):
         bcs = end_load_bcs(rod_mesh, 0.0)
         quad = rod_mesh.quadrature()
         f_star = np.ones((rod_mesh.n_elements, quad.nqp, 1, 1))
-        u = _SharedSystem(rod_mesh, bcs, 2.0, FpConfig()).solve_u(
-            2.0 * divergence_rhs(rod_mesh, f_star - np.eye(1)))
+        u = laplacian_solve(rod_mesh, 2.0, bcs.fixed_dofs(rod_mesh),
+                            2.0 * divergence_rhs(rod_mesh, f_star - np.eye(1)))
         assert_allclose(u, 0.0, atol=1e-18)
 
     def test_uniform_stretch_data_gives_the_linear_ramp(self, rod_mesh):
         bcs = end_load_bcs(rod_mesh, 0.0)
         quad = rod_mesh.quadrature()
         f_star = np.full((rod_mesh.n_elements, quad.nqp, 1, 1), 1.1)
-        u = _SharedSystem(rod_mesh, bcs, 2.0, FpConfig()).solve_u(
-            2.0 * divergence_rhs(rod_mesh, f_star - np.eye(1)))
+        u = laplacian_solve(rod_mesh, 2.0, bcs.fixed_dofs(rod_mesh),
+                            2.0 * divergence_rhs(rod_mesh, f_star - np.eye(1)))
         assert_allclose(u, 0.1 * rod_mesh.nodes[:, 0], rtol=1e-12,
                         atol=1e-16)
 
@@ -62,8 +72,8 @@ class TestSingleSystems:
         quad = unit_square.quadrature()
         f_star = np.broadcast_to(
             f_bar, (unit_square.n_elements, quad.nqp, 2, 2))
-        u = _SharedSystem(unit_square, bcs, 1.5, FpConfig()).solve_u(
-            1.5 * divergence_rhs(unit_square, f_star - np.eye(2)))
+        u = laplacian_solve(unit_square, 1.5, bcs.fixed_dofs(unit_square),
+                            1.5 * divergence_rhs(unit_square, f_star - np.eye(2)))
         assert_allclose(gradient_field(unit_square, u),
                         np.broadcast_to(grad, f_star.shape), atol=1e-12)
 
@@ -73,7 +83,8 @@ class TestSingleSystems:
         quad = rod_mesh.quadrature()
         p_star = np.full((rod_mesh.n_elements, quad.nqp, 1, 1),
                          n0 / rod_mesh.area)
-        lam = _SharedSystem(rod_mesh, bcs, 2.0, FpConfig()).solve_lambda(
+        lam = laplacian_solve(
+            rod_mesh, 2.0, bcs.lambda_fixed_dofs(rod_mesh),
             divergence_rhs(rod_mesh, p_star) - bcs.external_force(rod_mesh))
         assert_allclose(lam, 0.0, atol=1e-12)
 
@@ -81,7 +92,8 @@ class TestSingleSystems:
         bcs = end_load_bcs(rod_mesh, 0.0)
         quad = rod_mesh.quadrature()
         p_star = np.zeros((rod_mesh.n_elements, quad.nqp, 1, 1))
-        lam = _SharedSystem(rod_mesh, bcs, 2.0, FpConfig()).solve_lambda(
+        lam = laplacian_solve(
+            rod_mesh, 2.0, bcs.lambda_fixed_dofs(rod_mesh),
             divergence_rhs(rod_mesh, p_star) - bcs.external_force(rod_mesh))
         assert_allclose(lam, 0.0, atol=1e-18)
 
@@ -217,15 +229,29 @@ class TestSolveFp:
         diffs = np.diff(report.penalty_history)
         assert np.all(diffs <= 1e-12 * max(report.penalty_history))
 
-    def test_cg_matches_the_direct_solver(self, rod_mesh):
-        data = fp_set([1.0, 1.3, 1.7], [0.0, 0.4e6, 1.0e6], mu0=1.0e6)
-        bcs = end_load_bcs(rod_mesh, 30.0)
-        direct = solve_fp(rod_mesh, bcs, data, FpConfig())
-        cg = solve_fp(rod_mesh, bcs, data,
-                      FpConfig(linear_solver="cg", cg_tol=1e-14))
-        assert np.array_equal(direct.assigned, cg.assigned)
-        assert_allclose(cg.u, direct.u, rtol=1e-8, atol=1e-14)
-        assert_allclose(cg.lam, direct.lam, rtol=1e-8, atol=1e-14)
+    @pytest.mark.parametrize("dirichlet_lambda, factorizations",
+                             [(None, 1), ([(0, 0, 0.0), (4, 0, 0.0)], 2)],
+                             ids=["shared-pattern", "own-pattern"])
+    def test_one_factorization_per_constraint_pattern(
+            self, rod_mesh, monkeypatch, dirichlet_lambda, factorizations):
+        built = []
+        factorize = solver_fp.factorize
+
+        def spy(k_ff, *args, **kwargs):
+            built.append(k_ff.shape)
+            return factorize(k_ff, *args, **kwargs)
+
+        monkeypatch.setattr(solver_fp, "factorize", spy)
+        data = fp_set([1.0, 1.4, 1.9, 2.6], [0.0, 0.35e6, 0.8e6, 1.5e6],
+                      mu0=0.9e6)
+        bcs = replace(end_load_bcs(rod_mesh, 55.0),
+                      dirichlet_lambda=dirichlet_lambda)
+        report = solve_fp(rod_mesh, bcs, data)
+        assert report.data_iterations > 1
+        assert len(built) == factorizations
+        assert np.all(report.lam[bcs.lambda_fixed_dofs(rod_mesh)[0]] == 0.0)
+        res = fp_equilibrium_residual(rod_mesh, bcs, report)
+        assert res <= 1e-9 * np.linalg.norm(bcs.external_force(rod_mesh))
 
     def test_thread_count_does_not_change_the_result(self, rod_mesh):
         c1 = 1.0e6 / 6.0
