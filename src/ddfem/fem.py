@@ -168,10 +168,6 @@ class Quadrature:
         # the GradientOperator of the solve in progress, if any
         self.operator = None
 
-    @property
-    def total_points(self) -> int:
-        return self.mesh.n_elements * self.nqp
-
     def volume(self) -> float:
         return float(self.weights.sum())
 

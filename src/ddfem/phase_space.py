@@ -17,10 +17,18 @@ on one exact index.  Each tuple is embedded as
 
     [sqrt(mu0/2) * strain, sqrt(1/(2 mu0)) * stress]
 
-so the metric above is plain squared Euclidean distance there, and a
-`scipy.spatial.cKDTree` over the embedded tuples answers the queries.
-The tree proposes candidates; the answer is settled by the metric
-computed from direct differences, with ties going to the lowest id.
+so the metric above is plain squared Euclidean distance there.  The
+embedded tuples span few directions of their stored space (symmetric
+tensors store each off-diagonal twice, and stress follows strain), and
+a k-d tree that splits on coordinate axes searches many leaves on such
+data.  So the search tree, a `scipy.spatial.cKDTree`, holds the
+embedded tuples rotated onto their principal axes, and each query is
+rotated by the same orthogonal matrix: the rotation leaves every
+distance unchanged.  It is a rotation only, without the usual shift to
+the centroid, so a rotated coordinate rounds within a few ulps of the
+unrotated row's norm, as the embedded coordinates do.  The tree
+proposes candidates; the answer is settled by the metric computed from
+direct differences, with ties going to the lowest id.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -100,10 +108,9 @@ def _validate(kind: PairingKind, dim: int, strains: np.ndarray,
 class DataSet:
     """Immutable collection of data tuples with a frozen metric scale.
 
-    Internally the tuples live in two (n, d*d) arrays so that searches
-    vectorize; `DataTuple` views are materialized on demand.  Treat
-    instances as read-only: the search tree is built on first use and
-    cached on the instance.
+    The tuples live in two (n, d*d) arrays so that searches vectorize.
+    Treat instances as read-only: the search tree is built on first use
+    and cached on the instance.
     """
 
     def __init__(self, kind: PairingKind, dim: int, strains, stresses,
@@ -128,50 +135,35 @@ class DataSet:
             raise ValueError(f"mu0 must be positive and finite, got {mu0}")
         self.mu0 = float(mu0)
         self._tree: cKDTree | None = None
-
-    # -- basic container protocol ------------------------------------
+        # set by tree(): the orthogonal (k, k) matrix that takes scaled
+        # tuples and queries onto the tree's axes
+        self.axes: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.strains.shape[0]
 
-    def __getitem__(self, uid: int) -> DataTuple:
-        n = len(self)
-        if not -n <= uid < n:
-            raise IndexError(uid)
-        uid = uid % n
-        d = self.dim
-        return DataTuple(self.strains[uid].reshape(d, d).copy(),
-                         self.stresses[uid].reshape(d, d).copy(), uid)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def strain_matrix(self, uid: int) -> np.ndarray:
-        return self.strains[uid].reshape(self.dim, self.dim)
-
-    def stress_matrix(self, uid: int) -> np.ndarray:
-        return self.stresses[uid].reshape(self.dim, self.dim)
-
     def tree(self) -> cKDTree:
-        """k-d tree over the tuples in scaled phase space (see module doc)."""
+        """k-d tree over the scaled tuples on their principal axes.
+
+        Sets `axes`, the eigenvectors of the centred tuples' Gram matrix,
+        and builds the tree on `scaled @ axes`; queries go through the
+        same product.  The centroid only picks the axes and is not
+        subtracted: the tree's splits do not depend on a shift, and
+        without one the rounding of a rotated query stays relative to
+        the query's own norm, which the near-tie margin is measured on.
+        """
         if self._tree is None:
-            self._tree = cKDTree(_scaled(self.strains, self.stresses, self.mu0))
+            x = _scaled(self.strains, self.stresses, self.mu0)
+            c = x - x.mean(axis=0)
+            _, self.axes = np.linalg.eigh(c.T @ c)
+            del c
+            self._tree = cKDTree(x @ self.axes)
         return self._tree
 
     def with_mu0(self, mu0: float) -> "DataSet":
         """Same tuples under a different metric scale."""
         return DataSet(self.kind, self.dim, self.strains, self.stresses,
                        mu0=mu0, validate=False)
-
-    @classmethod
-    def from_pairs(cls, kind: PairingKind, dim: int,
-                   pairs: Iterable[tuple[np.ndarray, np.ndarray]],
-                   mu0: float | None = None) -> "DataSet":
-        strains, stresses = [], []
-        for e, s in pairs:
-            strains.append(np.asarray(e, dtype=float).reshape(-1))
-            stresses.append(np.asarray(s, dtype=float).reshape(-1))
-        return cls(kind, dim, np.array(strains), np.array(stresses), mu0=mu0)
 
 
 def auto_mu0(dataset=None, *, kind: PairingKind | None = None,
@@ -201,13 +193,6 @@ def auto_mu0(dataset=None, *, kind: PairingKind | None = None,
 # -- penalty metric ----------------------------------------------------
 
 
-def local_penalty(strain, stress, tup: DataTuple, mu0: float) -> float:
-    """Metric distance squared between a state and one data tuple."""
-    de = np.asarray(strain, dtype=float) - tup.strain
-    ds = np.asarray(stress, dtype=float) - tup.stress
-    return 0.5 * mu0 * float(np.sum(de * de)) + 0.5 / mu0 * float(np.sum(ds * ds))
-
-
 def penalty_many(strains: np.ndarray, stresses: np.ndarray,
                  assigned: np.ndarray, dataset: DataSet) -> np.ndarray:
     """Vectorized local penalties for states against their assigned tuples."""
@@ -234,7 +219,8 @@ def _scaled(strains: np.ndarray, stresses: np.ndarray, mu0: float) -> np.ndarray
 
 
 # near-tie margin on scaled distances, relative to the query's magnitude
-# plus its distance; the scaled coordinates round at about 1e-15 of that
+# plus its distance; the scaled coordinates, and their rotation onto the
+# tree's axes, round at about 1e-15 of that
 _TIE_MARGIN = 1e-10
 
 
@@ -242,12 +228,13 @@ def nearest_many(strains: np.ndarray, stresses: np.ndarray, dataset: DataSet,
                  workers: int = 1) -> np.ndarray:
     """Exact nearest tuple ids for a batch of states; ties go to the lowest id.
 
-    The dataset's k-d tree finds the two closest tuples per state.  When
-    the second is farther than the first by more than a small relative
-    margin, which bounds the rounding of the scaled coordinates many
-    times over, the first is the unique nearest tuple under the directly
-    computed metric.  Otherwise (a near-tie or duplicate tuples) every
-    tuple in a slightly larger ball is re-measured by direct differences.
+    The dataset's k-d tree finds the two closest tuples per state, with
+    the state rotated onto the tree's axes.  When the second is farther
+    than the first by more than a small relative margin, which bounds the
+    rounding of the scaled and rotated coordinates many times over, the
+    first is the unique nearest tuple under the directly computed metric.
+    Otherwise (a near-tie or duplicate tuples) every tuple in a slightly
+    larger ball is re-measured by direct differences.
     `workers` runs queries in parallel; each query is independent, so
     results do not depend on it.
     """
@@ -256,12 +243,13 @@ def nearest_many(strains: np.ndarray, stresses: np.ndarray, dataset: DataSet,
     qs = np.ascontiguousarray(stresses, dtype=float).reshape(-1, dd)
     tree = dataset.tree()
     x = _scaled(qe, qs, dataset.mu0)
-    dist, ids = tree.query(x, k=2, workers=workers)
+    y = x @ dataset.axes
+    dist, ids = tree.query(y, k=2, workers=workers)
     out = ids[:, 0].astype(np.int64)
     margin = _TIE_MARGIN * (dist[:, 0] + np.linalg.norm(x, axis=1))
     near = np.flatnonzero(dist[:, 1] - dist[:, 0] <= margin)
     if near.size:
-        balls = tree.query_ball_point(x[near], dist[near, 0] + 2.0 * margin[near],
+        balls = tree.query_ball_point(y[near], dist[near, 0] + 2.0 * margin[near],
                                       workers=workers)
         for i, ball in zip(near, balls):
             cand = np.sort(np.asarray(ball, dtype=np.int64))
@@ -333,13 +321,11 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
 
     all_e = np.vstack(strains)
     all_s = np.vstack(stresses)
-    seen: dict[bytes, int] = {}
-    keep: list[int] = []
-    for i in range(all_e.shape[0]):
-        key = all_e[i].tobytes() + all_s[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
+    # first occurrences of byte-identical rows, in their original order
+    rows = np.hstack([all_e, all_s])
+    _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))),
+                         return_index=True)
+    keep = np.sort(first)
     return DataSet(current.kind, current.dim, all_e[keep], all_s[keep],
                    mu0=current.mu0, validate=False)
 

@@ -311,7 +311,7 @@ class TestIsotropicGrid:
         values[slot] = [alpha]
         ds = isotropic_grid_from_two_states(elong, shear, values, alpha)
         assert len(ds) == 1
-        return tensor_to_voigt(ds.stress_matrix(0))
+        return tensor_to_voigt(ds.stresses[0].reshape(3, 3))
 
     def test_probe_states_come_back_unscaled(self, probes):
         elong, shear, _ = probes
@@ -354,7 +354,7 @@ class TestIsotropicGrid:
         for i, combo in enumerate(combos):
             v = np.zeros(6)
             v[0], v[3] = combo[0], combo[3]
-            assert_allclose(tensor_to_voigt(ds.strain_matrix(i)), v,
+            assert_allclose(tensor_to_voigt(ds.strains[i].reshape(3, 3)), v,
                             atol=1e-18)
 
     def test_stress_matches_brute_force_stiffness(self, probes, rng):
@@ -368,7 +368,7 @@ class TestIsotropicGrid:
         assert len(ds) == 64
         for i, combo in enumerate(itertools.product(*values)):
             expected = np.array(combo) @ stiffness
-            assert_allclose(tensor_to_voigt(ds.stress_matrix(i)), expected,
+            assert_allclose(tensor_to_voigt(ds.stresses[i].reshape(3, 3)), expected,
                             rtol=1e-12, atol=1e-9)
 
     def test_deviation_scales_each_unit_response(self, probes):
@@ -379,7 +379,7 @@ class TestIsotropicGrid:
             values[slot] = [alpha]
             ds = isotropic_grid_from_two_states(elong, shear, values, alpha,
                                                 deviation=dev)
-            assert_allclose(tensor_to_voigt(ds.stress_matrix(0)),
+            assert_allclose(tensor_to_voigt(ds.stresses[0].reshape(3, 3)),
                             dev[slot] * self.unit_response(probes, slot),
                             rtol=1e-14)
 
@@ -433,7 +433,7 @@ class TestPairingConversion:
         ds = DataSet(PairingKind.EPS_SIGMA, 3, eps, sig, mu0=1.0,
                      validate=False)
         cs = convert_pairing(ds, PairingKind.CS)
-        assert_allclose(cs.strain_matrix(0), np.diag([1.04, 1.0, 1.0]),
+        assert_allclose(cs.strains[0].reshape(3, 3), np.diag([1.04, 1.0, 1.0]),
                         rtol=1e-15)
         assert np.array_equal(cs.stresses, sig)
         back = convert_pairing(cs, PairingKind.EPS_SIGMA)
@@ -465,7 +465,7 @@ class TestPairingConversion:
                      mu0=1.0e5, validate=False)
         cs = convert_pairing(ds, PairingKind.CS)
         back = convert_pairing(cs, PairingKind.FP)
-        assert_allclose(back.strain_matrix(0), u_mat, rtol=1e-12)
+        assert_allclose(back.strains[0].reshape(2, 2), u_mat, rtol=1e-12)
         cs_again = convert_pairing(back, PairingKind.CS)
         assert_allclose(cs_again.strains, cs.strains, rtol=1e-12)
         assert_allclose(cs_again.stresses, cs.stresses, rtol=1e-10)

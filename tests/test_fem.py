@@ -55,8 +55,10 @@ class TestQuadrature:
         assert_allclose(box_mesh(1.0, 2.0, 3.0, 2, 2, 2).quadrature().volume(), 6.0)
 
     def test_total_points(self):
-        quad = rect_mesh(1.0, 1.0, 3, 2).quadrature()
-        assert quad.total_points == 6 * 4
+        mesh = rect_mesh(1.0, 1.0, 3, 2)
+        quad = mesh.quadrature()
+        assert quad.weights.size == 6 * 4
+        assert mesh.n_elements * quad.nqp == 6 * 4
 
     def test_inverted_element_is_reported(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

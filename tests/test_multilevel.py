@@ -65,7 +65,7 @@ class TestRunMultilevel:
                                          FpConfig(), max_levels=3,
                                          stop_delta=0.0, initial=coarse,
                                          penalty_floor=0.0)
-        n_qp = rod_mesh.quadrature().total_points
+        n_qp = rod_mesh.quadrature().weights.size
         assert report.converged
         assert all(r.n_support <= n_qp for r in records)
         assert all(r.n_support >= 1 for r in records)

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ddfem.phase_space import (DataSet, DataTuple, PairingKind, auto_mu0,
-                               global_penalty, load_dataset, local_penalty,
-                               median_nn_spacing, nearest_many, penalty_many,
-                               refine_around, save_dataset)
+from ddfem.phase_space import (DataSet, PairingKind, auto_mu0, global_penalty,
+                               load_dataset, median_nn_spacing, nearest_many,
+                               penalty_many, refine_around, save_dataset)
 
 
 def flat_set(kind, dim, strains, stresses, mu0=1.0):
@@ -24,6 +23,13 @@ def direct_metric(strain, stress, ds):
     dsg = ds.stresses - np.asarray(stress, dtype=float).reshape(-1)
     return (0.5 * ds.mu0 * np.sum(de * de, axis=1)
             + 0.5 / ds.mu0 * np.sum(dsg * dsg, axis=1))
+
+
+def scalar_metric(strain, stress, tuple_strain, tuple_stress, mu0):
+    """Metric between one state and one tuple, reduced to Python floats."""
+    de = np.asarray(strain, dtype=float) - tuple_strain
+    ds = np.asarray(stress, dtype=float) - tuple_stress
+    return 0.5 * mu0 * float(np.sum(de * de)) + 0.5 / mu0 * float(np.sum(ds * ds))
 
 
 def oracle_nearest(qe, qs, ds):
@@ -44,23 +50,33 @@ def line_set():
     return flat_set(PairingKind.FP, 1, strains, np.zeros_like(strains), mu0=2.0)
 
 
+def penalty_of(strain, stress, ds):
+    """penalty_many for one state against tuple 0 of `ds`, as a float."""
+    dd = ds.dim ** 2
+    values = penalty_many(np.reshape(strain, (1, dd)), np.reshape(stress, (1, dd)),
+                          np.array([0]), ds)
+    assert values.shape == (1,)
+    return float(values[0])
+
+
 class TestLocalPenalty:
     def test_coincident_state(self):
-        tup = DataTuple(np.array([[1.1]]), np.array([[3.0]]), 0)
-        assert local_penalty([[1.1]], [[3.0]], tup, mu0=5.0) == 0.0
+        ds = flat_set(PairingKind.FP, 1, [[1.1]], [[3.0]], mu0=5.0)
+        assert penalty_of([[1.1]], [[3.0]], ds) == 0.0
 
     def test_pure_stress_offset(self):
         # |dstress|^2 = 2 at mu0 = 1 gives 0.5/1 * 2 = 1
-        tup = DataTuple(np.zeros((2, 2)), np.zeros((2, 2)), 0)
+        ds = flat_set(PairingKind.FP, 2, np.zeros((1, 4)), np.zeros((1, 4)), mu0=1.0)
         stress = np.array([[1.0, 0.0], [0.0, -1.0]])
-        assert local_penalty(np.zeros((2, 2)), stress, tup, mu0=1.0) == 1.0
+        assert penalty_of(np.zeros((2, 2)), stress, ds) == 1.0
 
     def test_mu0_moves_the_two_terms_oppositely(self):
-        tup = DataTuple(np.zeros(1), np.zeros(1), 0)
-        strain_only = local_penalty([2.0], [0.0], tup, mu0=1.0)
-        stress_only = local_penalty([0.0], [2.0], tup, mu0=1.0)
-        assert local_penalty([2.0], [0.0], tup, mu0=2.0) == 2.0 * strain_only
-        assert local_penalty([0.0], [2.0], tup, mu0=2.0) == 0.5 * stress_only
+        ds1 = flat_set(PairingKind.FP, 1, [[0.0]], [[0.0]], mu0=1.0)
+        ds2 = ds1.with_mu0(2.0)
+        strain_only = penalty_of([2.0], [0.0], ds1)
+        stress_only = penalty_of([0.0], [2.0], ds1)
+        assert penalty_of([2.0], [0.0], ds2) == 2.0 * strain_only
+        assert penalty_of([0.0], [2.0], ds2) == 0.5 * stress_only
 
 
 class TestNearest:
@@ -143,8 +159,7 @@ class TestNearest:
         qs = rng.standard_normal((25, 4))
         got = nearest_many(qe, qs, ds)
         for i in range(25):
-            d2 = [local_penalty(qe[i], qs[i],
-                                DataTuple(ds.strains[j], ds.stresses[j], j), 3.1)
+            d2 = [scalar_metric(qe[i], qs[i], ds.strains[j], ds.stresses[j], 3.1)
                   for j in range(40)]
             assert got[i] == int(np.argmin(d2))
 
@@ -208,6 +223,91 @@ class TestNearest:
         assert np.array_equal(ids[sample], oracle_nearest(qe[sample], qs[sample], ds))
 
 
+def random_rotation(rng, k):
+    """A (k, k) orthogonal matrix, Haar-distributed."""
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
+    return q * np.sign(np.diag(r))
+
+
+def with_duplicates(rows, rng, count):
+    """Overwrite `count` rows with copies of lower rows; (sources, copies)."""
+    copies = rng.choice(np.arange(len(rows) // 2, len(rows)), size=count, replace=False)
+    sources = rng.integers(0, len(rows) // 2, size=count)
+    rows[copies] = rows[sources]
+    return sources, copies
+
+
+class TestPrincipalAxisSearch:
+    """Data spanning few directions, where the tree's rotation matters."""
+
+    def test_rotated_low_rank_subspace_with_duplicates(self, rng):
+        # 8 components confined to a randomly rotated 3D subspace
+        basis = random_rotation(rng, 8)[:, :3]
+        z = rng.standard_normal((3000, 3)) * [3.0, 1.0, 0.2]
+        rows = rng.standard_normal(8) + z @ basis.T
+        sources, copies = with_duplicates(rows, rng, 150)
+        ds = flat_set(PairingKind.FP, 2, rows[:, :4], rows[:, 4:], mu0=2.0)
+        a, b = rng.integers(0, 3000, size=(2, 300))
+        off = 1e-3 * rng.standard_normal((300, 8))
+        queries = np.vstack([rows[copies], 0.5 * (rows[a] + rows[b]),
+                             rows[a] + off, rows[0] + z[:300] @ basis.T + off])
+        qe, qs = queries[:, :4], queries[:, 4:]
+        got = nearest_many(qe, qs, ds)
+        assert np.array_equal(got, oracle_nearest(qe, qs, ds))
+        assert np.array_equal(got[:150], sources)
+        # the tree spreads along three of its axes only
+        spread = np.ptp(ds.tree().data, axis=0)
+        assert np.count_nonzero(spread > 1e-12 * spread.max()) == 3
+        assert_allclose(ds.axes.T @ ds.axes, np.eye(8), atol=1e-14)
+
+    def test_cs_tuples_with_duplicated_symmetric_components(self, rng):
+        # 18 stored components, of which the three off-diagonal pairs of
+        # the strain and of the stress repeat: six exact-zero directions
+        n = 2000
+        e = 0.05 * rng.standard_normal((n, 3, 3))
+        e = 0.5 * (e + np.swapaxes(e, 1, 2))
+        trace = np.trace(e, axis1=1, axis2=2)[:, None, None]
+        c = (np.eye(3) + 2.0 * e).reshape(n, 9)
+        s = (1.0e3 * (trace * np.eye(3) + e + 5.0 * e @ e)).reshape(n, 9)
+        rows = np.hstack([c, s])
+        sources, copies = with_duplicates(rows, rng, 100)
+        ds = DataSet(PairingKind.CS, 3, rows[:, :9], rows[:, 9:], mu0=1.0e3)
+        spread = np.ptp(ds.tree().data, axis=0)
+        assert np.count_nonzero(spread <= 1e-12 * spread.max()) == 6
+        near = rng.integers(0, n, size=400)
+        sym = 0.01 * rng.standard_normal((400, 3, 3))
+        sym = (sym + np.swapaxes(sym, 1, 2)).reshape(400, 9)
+        skew = 0.01 * rng.standard_normal((200, 9))
+        qe = np.vstack([rows[copies, :9], rows[near, :9] + sym,
+                        rows[near[:200], :9] + skew])
+        qs = np.vstack([rows[copies, 9:], rows[near, 9:] + 1.0e3 * sym,
+                        rows[near[:200], 9:] - 1.0e3 * skew])
+        got = nearest_many(qe, qs, ds)
+        assert np.array_equal(got, oracle_nearest(qe, qs, ds))
+        assert np.array_equal(got[:100], sources)
+
+    def test_near_ties_far_from_the_origin(self, rng):
+        # a unit lattice in two components and a rotated 3D cloud, both
+        # offset by 1e6 in all 8: the margin grows with |q|, and the
+        # rotated coordinates must stay within it
+        g = np.arange(6, dtype=float)
+        lattice = np.zeros((36, 8))
+        lattice[:, 0], lattice[:, 5] = [a.ravel() for a in np.meshgrid(g, g, indexing="ij")]
+        cloud = rng.standard_normal((500, 3)) @ random_rotation(rng, 8)[:3]
+        rows = 1.0e6 + np.vstack([lattice, cloud])
+        with_duplicates(rows, rng, 40)
+        ds = flat_set(PairingKind.FP, 2, rows[:, :4], rows[:, 4:], mu0=1.0)
+        # half-lattice points are exact ties of two or four tuples
+        h = np.arange(11) / 2.0
+        half = np.zeros((121, 8))
+        half[:, 0], half[:, 5] = [a.ravel() for a in np.meshgrid(h, h, indexing="ij")]
+        a, b = rng.integers(36, len(rows), size=(2, 200))
+        queries = np.vstack([1.0e6 + half, 0.5 * (rows[a] + rows[b]), rows[a]])
+        qe, qs = queries[:, :4], queries[:, 4:]
+        assert np.array_equal(nearest_many(qe, qs, ds), oracle_nearest(qe, qs, ds))
+        assert np.array_equal(nearest_many(qs, qe, ds), oracle_nearest(qs, qe, ds))
+
+
 class TestGlobalPenalty:
     def test_exact_assignment_is_zero(self, line_set):
         ids = np.array([2, 5, 9])
@@ -230,9 +330,7 @@ class TestGlobalPenalty:
         w = rng.random(12)
         ids = rng.integers(0, 30, size=12)
         expected = sum(
-            w[i] * local_penalty(qe[i], qs[i],
-                                 DataTuple(ds.strains[ids[i]], ds.stresses[ids[i]], 0),
-                                 0.9)
+            w[i] * scalar_metric(qe[i], qs[i], ds.strains[ids[i]], ds.stresses[ids[i]], 0.9)
             for i in range(12))
         assert_allclose(global_penalty(qe, qs, w, ids, ds), expected, rtol=1e-13)
 
@@ -272,19 +370,17 @@ class TestDataSetValidation:
     def test_asymmetric_cs_strain_rejected(self):
         strain = np.array([[1.0, 0.3], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            DataSet.from_pairs(PairingKind.CS, 2,
-                               [(strain, np.zeros((2, 2)))], mu0=1.0)
+            DataSet(PairingKind.CS, 2, strain, np.zeros((2, 2)), mu0=1.0)
 
     def test_fp_angular_momentum_violation_rejected(self):
         f = np.eye(2)
         p = np.array([[0.0, 2.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="momentum"):
-            DataSet.from_pairs(PairingKind.FP, 2, [(f, p)], mu0=1.0)
+            DataSet(PairingKind.FP, 2, f, p, mu0=1.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            DataSet.from_pairs(PairingKind.FP, 1, [(np.array([np.nan]),
-                                                    np.array([0.0]))], mu0=1.0)
+            DataSet(PairingKind.FP, 1, np.array([np.nan]), np.array([0.0]), mu0=1.0)
 
     def test_lowest_offending_tuple_is_named(self):
         e = np.tile(np.eye(2).reshape(1, 4), (9, 1))
@@ -395,6 +491,47 @@ class TestRefineAround:
         out = refine_around(line_set, np.arange(len(line_set)), line_set,
                             radius=10.0)
         assert len(out) == len(line_set)
+
+    def test_duplicates_keep_first_occurrences_in_order(self, line_set):
+        def gen(centers, radius):
+            zero, minus_zero = np.array([0.0]), np.array([-0.0])
+            return [(np.array([1.25]), zero),
+                    (centers.strains[1], centers.stresses[1]),   # tuple 5 again
+                    (np.array([1.25]), minus_zero),               # other bytes: kept
+                    (np.array([1.25]), zero),
+                    (np.array([1.05]), zero)]
+
+        out = refine_around(gen, np.array([5, 2]), line_set, radius=0.05)
+        assert out.strains[:, 0].tolist() == [line_set.strains[2, 0],
+                                              line_set.strains[5, 0],
+                                              1.25, 1.25, 1.05]
+        assert np.signbit(out.stresses[:, 0]).tolist() == [False, False, False,
+                                                          True, False]
+
+    def test_dedupe_matches_a_byte_key_loop(self, rng):
+        current = flat_set(PairingKind.CS, 2, rng.integers(-2, 3, (60, 4)) * 0.5,
+                           rng.integers(-2, 3, (60, 4)) * 0.5)
+        support = np.arange(0, 60, 3)
+        pool_e = rng.integers(-2, 3, (400, 4)) * 0.5
+        pool_s = rng.integers(-2, 3, (400, 4)) * 0.5
+        pool_e[100:200], pool_s[100:200] = pool_e[:100], pool_s[:100]
+        # rows 150-199 equal rows 50-99 but for the sign of their zeros
+        pool_s[150:200] = np.where(pool_s[150:200] == 0.0, -0.0, pool_s[150:200])
+
+        def gen(centers, radius):
+            return list(zip(pool_e, pool_s))
+
+        out = refine_around(gen, support, current, radius=1.0)
+        rows = np.vstack([np.hstack([current.strains[support], current.stresses[support]]),
+                          np.hstack([pool_e, pool_s])])
+        seen, keep = set(), []
+        for i, row in enumerate(rows):
+            if row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                keep.append(i)
+        assert len(keep) < len(rows)
+        assert np.array_equal(np.hstack([out.strains, out.stresses]), rows[keep])
+        assert np.array_equal(np.signbit(out.stresses), np.signbit(rows[keep, 4:]))
 
     def test_spacing_on_uniform_grid(self, line_set):
         expected = np.sqrt(0.5 * line_set.mu0) * 0.1
