@@ -16,15 +16,16 @@ import configparser
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .data_gen import Family, GeneratorSpec, convert_pairing, generate
 from .fem import BoundaryConditions, Mesh, gradient_field, load_mesh
 from .multilevel import run_multilevel, write_level_table
-from .phase_space import DataSet, PairingKind, load_dataset, save_dataset
+from .phase_space import PairingKind, load_dataset, save_dataset
 from .reference import LinearElasticLaw, solve_linear_elastic
 from .report import SolveReport, emit_report
 from .solver_cs import CsConfig, NewtonError, solve_cs
@@ -32,16 +33,6 @@ from .solver_fp import FpConfig, solve_fp
 from .tensors import sym
 
 _COMP_NAMES = {"x": 0, "y": 1, "z": 2}
-_COMP_LABELS = {v: k for k, v in _COMP_NAMES.items()}
-
-_RUN_KEYS = {"formulation", "mesh", "dataset", "output", "area",
-             "emit_fields", "emit_states", "emit_history", "emit_vtk",
-             "emit_level_table"}
-_GEN_KEYS = {"family", "c1", "c3", "n", "stretch_min", "stretch_max",
-             "pairing", "log_spacing"}
-_ML_KEYS = {"source", "max_levels", "stop_delta", "keep_all", "radius",
-            "penalty_floor"}
-_REF_KEYS = {"e_mod", "nu"}
 
 
 @dataclass
@@ -83,11 +74,19 @@ def _fail(section: str, key: str, msg: str):
     raise ValueError(f"config [{section}] {key}: {msg}")
 
 
+def _get_str(sec: str, key: str, raw: str) -> str:
+    return raw.strip()
+
+
 def _get_float(sec: str, key: str, raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
         _fail(sec, key, f"cannot parse '{raw}' as a number")
+
+
+def _get_float_or_auto(sec: str, key: str, raw: str) -> float | None:
+    return None if raw.strip().lower() == "auto" else _get_float(sec, key, raw)
 
 
 def _get_int(sec: str, key: str, raw: str) -> int:
@@ -102,6 +101,58 @@ def _get_bool(sec: str, key: str, raw: str) -> bool:
     if raw.lower() not in states:
         _fail(sec, key, f"cannot parse '{raw}' as a boolean")
     return states[raw.lower()]
+
+
+# value parser by field annotation; a field of any other type is not a key
+_PARSERS = {str: _get_str, str | None: _get_str, float: _get_float,
+            float | None: _get_float_or_auto, int: _get_int, bool: _get_bool}
+
+# [generator] keys that map onto GeneratorSpec's enum and range fields
+_GEN_MAPPED = {"family": str, "pairing": str, "stretch_min": float,
+               "stretch_max": float}
+
+
+def _keys(cls) -> dict:
+    """INI keys of a config dataclass: its scalar fields, name -> parser.
+
+    threads is never a key: it is a command-line flag.
+    """
+    hints = get_type_hints(cls)
+    return {f.name: _PARSERS[hints[f.name]] for f in fields(cls)
+            if hints[f.name] in _PARSERS and f.name != "threads"}
+
+
+def _read_section(cp: configparser.ConfigParser, section: str, cls,
+                  unknown: str = "unknown key", mapped: dict | None = None,
+                  together: bool = False) -> dict:
+    """Parsed values of the keys present in [section], for `cls`'s fields.
+
+    A field without a default is a required key; `together` reports all
+    required keys in one message.  `mapped` adds keys, with their value
+    types, that the caller turns into fields itself.
+    """
+    keys = _keys(cls)
+    keys.update({key: _PARSERS[typ] for key, typ in (mapped or {}).items()})
+    raw = dict(cp.items(section)) if cp.has_section(section) else {}
+    for key in raw:
+        if key not in keys:
+            _fail(section, key, unknown)
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    missing = [key for key in required if key not in raw]
+    if missing and together:
+        raise ValueError(f"config [{section}]: {' and '.join(required)} are required")
+    if missing:
+        _fail(section, missing[0], "required key is missing")
+    return {key: keys[key](section, key, value) for key, value in raw.items()}
+
+
+def _build(section: str, cls, values: dict):
+    """cls(**values), with its validation error prefixed by the section."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"config [{section}]: {exc}") from None
 
 
 def _parse_dirichlet(name: str, raw: str) -> list:
@@ -123,54 +174,23 @@ def _parse_dirichlet(name: str, raw: str) -> list:
     return triples
 
 
-def _solver_keys(cls) -> dict:
-    """[solver] keys of a solver config class with their defaults.
-
-    Every field is a key except threads, which is a command-line flag.
-    """
-    return {f.name: f.default for f in fields(cls) if f.name != "threads"}
-
-
-def _solver_value(key: str, default, raw: str):
-    """Parse by the type of the field's default; None means 'auto' or a number."""
-    if default is None:
-        return None if raw.strip().lower() == "auto" else _get_float("solver", key, raw)
-    if isinstance(default, str):
-        return raw.strip()
-    if isinstance(default, int):
-        return _get_int("solver", key, raw)
-    return _get_float("solver", key, raw)
-
-
 def _solver_config(cp: configparser.ConfigParser, formulation: str):
     cls = FpConfig if formulation == "FP" else CsConfig
-    keys = _solver_keys(cls)
-    kwargs = {}
-    if cp.has_section("solver"):
-        for key, raw in cp.items("solver"):
-            if key == "threads":
-                _fail("solver", key, "threads is a command-line flag, not a config key")
-            if key not in keys:
-                _fail("solver", key, f"unknown key for formulation {formulation}")
-            kwargs[key] = _solver_value(key, keys[key], raw)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"config [solver]: {exc}") from None
+    if cp.has_option("solver", "threads"):
+        _fail("solver", "threads", "threads is a command-line flag, not a config key")
+    return _build("solver", cls, _read_section(
+        cp, "solver", cls, unknown=f"unknown key for formulation {formulation}"))
 
 
 def _generator_spec(cp: configparser.ConfigParser, formulation: str) -> GeneratorSpec:
-    raw = dict(cp.items("generator"))
-    for key in raw:
-        if key not in _GEN_KEYS:
-            _fail("generator", key, "unknown key")
-    if "family" not in raw or "c1" not in raw:
-        raise ValueError("config [generator]: family and c1 are required")
+    values = _read_section(cp, "generator", GeneratorSpec, mapped=_GEN_MAPPED,
+                           together=True)
+    family_s = values.pop("family")
     try:
-        family = Family[raw["family"].strip().upper()]
+        family = Family[family_s.upper()]
     except KeyError:
-        _fail("generator", "family", f"unknown family '{raw['family']}'")
-    pairing_s = raw.get("pairing", formulation).strip().upper()
+        _fail("generator", "family", f"unknown family '{family_s}'")
+    pairing_s = values.pop("pairing", formulation).upper()
     try:
         pairing = PairingKind(pairing_s)
     except ValueError:
@@ -178,25 +198,18 @@ def _generator_spec(cp: configparser.ConfigParser, formulation: str) -> Generato
     if pairing.value != formulation:
         _fail("generator", "pairing",
               f"pairing {pairing.value} does not match formulation {formulation}")
-    lo = _get_float("generator", "stretch_min", raw.get("stretch_min", "1.0"))
-    hi = _get_float("generator", "stretch_max", raw.get("stretch_max", "3.2"))
-    try:
-        return GeneratorSpec(
-            family=family,
-            c1=_get_float("generator", "c1", raw["c1"]),
-            c3=_get_float("generator", "c3", raw.get("c3", "0.0")),
-            n=_get_int("generator", "n", raw.get("n", "10000")),
-            stretch_range=(lo, hi),
-            pairing=pairing,
-            log_spacing=_get_bool("generator", "log_spacing",
-                                  raw.get("log_spacing", "false")),
-        )
-    except ValueError as exc:
-        raise ValueError(f"config [generator]: {exc}") from None
+    lo, hi = GeneratorSpec.stretch_range
+    values["stretch_range"] = (values.pop("stretch_min", lo), values.pop("stretch_max", hi))
+    return _build("generator", GeneratorSpec, dict(values, family=family, pairing=pairing))
 
 
 def parse_config(text: str, name: str = "<config>") -> RunConfig:
-    """Parse INI text into a validated RunConfig."""
+    """Parse INI text into a validated RunConfig.
+
+    The keys, defaults and value types of [run], [solver], [generator],
+    [multilevel] and [reference] are the fields of RunConfig, the
+    solver config, GeneratorSpec, MultilevelOptions and LinearElasticLaw.
+    """
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
@@ -206,20 +219,14 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
 
     if not cp.has_section("run"):
         raise ValueError("config: missing required [run] section")
-    run = dict(cp.items("run"))
-    for key in run:
-        if key not in _RUN_KEYS:
-            _fail("run", key, "unknown key")
-    for key in ("formulation", "mesh", "output"):
-        if key not in run:
-            _fail("run", key, "required key is missing")
-    formulation = run["formulation"].strip().upper()
+    run = _read_section(cp, "run", RunConfig)
+    formulation = run["formulation"].upper()
     if formulation not in ("FP", "CS"):
         _fail("run", "formulation", f"must be FP or CS, got '{run['formulation']}'")
+    run["formulation"] = formulation
 
     generator = _generator_spec(cp, formulation) if cp.has_section("generator") else None
-    dataset = run.get("dataset")
-    if (dataset is None) == (generator is None):
+    if (run.get("dataset") is None) == (generator is None):
         raise ValueError("config: exactly one of [run] dataset and a "
                          "[generator] section must be present")
 
@@ -240,126 +247,24 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
             else:
                 _fail("bc", key, "unknown key")
 
-    multilevel = None
+    multilevel = reference = None
     if cp.has_section("multilevel"):
-        ml = dict(cp.items("multilevel"))
-        for key in ml:
-            if key not in _ML_KEYS:
-                _fail("multilevel", key, "unknown key")
-        if "source" not in ml:
-            _fail("multilevel", "source", "required key is missing")
-        multilevel = MultilevelOptions(
-            source=ml["source"],
-            max_levels=_get_int("multilevel", "max_levels", ml.get("max_levels", "5")),
-            stop_delta=_get_float("multilevel", "stop_delta", ml.get("stop_delta", "0.02")),
-            keep_all=_get_bool("multilevel", "keep_all", ml.get("keep_all", "false")),
-            radius=(None if ml.get("radius", "auto").strip().lower() == "auto"
-                    else _get_float("multilevel", "radius", ml["radius"])),
-            penalty_floor=_get_float("multilevel", "penalty_floor",
-                                     ml.get("penalty_floor", "1e-16")),
-        )
-
-    reference = None
+        multilevel = _build("multilevel", MultilevelOptions,
+                            _read_section(cp, "multilevel", MultilevelOptions))
     if cp.has_section("reference"):
-        ref = dict(cp.items("reference"))
-        for key in ref:
-            if key not in _REF_KEYS:
-                _fail("reference", key, "unknown key")
-        for key in ("e_mod", "nu"):
-            if key not in ref:
-                _fail("reference", key, "required key is missing")
-        try:
-            reference = LinearElasticLaw(_get_float("reference", "e_mod", ref["e_mod"]),
-                                         _get_float("reference", "nu", ref["nu"]))
-        except ValueError as exc:
-            raise ValueError(f"config [reference]: {exc}") from None
-
-    def flag(key, default):
-        return _get_bool("run", key, run[key]) if key in run else default
+        reference = _build("reference", LinearElasticLaw,
+                           _read_section(cp, "reference", LinearElasticLaw))
 
     return RunConfig(
-        formulation=formulation,
-        mesh=run["mesh"],
-        output=run["output"],
-        dataset=dataset,
+        **run,
         generator=generator,
-        area=_get_float("run", "area", run.get("area", "1.0")),
         dirichlet=tuple(dirichlet),
         traction=tuple(traction),
         body_force=body_force,
-        emit_fields=flag("emit_fields", True),
-        emit_states=flag("emit_states", True),
-        emit_history=flag("emit_history", True),
-        emit_vtk=flag("emit_vtk", False),
-        emit_level_table=flag("emit_level_table", True),
         solver=_solver_config(cp, formulation),
         multilevel=multilevel,
         reference=reference,
     )
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Render a RunConfig back to INI text; parse(serialize(c)) == c."""
-    out = ["[run]",
-           f"formulation = {cfg.formulation}",
-           f"mesh = {cfg.mesh}",
-           f"output = {cfg.output}"]
-    if cfg.dataset is not None:
-        out.append(f"dataset = {cfg.dataset}")
-    out.append(f"area = {cfg.area!r}")
-    for key in ("emit_fields", "emit_states", "emit_history", "emit_vtk",
-                "emit_level_table"):
-        out.append(f"{key} = {'true' if getattr(cfg, key) else 'false'}")
-
-    if cfg.dirichlet or cfg.traction or cfg.body_force is not None:
-        out.extend(["", "[bc]"])
-        by_set: dict[str, list] = {}
-        for name, comp, value in cfg.dirichlet:
-            by_set.setdefault(name, []).append(f"{_COMP_LABELS[comp]}={value!r}")
-        for name, parts in by_set.items():
-            out.append(f"dirichlet.{name} = {', '.join(parts)}")
-        for name, vec in cfg.traction:
-            out.append(f"traction.{name} = {' '.join(repr(v) for v in vec)}")
-        if cfg.body_force is not None:
-            out.append(f"body_force = {' '.join(repr(v) for v in cfg.body_force)}")
-
-    out.extend(["", "[solver]"])
-    for key in _solver_keys(type(cfg.solver)):
-        value = getattr(cfg.solver, key)
-        if value is None:
-            out.append(f"{key} = auto")
-        elif isinstance(value, (int, str)):
-            out.append(f"{key} = {value}")
-        else:
-            out.append(f"{key} = {value!r}")
-
-    if cfg.generator is not None:
-        g = cfg.generator
-        out.extend(["", "[generator]",
-                    f"family = {g.family.name.lower()}",
-                    f"c1 = {g.c1!r}",
-                    f"c3 = {g.c3!r}",
-                    f"n = {g.n}",
-                    f"stretch_min = {g.stretch_range[0]!r}",
-                    f"stretch_max = {g.stretch_range[1]!r}",
-                    f"pairing = {g.pairing.value}",
-                    f"log_spacing = {'true' if g.log_spacing else 'false'}"])
-
-    if cfg.multilevel is not None:
-        ml = cfg.multilevel
-        out.extend(["", "[multilevel]",
-                    f"source = {ml.source}",
-                    f"max_levels = {ml.max_levels}",
-                    f"stop_delta = {ml.stop_delta!r}",
-                    f"keep_all = {'true' if ml.keep_all else 'false'}",
-                    f"radius = {'auto' if ml.radius is None else repr(ml.radius)}",
-                    f"penalty_floor = {ml.penalty_floor!r}"])
-
-    if cfg.reference is not None:
-        out.extend(["", "[reference]",
-                    f"e_mod = {cfg.reference.e_mod!r}",
-                    f"nu = {cfg.reference.nu!r}"])
-    return "\n".join(out) + "\n"
 
 
 def load_config(path) -> tuple[RunConfig, str]:
@@ -404,9 +309,7 @@ def build_bcs(cfg: RunConfig, mesh: Mesh) -> BoundaryConditions:
 
 
 def _prepare(cfg: RunConfig, threads: int):
-    mesh = load_mesh(cfg.mesh)
-    if cfg.area != mesh.area:
-        mesh = replace(mesh, area=cfg.area)
+    mesh = load_mesh(cfg.mesh, area=cfg.area)
     dataset = (load_dataset(cfg.dataset) if cfg.dataset is not None
                else generate(cfg.generator))
     bcs = build_bcs(cfg, mesh)
@@ -467,9 +370,7 @@ def cmd_reference(args) -> int:
     if cfg.reference is None:
         raise ValueError("config: the reference subcommand needs a "
                          "[reference] section with e_mod and nu")
-    mesh = load_mesh(cfg.mesh)
-    if cfg.area != mesh.area:
-        mesh = replace(mesh, area=cfg.area)
+    mesh = load_mesh(cfg.mesh, area=cfg.area)
     bcs = build_bcs(cfg, mesh)
     law = cfg.reference
     u = solve_linear_elastic(mesh, bcs, law)
@@ -550,10 +451,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample a 1D material family to a dataset file")
     p.add_argument("--family", required=True, choices=[f.name.lower() for f in Family])
     p.add_argument("--c1", type=float, required=True, help="shear-like modulus [Pa]")
-    p.add_argument("--c3", type=float, default=0.0, help="third-order coefficient [Pa]")
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--range", default="1.0:3.2", help="stretch range MIN:MAX")
-    p.add_argument("--pairing", default="FP", choices=["FP", "CS"])
+    p.add_argument("--c3", type=float, default=GeneratorSpec.c3,
+                   help="third-order coefficient [Pa]")
+    p.add_argument("--n", type=int, default=GeneratorSpec.n)
+    p.add_argument("--range", default=":".join(map(repr, GeneratorSpec.stretch_range)),
+                   help="stretch range MIN:MAX")
+    p.add_argument("--pairing", default=GeneratorSpec.pairing.value, choices=["FP", "CS"])
     p.add_argument("--log-spacing", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)

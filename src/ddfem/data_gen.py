@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .phase_space import DataSet, DataTuple, PairingKind
-from .tensors import rotation_2d, rotation_z, rotate_pair, voigt_to_tensor
+from .tensors import rotation_2d, rotation_z, voigt_to_tensor
 
 
 class Family(enum.Enum):

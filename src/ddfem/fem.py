@@ -16,7 +16,8 @@ nper nodes, with int32 indices.  Then grad(u) is `B u` reshaped to
 `B.T @ x` builds a new matrix object on every call.  A solver holds one
 operator for the length of a solve (`gradient_operator`) and releases it
 when the solve returns; a block nested in it reuses that operator, and a
-call outside any block builds a temporary one.
+call outside any block builds a temporary one.  A stiffness matrix is
+`B^T (W D) B` for a linear law with (d*d, d*d) moduli D (`stiffness`).
 """
 
 from __future__ import annotations
@@ -168,9 +169,6 @@ class Quadrature:
         # the GradientOperator of the solve in progress, if any
         self.operator = None
 
-    def volume(self) -> float:
-        return float(self.weights.sum())
-
 
 class GradientOperator:
     """The discrete gradient B of one mesh and its stored CSR transpose."""
@@ -232,26 +230,23 @@ def divergence_rhs(mesh: Mesh, tensor_qp: np.ndarray) -> np.ndarray:
     return op.bt @ (op.weights * tensor_qp).ravel()
 
 
-def stiffness_scalar(mesh: Mesh, mu0: float = 1.0) -> sp.csr_matrix:
-    """Scaled Laplacian K[a,b] = mu0 * integral dN_a . dN_b dV."""
-    quad = mesh.quadrature()
-    k_el = np.einsum("eq,eqaj,eqbj->eab", mu0 * quad.weights, quad.dndx, quad.dndx)
-    nper = mesh.etype.nodes_per_element
-    rows = np.repeat(mesh.elements, nper, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nper)).ravel()
-    k = sp.coo_matrix((k_el.ravel(), (rows, cols)),
-                      shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-    k.sum_duplicates()
-    return k
+def stiffness(mesh: Mesh, moduli: np.ndarray) -> sp.csr_matrix:
+    """K = B^T (W D) B for a linear law taking grad(u) to D grad(u).
+
+    `moduli` is D, one (d*d, d*d) matrix over the row-major tensor
+    components for every quadrature point, and W holds the weights.
+    """
+    op = _operator(mesh)
+    wd = sp.kron(sp.diags(op.weights.ravel()), moduli, format="csr")
+    return (op.bt @ (wd @ op.b)).tocsr()
 
 
 def stiffness_vector(mesh: Mesh, mu0: float = 1.0) -> sp.csr_matrix:
-    """Scaled vector Laplacian: the scalar matrix acting per component.
+    """Scaled vector Laplacian mu0 B^T W B, each component on its own.
 
     The same matrix drives both linear systems of the alternating solver.
     """
-    return sp.kron(stiffness_scalar(mesh, mu0), sp.identity(mesh.dim, format="csr"),
-                   format="csr")
+    return stiffness(mesh, mu0 * np.eye(mesh.dim ** 2))
 
 
 # -- boundary conditions ----------------------------------------------
@@ -347,13 +342,8 @@ def _face_shares(mesh: Mesh, face: tuple[int, ...]):
         if len(face) != 4:
             raise ValueError("HEX8 faces are 4-node quads")
         pts, w = gauss_points(2)
-        verts = _VERTS[ElementType.QUAD4]
         for q in range(pts.shape[0]):
-            terms = 1.0 + verts * pts[q]
-            n = np.prod(terms, axis=1) / 4.0
-            dn = np.empty((4, 2))
-            for j in range(2):
-                dn[:, j] = verts[:, j] * np.prod(np.delete(terms, j, axis=1), axis=1) / 4.0
+            n, dn = shape_functions(ElementType.QUAD4, pts[q])
             tang = dn.T @ coords  # (2, 3)
             da = float(np.linalg.norm(np.cross(tang[0], tang[1])))
             for a, node in enumerate(face):

@@ -36,7 +36,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -166,19 +165,15 @@ class DataSet:
                        mu0=mu0, validate=False)
 
 
-def auto_mu0(dataset=None, *, kind: PairingKind | None = None,
-             strains: np.ndarray | None = None, stresses: np.ndarray | None = None,
-             dim: int | None = None) -> float:
+def auto_mu0(dataset: DataSet) -> float:
     """Calibrate the metric scale from the data cloud itself.
 
     Returns RMS stress magnitude over RMS strain deviation from the
     zero-deformation reference.  Degenerate clouds (all strains at the
     reference, or vanishing stresses) cannot be calibrated and raise.
     """
-    if dataset is not None:
-        kind, dim = dataset.kind, dataset.dim
-        strains, stresses = dataset.strains, dataset.stresses
-    ref = kind.strain_reference(dim).reshape(-1)
+    strains, stresses = dataset.strains, dataset.stresses
+    ref = dataset.kind.strain_reference(dataset.dim).reshape(-1)
     dev = strains - ref
     rms_strain = np.sqrt(np.mean(np.sum(dev * dev, axis=1)))
     rms_stress = np.sqrt(np.mean(np.sum(stresses * stresses, axis=1)))
@@ -272,9 +267,6 @@ def median_nn_spacing(dataset: DataSet) -> float:
     _, ids = tree.query(tree.data, k=2)
     d2 = penalty_many(dataset.strains, dataset.stresses, ids[:, 1], dataset)
     return float(np.median(np.sqrt(d2)))
-
-
-RefineSource = "DataSet | Callable[[DataSet, float], Sequence[tuple[np.ndarray, np.ndarray]]]"
 
 
 def refine_around(source, assigned: np.ndarray, current: DataSet,

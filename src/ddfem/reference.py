@@ -14,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data_gen import Family, piola_stress_1d
-from .fem import BoundaryConditions, Mesh, ReducedSystem, factorize
+from .fem import BoundaryConditions, Mesh, ReducedSystem, factorize, stiffness
+from .tensors import sym
 
 
 @dataclass(frozen=True)
@@ -48,36 +49,15 @@ class LinearElasticLaw:
 
 
 def elastic_stiffness(mesh: Mesh, law: LinearElasticLaw) -> sp.csr_matrix:
-    """Small-strain stiffness K[(a,i),(b,k)] for the isotropic law."""
-    quad = mesh.quadrature()
+    """Small-strain stiffness B^T (W D) B for the isotropic law.
+
+    D[(ij),(kl)] = lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk), and [[E]]
+    for LINE2 bars: column (kl) is the stress of the unit displacement
+    gradient e_k e_l^T.
+    """
     d = mesh.dim
-    g = quad.dndx  # (nel, nqp, nper, d)
-    w = quad.weights  # carries det J and the bar area / thickness
-    nper = mesh.etype.nodes_per_element
-    n = mesh.n_dofs
-    if d == 1:
-        k_el = law.e_mod * np.einsum("eq,eqaj,eqbj->eab", w, g, g)
-        rows = np.repeat(mesh.elements, nper, axis=1).ravel()
-        cols = np.tile(mesh.elements, (1, nper)).ravel()
-        data = k_el.ravel()
-    else:
-        lam, mu = law.lame
-        dots = np.einsum("eq,eqaj,eqbj->eab", w, g, g)  # integral g_a . g_b
-        outer = np.einsum("eq,eqai,eqbk->eabik", w, g, g)  # integral g_a(i) g_b(k)
-        k_el = (mu * dots[:, :, :, None, None] * np.eye(d)[None, None, None]
-                + mu * np.swapaxes(outer, 3, 4)
-                + lam * outer)
-        dofs = (mesh.elements[:, :, None] * d + np.arange(d)[None, None, :])
-        dofs = dofs.reshape(mesh.n_elements, nper * d)
-        # k_el indexed (e, a, b, i, k) -> (e, a*d+i, b*d+k)
-        k_full = np.transpose(k_el, (0, 1, 3, 2, 4)).reshape(
-            mesh.n_elements, nper * d, nper * d)
-        rows = np.repeat(dofs, nper * d, axis=1).ravel()
-        cols = np.tile(dofs, (1, nper * d)).ravel()
-        data = k_full.ravel()
-    k = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    k.sum_duplicates()
-    return k
+    units = np.eye(d * d).reshape(-1, d, d)
+    return stiffness(mesh, law.stress(sym(units)).reshape(d * d, d * d).T)
 
 
 def solve_linear_elastic(mesh: Mesh, bcs: BoundaryConditions,

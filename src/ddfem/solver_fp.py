@@ -80,16 +80,8 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
 
     quad = mesh.quadrature()
     d = mesh.dim
-    k = stiffness_vector(mesh, mu0)
     fixed_u, vals_u = bcs.fixed_dofs(mesh)
     fixed_l, vals_l = bcs.lambda_fixed_dofs(mesh)
-    red_u = ReducedSystem(k, fixed_u)
-    lu_u = factorize(red_u.k_ff, "scaled Laplacian")
-    if np.array_equal(fixed_l, fixed_u):
-        red_l, lu_l = red_u, lu_u
-    else:
-        red_l = ReducedSystem(k, fixed_l)
-        lu_l = factorize(red_l.k_ff, "scaled Laplacian")
     f_ext = bcs.external_force(mesh)
     f_ext_norm = float(np.linalg.norm(f_ext))
     eye = np.eye(d)
@@ -109,6 +101,14 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         return f_qp, p_qp, eq_rel, (u, lam)
 
     with gradient_operator(mesh):
+        k = stiffness_vector(mesh, mu0)
+        red_u = ReducedSystem(k, fixed_u)
+        lu_u = factorize(red_u.k_ff, "scaled Laplacian")
+        if np.array_equal(fixed_l, fixed_u):
+            red_l, lu_l = red_u, lu_u
+        else:
+            red_l = ReducedSystem(k, fixed_l)
+            lu_l = factorize(red_l.k_ff, "scaled Laplacian")
         step = assignment_loop(
             solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
             dataset, quad.weights.ravel(), config)

@@ -46,25 +46,6 @@ def rotation_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def check_rotation(q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate that q is a proper rotation (orthogonal, det +1)."""
-    q = np.asarray(q, dtype=float)
-    d = q.shape[0]
-    if q.shape != (d, d):
-        raise ValueError("rotation must be square")
-    if np.linalg.norm(q.T @ q - np.eye(d)) > tol * d:
-        raise ValueError("matrix is not orthogonal")
-    if abs(np.linalg.det(q) - 1.0) > tol * 10:
-        raise ValueError("matrix is not a proper rotation (det != +1)")
-    return q
-
-
-def rotate_pair(strain: np.ndarray, stress: np.ndarray, q: np.ndarray):
-    """Co-rotate a (strain, stress) pair: A -> Q A Q^T for both tensors."""
-    q = check_rotation(q)
-    return q @ strain @ q.T, q @ stress @ q.T
-
-
 def angular_momentum_defect(f: np.ndarray, p: np.ndarray) -> float:
     """Largest relative asymmetry of P F^T over (..., d, d) batches of F and P.
 

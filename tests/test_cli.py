@@ -5,17 +5,23 @@ stderr, and the emitted files.
 """
 
 import hashlib
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddfem.cli import main, parse_config, serialize_config
+from ddfem import cli
+from ddfem.cli import MultilevelOptions, RunConfig, main, parse_config
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import line_mesh, save_mesh
 from ddfem.phase_space import PairingKind, load_dataset, save_dataset
+from ddfem.reference import LinearElasticLaw
 from ddfem.solver_cs import CsConfig
 from ddfem.solver_fp import FpConfig
+
+CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
 C1_RUBBER = 1.0e6 / 6.0
 LOAD_FOR_DOUBLE = 3.5 * C1_RUBBER  # traction [Pa] that doubles the rod
@@ -92,10 +98,14 @@ radius = auto
 e_mod = 1e6
 nu = 0.3333
 """
-        cfg = parse_config(text)
-        again = parse_config(serialize_config(cfg))
-        assert again == cfg
-        assert serialize_config(again) == serialize_config(cfg)
+        assert parse_config(text) == RunConfig(
+            formulation="FP", mesh=str(mesh_path), output=str(tmp_path / "out"),
+            dataset=str(data_path), area=2.5e-4, emit_vtk=True,
+            dirichlet=(("left", 0, 0.0),), traction=(("right", (1000.0,)),),
+            body_force=(50.0,),
+            solver=FpConfig(mu0=1.5e6, max_data_iterations=77),
+            multilevel=MultilevelOptions(source=str(data_path), max_levels=3),
+            reference=LinearElasticLaw(e_mod=1e6, nu=0.3333))
 
     def test_round_trip_with_generator(self, workspace):
         tmp_path, mesh_path, _ = workspace
@@ -115,10 +125,11 @@ c1 = 166666.0
 n = 500
 pairing = CS
 """
-        cfg = parse_config(text)
-        assert cfg.solver.mu0 is None
-        assert cfg.generator.n == 500
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(text) == RunConfig(
+            formulation="CS", mesh=str(mesh_path), output=str(tmp_path / "out"),
+            generator=GeneratorSpec(Family.NEOHOOKE, c1=166666.0, n=500,
+                                    pairing=PairingKind.CS),
+            solver=CsConfig(mu0=None, load_steps=3))
 
     def test_missing_run_section(self):
         with pytest.raises(ValueError, match=r"\[run\]"):
@@ -179,9 +190,9 @@ pairing = CS
         solver = "".join(f"{key} = {value}\n" for key, value in values.items())
         text = (f"[run]\nformulation = {formulation}\nmesh = {mesh_path}\n"
                 f"dataset = {data_path}\noutput = o\n[solver]\n{solver}")
-        cfg = parse_config(text)
-        assert cfg.solver == cls(**values)
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(text) == RunConfig(
+            formulation=formulation, mesh=str(mesh_path), output="o",
+            dataset=str(data_path), solver=cls(**values))
 
     @pytest.mark.parametrize("line", ["linear_solver = cg", "cg_tol = 1e-14",
                                       "cg_maxit = 100"])
@@ -197,6 +208,25 @@ pairing = CS
                 "[generator]\nfamily = linear\nc1 = 1.0\npairing = CS\n")
         with pytest.raises(ValueError, match="does not match"):
             parse_config(text)
+
+    @pytest.mark.parametrize("key, what", [
+        ("c1", "a number"), ("c3", "a number"), ("n", "an integer"),
+        ("stretch_min", "a number"), ("stretch_max", "a number"),
+        ("log_spacing", "a boolean")])
+    def test_generator_parse_errors_carry_one_prefix(self, key, what):
+        section = {"family": "linear", "c1": "1.0", key: "x"}
+        text = ("[run]\nformulation = FP\nmesh = m\noutput = o\n[generator]\n"
+                + "".join(f"{k} = {v}\n" for k, v in section.items()))
+        with pytest.raises(ValueError) as err:
+            parse_config(text)
+        assert str(err.value) == f"config [generator] {key}: cannot parse 'x' as {what}"
+
+    def test_reference_parse_error_carries_one_prefix(self):
+        text = ("[run]\nformulation = FP\nmesh = m\noutput = o\ndataset = d\n"
+                "[reference]\ne_mod = x\nnu = 0.3\n")
+        with pytest.raises(ValueError) as err:
+            parse_config(text)
+        assert str(err.value) == "config [reference] e_mod: cannot parse 'x' as a number"
 
     def test_dirichlet_parsing(self):
         text = ("[run]\nformulation = FP\nmesh = m\noutput = o\ndataset = d\n"
@@ -218,6 +248,44 @@ pairing = CS
     def test_malformed_ini_reports_a_parse_error(self):
         with pytest.raises(ValueError, match="config parse error"):
             parse_config("not an ini file at all\n")
+
+
+def documented_keys() -> dict:
+    """Section -> keys named in the first cell of its docs/config.md table rows.
+
+    [solver] rows are split by their formulation cell into solver.FP and
+    solver.CS.
+    """
+    keys: dict = {}
+    for block in re.split(r"^## ", CONFIG_DOC.read_text(), flags=re.M)[1:]:
+        heading = block.splitlines()[0].strip()
+        if not re.fullmatch(r"\[\w+\]", heading):
+            continue
+        section = heading[1:-1]
+        if section == "bc":  # patterns over the mesh's set names, not fixed keys
+            continue
+        for row in re.findall(r"^\| `.*$", block, flags=re.M):
+            cells = [c.strip() for c in row.strip("|").split("|")]
+            names = set(re.findall(r"`(\w+)`", cells[0]))
+            if section == "solver":
+                for formulation in ("FP", "CS"):
+                    if cells[1] in ("both", formulation):
+                        keys.setdefault(f"solver.{formulation}", set()).update(names)
+            else:
+                keys.setdefault(section, set()).update(names)
+    return keys
+
+
+def test_documented_keys_are_the_accepted_keys():
+    accepted = {
+        "run": set(cli._keys(RunConfig)),
+        "solver.FP": set(cli._keys(FpConfig)),
+        "solver.CS": set(cli._keys(CsConfig)),
+        "generator": set(cli._keys(GeneratorSpec)) | set(cli._GEN_MAPPED),
+        "multilevel": set(cli._keys(MultilevelOptions)),
+        "reference": set(cli._keys(LinearElasticLaw)),
+    }
+    assert documented_keys() == accepted
 
 
 class TestSolveCommand:

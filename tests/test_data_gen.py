@@ -506,8 +506,5 @@ class TestPairingConversion:
         ds = generate(spec)
         cs = convert_pairing(ds, PairingKind.CS)
         assert cs.mu0 != ds.mu0
-        from ddfem.phase_space import auto_mu0
-        assert_allclose(cs.mu0, auto_mu0(strains=cs.strains,
-                                         stresses=cs.stresses,
-                                         kind=PairingKind.CS, dim=1),
+        assert_allclose(cs.mu0, DataSet(PairingKind.CS, 1, cs.strains, cs.stresses).mu0,
                         rtol=1e-12)

@@ -89,6 +89,27 @@ class TestElasticStiffness:
         for mode in (tx, ty, rot):
             assert np.max(np.abs(k @ mode)) <= 1e-9 * scale
 
+    def test_matches_element_assembly(self, rng):
+        # oracle: K[(a,i),(b,k)] = integral mu g_a.g_b d_ik + mu g_a(k) g_b(i)
+        # + lam g_a(i) g_b(k), assembled element by element
+        from ddfem.fem import box_mesh
+        mesh = box_mesh(2.0, 1.0, 1.5, 2, 2, 1)
+        mesh.nodes += 0.05 * rng.standard_normal(mesh.nodes.shape)
+        law = LinearElasticLaw(e_mod=3.0, nu=0.3)
+        lam, mu = law.lame
+        quad = mesh.quadrature()
+        g, w = quad.dndx, quad.weights
+        dots = np.einsum("eq,eqaj,eqbj->eab", w, g, g)
+        outer = np.einsum("eq,eqai,eqbk->eaibk", w, g, g)
+        k_el = (mu * np.einsum("eab,ik->eaibk", dots, np.eye(3))
+                + mu * np.swapaxes(outer, 2, 4) + lam * outer)
+        expected = np.zeros((mesh.n_dofs, mesh.n_dofs))
+        for nodes, block in zip(mesh.elements, k_el.reshape(mesh.n_elements, 24, 24)):
+            dofs = (nodes[:, None] * 3 + np.arange(3)).ravel()
+            expected[np.ix_(dofs, dofs)] += block
+        k = elastic_stiffness(mesh, law).toarray()
+        assert_allclose(k, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max())
+
 
 class TestSolveLinearElastic:
     def test_end_loaded_rod_matches_hand_formula(self, rod_mesh):
