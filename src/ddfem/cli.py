@@ -352,7 +352,7 @@ def cmd_multilevel(args) -> int:
     records, report = run_multilevel(
         mesh, bcs, source, solver_cfg,
         max_levels=ml.max_levels, stop_delta=ml.stop_delta, initial=initial,
-        radius=ml.radius, keep_all=ml.keep_all or args.keep_all,
+        radius=ml.radius, keep_all=ml.keep_all,
         penalty_floor=ml.penalty_floor)
     paths = _emit(report, cfg, chash)
     if cfg.emit_level_table:
@@ -439,8 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multilevel", help="iterated solve with data refinement")
     p.add_argument("config")
-    p.add_argument("--keep-all", action="store_true",
-                   help="keep unassigned tuples when refining")
     add_threads(p)
     p.set_defaults(func=cmd_multilevel)
 

@@ -124,19 +124,25 @@ def augment_rotations_2d(base: DataSet, n_angles: int, mu0: float | None = None)
         raise ValueError("rotation augmentation expects 2D tuples")
     if n_angles < 0:
         raise ValueError("n_angles must be non-negative")
-    blocks_e = [base.strains]
-    blocks_s = [base.stresses]
-    e = base.strains.reshape(-1, 2, 2)
-    s = base.stresses.reshape(-1, 2, 2)
-    for j in range(1, n_angles + 1):
-        q = rotation_2d(j * np.pi / (n_angles + 1))
-        re = np.einsum("ik,nkl,jl->nij", q, e, q)
-        rs = np.einsum("ik,nkl,jl->nij", q, s, q)
-        blocks_e.append(re.reshape(-1, 4))
-        blocks_s.append(rs.reshape(-1, 4))
+    strains, stresses = _rotated_copies(base.strains, base.stresses, rotation_2d,
+                                        n_angles)
     # rotations leave both RMS norms alone, so the scale carries over
-    return DataSet(base.kind, 2, np.vstack(blocks_e), np.vstack(blocks_s),
+    return DataSet(base.kind, 2, strains, stresses,
                    mu0=base.mu0 if mu0 is None else mu0, validate=False)
+
+
+def _rotated_copies(strains: np.ndarray, stresses: np.ndarray, rotation,
+                    n_angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (n, d*d) tuples followed by n_angles rotated copies Q A Q^T.
+
+    Copy j uses Q = rotation(j*pi/(n_angles+1)), one block per angle.
+    """
+    copies = [(strains, stresses)]
+    for j in range(1, n_angles + 1):
+        q = rotation(j * np.pi / (n_angles + 1))
+        copies.append([np.einsum("ik,nkl,jl->nij", q, a.reshape(-1, *q.shape), q)
+                       .reshape(a.shape) for a in (strains, stresses)])
+    return tuple(np.vstack(blocks) for blocks in zip(*copies))
 
 
 @dataclass(frozen=True)
@@ -279,19 +285,8 @@ def isotropic_grid_from_two_states(elong: DataTuple, shear: DataTuple,
         sigma = (v / alpha) @ unit_stress
         strains.append(voigt_to_tensor(v).reshape(9))
         stresses.append(voigt_to_tensor(sigma).reshape(9))
-    strains = np.array(strains)
-    stresses = np.array(stresses)
-
-    if n_angles > 0:
-        e = strains.reshape(-1, 3, 3)
-        s = stresses.reshape(-1, 3, 3)
-        blocks_e, blocks_s = [strains], [stresses]
-        for j in range(1, n_angles + 1):
-            q = rotation_z(j * np.pi / (n_angles + 1))
-            blocks_e.append(np.einsum("ik,nkl,jl->nij", q, e, q).reshape(-1, 9))
-            blocks_s.append(np.einsum("ik,nkl,jl->nij", q, s, q).reshape(-1, 9))
-        strains = np.vstack(blocks_e)
-        stresses = np.vstack(blocks_s)
+    strains, stresses = _rotated_copies(np.array(strains), np.array(stresses),
+                                        rotation_z, n_angles)
     return DataSet(PairingKind.EPS_SIGMA, 3, strains, stresses, mu0=mu0, validate=False)
 
 

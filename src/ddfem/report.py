@@ -26,7 +26,11 @@ class SolveReport:
     strains/stresses/assigned/local_penalties are indexed (element, qp);
     u and lam are flat nodal vectors (node-major, dim components each).
     `termination` says why the outer loop stopped; `converged` is False
-    only for max-iterations exits.
+    only for max-iterations exits.  `residual_history` holds one entry
+    per penalty row: for FP the weak-equilibrium residual over the free
+    multiplier dofs relative to |f_ext| (absolute when there is no
+    load), for CS the absolute Newton residual norm of the reduced
+    coupled system at the pass's converged iterate.
     """
 
     formulation: str

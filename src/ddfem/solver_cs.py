@@ -34,11 +34,12 @@ of a trial (u, lam) come from one evaluation, and the accepted iterate's
 evaluation also feeds its tangent and, at convergence, the pass's state
 recovery.  Gradients and divergences are products with the mesh's sparse
 discrete gradient, held for the length of `solve_cs`.  One Newton solve is
-one pass of `assignment.assignment_loop`, which reassigns the nearest
-tuples under the termination contract stated there.  `solve_cs` runs
-that loop once per load step of the continuation ramp; each step starts
-from the assignment and fields the previous step returned, and the
-solve stops at the first step that reaches the iteration cap.
+one pass of `assignment.assignment_loop`, which runs the load steps of
+the continuation ramp, reassigns the nearest tuples under the
+termination contract stated there, and builds the SolveReport.  Each
+pass loads to its step's fraction of the external load and prescribed
+displacements, and warm-starts Newton from the (u, lam) the loop hands
+it, or from zero fields on the first pass.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ class CsConfig:
     accepted only on a CHORD_RATE contraction in either mode.
     newton_maxit caps the steps of one Newton solve, chord and full
     Newton steps together.  load_steps > 1 ramps the external load (and
-    prescribed displacements) linearly with warm starts.  threads is the
+    prescribed displacements) linearly: the assignment loop runs one
+    load step per increment, and each step's first Newton solve starts
+    from the (u, lam) the previous step returned.  threads is the
     number of workers the nearest-tuple k-d tree queries run on; every
     query is independent, so results are identical for every value.
     """
@@ -303,6 +306,10 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
     `iters` counts the accepted steps, chord and Newton alike, and `kin`
     is the kinematics (F, grad(lam), C, S) of the returned (u, lam).
 
+    (u0, lam0) is the warm start, zero when omitted; its prescribed dofs
+    are overwritten by the Dirichlet values, displacements scaled by
+    `bc_scale`.
+
     Residuals are reduced to the free dofs; convergence is declared at
     norm <= newton_tol * (1 + |f_ext|).  `pattern` must have been built
     for the same mesh and constraints; it is built here when omitted.
@@ -384,7 +391,7 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
 
 def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
              config: CsConfig | None = None) -> SolveReport:
-    """Newton inside the assignment loop, one loop per load step."""
+    """Newton inside the assignment loop, which runs the load steps."""
     config = config or CsConfig()
     dataset = checked_dataset(mesh, dataset, PairingKind.CS, config.mu0)
     mu0 = dataset.mu0
@@ -392,78 +399,39 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
 
     quad = mesh.quadrature()
     d = mesh.dim
-    weights = quad.weights.ravel()
-    f_ext_full = bcs.external_force(mesh)
+    f_ext = bcs.external_force(mesh)
     pattern = JacobianPattern(mesh, bcs)
     solver = _TangentSolver()
-
-    # each pass warm-starts Newton from the previous pass's (u, lam) and
-    # loads to the current step's bc_scale
-    warm = (np.zeros(mesh.n_dofs), np.zeros(mesh.n_dofs))
+    zeros = np.zeros(mesh.n_dofs)
     newton_history: list[int] = []
 
-    def solve_pass(ids: np.ndarray):
-        nonlocal warm
+    def solve_pass(ids: np.ndarray, scale: float, start):
+        u0, lam0 = (zeros, zeros) if start is None else start
         c_star = dataset.strains[ids].reshape(mesh.n_elements, quad.nqp, d, d)
         s_star = dataset.stresses[ids].reshape(mesh.n_elements, quad.nqp, d, d)
         u, lam, iters, norms, kin = newton_solve(
-            mesh, bcs, c_star, s_star, mu0, config, u0=warm[0], lam0=warm[1],
-            f_ext=f_ext_full * bc_scale, bc_scale=bc_scale, pattern=pattern,
-            solver=solver)
+            mesh, bcs, c_star, s_star, mu0, config, u0=u0, lam0=lam0,
+            f_ext=f_ext * scale, bc_scale=scale, pattern=pattern, solver=solver)
         newton_history.append(iters)
-        warm = (u, lam)
         c_qp, s_qp = recover_states_cs(mesh, u, lam, s_star, mu0, kin=kin)
-        return c_qp, s_qp, norms[-1], warm
+        return c_qp, s_qp, norms[-1], (u, lam)
 
-    penalty_history: list[float] = []
-    residual_history: list[float] = []
-    data_iterations = 0
-    assigned = None
     with gradient_operator(mesh):
-        for step in range(1, config.load_steps + 1):
-            bc_scale = step / config.load_steps
-            result = assignment_loop(
-                solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
-                dataset, weights, config, assigned)
-            penalty_history += result.penalty_history
-            residual_history += result.residual_history
-            data_iterations += result.passes
-            # the next step starts from the state this one returned
-            assigned, warm = result.final.assigned, result.final.payload
-            if not result.converged:
-                break
-
-        final = result.final
-        u, lam = final.payload
-        c_qp, s_qp = final.strains, final.stresses
-        f_qp = gradient_field(mesh, u) + np.eye(d)
-        eq = (divergence_rhs(mesh, f_qp @ s_qp) - f_ext_full)[pattern.free_l]
+        result = assignment_loop(
+            solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
+            dataset, quad.weights.ravel(), config, config.load_steps)
+        s_qp = result.final.stresses
+        f_qp = gradient_field(mesh, result.final.payload[0]) + np.eye(d)
+        eq = (divergence_rhs(mesh, f_qp @ s_qp) - f_ext)[pattern.free_l]
 
     asym = s_qp - np.swapaxes(s_qp, -1, -2)
     s_scale = max(1.0, float(np.abs(s_qp).max()))
-    f_norm = float(np.linalg.norm(f_ext_full))
+    f_norm = float(np.linalg.norm(f_ext))
     eq_rel = float(np.linalg.norm(eq)) / f_norm if f_norm > 0 else float(np.linalg.norm(eq))
-
-    return SolveReport(
-        formulation="CS",
-        mesh=mesh,
-        mu0=mu0,
-        u=u,
-        lam=lam,
-        strains=c_qp,
-        stresses=s_qp,
-        assigned=final.assigned.reshape(mesh.n_elements, quad.nqp),
-        local_penalties=final.local_penalties.reshape(mesh.n_elements, quad.nqp),
-        global_penalty=final.penalty,
-        penalty_history=penalty_history,
-        residual_history=residual_history,
-        newton_history=newton_history,
-        data_iterations=data_iterations,
-        converged=result.converged,
-        termination=result.termination,
-        diagnostics={"equilibrium_residual": eq_rel,
-                     "stress_asymmetry": float(np.linalg.norm(asym) / s_scale),
-                     "factorizations": solver.factorizations,
-                     "tangent_evaluations": solver.tangent_evaluations},
-        timings={"total": time.perf_counter() - t0},
-    )
+    return result.report(
+        "CS", mesh, mu0,
+        {"equilibrium_residual": eq_rel,
+         "stress_asymmetry": float(np.linalg.norm(asym) / s_scale),
+         "factorizations": solver.factorizations,
+         "tangent_evaluations": solver.tangent_evaluations},
+        t0, newton_history)

@@ -17,9 +17,11 @@ function identically.  Each system eliminates its own prescribed dofs
 every iteration; the two systems share one LU when the multiplier's
 constraint pattern equals the displacement's, which is the default.
 One solve of the two systems is one pass of `assignment.assignment_loop`,
-which FP runs as a single load step: it reassigns the nearest tuples
-and stops on a fixed point, a cycle, penalty stagnation or the
-iteration cap, under the contract stated there.
+which FP runs as a single load step at the full load: it reassigns the
+nearest tuples, stops on a fixed point, a cycle, penalty stagnation or
+the iteration cap under the contract stated there, and builds the
+SolveReport of the pass it returns.  The linear systems need no warm
+start, so a pass ignores the load fraction and the previous payload.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     f_ext_norm = float(np.linalg.norm(f_ext))
     eye = np.eye(d)
 
-    def solve_pass(ids: np.ndarray):
+    def solve_pass(ids: np.ndarray, scale: float, start):
         f_star = dataset.strains[ids].reshape(mesh.n_elements, quad.nqp, d, d)
         p_star = dataset.stresses[ids].reshape(mesh.n_elements, quad.nqp, d, d)
         rhs_u = red_u.rhs(mu0 * divergence_rhs(mesh, f_star - eye), vals_u)
@@ -109,33 +111,14 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         else:
             red_l = ReducedSystem(k, fixed_l)
             lu_l = factorize(red_l.k_ff, "scaled Laplacian")
-        step = assignment_loop(
+        result = assignment_loop(
             solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
             dataset, quad.weights.ravel(), config)
-        final = step.final
-        u, lam = final.payload
-        f_qp, p_qp = final.strains, final.stresses
-        f_star = dataset.strains[final.assigned].reshape(f_qp.shape)
-        neglected = mu0 * divergence_rhs(mesh, f_qp - f_star)[red_u.free]
-    am_defect = angular_momentum_defect(f_qp, p_qp)
-    return SolveReport(
-        formulation="FP",
-        mesh=mesh,
-        mu0=mu0,
-        u=u,
-        lam=lam,
-        strains=f_qp,
-        stresses=p_qp,
-        assigned=final.assigned.reshape(mesh.n_elements, quad.nqp),
-        local_penalties=final.local_penalties.reshape(mesh.n_elements, quad.nqp),
-        global_penalty=final.penalty,
-        penalty_history=step.penalty_history,
-        residual_history=step.residual_history,
-        data_iterations=step.passes,
-        converged=step.converged,
-        termination=step.termination,
-        diagnostics={"equilibrium_residual": final.residual,
-                     "angular_momentum_defect": am_defect,
-                     "neglected_term": float(np.linalg.norm(neglected))},
-        timings={"total": time.perf_counter() - t0},
-    )
+        final = result.final
+        f_star = dataset.strains[final.assigned].reshape(final.strains.shape)
+        neglected = mu0 * divergence_rhs(mesh, final.strains - f_star)[red_u.free]
+    return result.report(
+        "FP", mesh, mu0,
+        {"equilibrium_residual": final.residual,
+         "angular_momentum_defect": angular_momentum_defect(final.strains, final.stresses),
+         "neglected_term": float(np.linalg.norm(neglected))}, t0)

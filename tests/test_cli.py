@@ -442,27 +442,57 @@ class TestDatasetCommands:
         assert "momentum" in err
 
 
-class TestMultilevelCommand:
-    def test_two_level_run_writes_the_level_table(self, workspace, capsys):
-        tmp_path, mesh_path, data_path = workspace
-        coarse = generate(GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=30,
-                                        stretch_range=(1.0, 3.2)))
-        coarse_path = tmp_path / "coarse.data"
-        save_dataset(coarse, coarse_path)
-        cfg = rod_config(tmp_path, mesh_path, coarse_path, outdir="ml",
-                         extra_sections=f"""\
+def multilevel_config(workspace, outdir, extra=""):
+    """Three-level rod config from 30 coarse tuples, refined from the dense set."""
+    tmp_path, mesh_path, data_path = workspace
+    coarse = generate(GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=30,
+                                    stretch_range=(1.0, 3.2)))
+    coarse_path = tmp_path / "coarse.data"
+    save_dataset(coarse, coarse_path)
+    return rod_config(tmp_path, mesh_path, coarse_path, outdir=outdir,
+                      extra_sections=f"""\
 [multilevel]
 source = {data_path}
 max_levels = 3
 stop_delta = 0.0
 penalty_floor = 0.0
+{extra}
 """)
+
+
+def level_sizes(path):
+    """The n_data column of a levels.tsv."""
+    return [int(line.split("\t")[1]) for line in path.read_text().splitlines()[2:]]
+
+
+class TestMultilevelCommand:
+    def test_two_level_run_writes_the_level_table(self, workspace, capsys):
+        tmp_path = workspace[0]
+        cfg = multilevel_config(workspace, "ml")
         assert main(["multilevel", str(cfg), "--threads", "1"]) == 0
         out = capsys.readouterr().out
         assert "level 1:" in out
         table = (tmp_path / "ml" / "levels.tsv").read_text().splitlines()
         assert table[0] == "# dd-levels v1"
         assert len(table) >= 4  # magic, columns, two levels
+
+    def test_keep_all_key_keeps_the_unused_tuples(self, workspace):
+        tmp_path = workspace[0]
+        sizes = {}
+        for keep in ("false", "true"):
+            cfg = multilevel_config(workspace, f"keep_{keep}", f"keep_all = {keep}")
+            assert main(["multilevel", str(cfg), "--threads", "1"]) == 0
+            sizes[keep] = level_sizes(tmp_path / f"keep_{keep}" / "levels.tsv")
+        assert sizes["true"][0] == sizes["false"][0] == 30
+        assert sizes["true"][1] > sizes["false"][1]
+
+    def test_keep_all_is_not_a_flag(self, workspace, capsys):
+        # the config key is the only switch, so the config hash covers it
+        cfg = multilevel_config(workspace, "ml_flag")
+        with pytest.raises(SystemExit) as exc:
+            main(["multilevel", str(cfg), "--keep-all"])
+        assert exc.value.code == 2
+        assert "--keep-all" in capsys.readouterr().err
 
     def test_multilevel_requires_its_section(self, workspace, capsys):
         tmp_path, mesh_path, data_path = workspace
