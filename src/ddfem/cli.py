@@ -428,9 +428,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="workers for the parallel nearest-tuple queries; "
-                            "results are bit-identical for every value "
-                            "(default: cores)")
+                       help="most workers for the nearest-tuple queries; a "
+                            "search gets one per 4,096 queries, so one of "
+                            "fewer than 8,192 runs on one; results are "
+                            "bit-identical for every value (default: cores)")
 
     p = sub.add_parser("solve", help="run one data-driven solve from a config")
     p.add_argument("config")

@@ -393,12 +393,18 @@ def _singular_error(k_ff: sp.spmatrix, context: str) -> ValueError:
     n = k_ff.shape[0]
     detail = ""
     if 0 < n <= 2000:
-        w = np.linalg.eigvalsh(k_ff.toarray())
-        tol = max(1e-12, 1e-10 * abs(w).max())
-        detail = f" ({int(np.sum(np.abs(w) <= tol))} near-zero modes)"
+        # singular values: a coupled tangent is not symmetric
+        w = np.linalg.svd(k_ff.toarray(), compute_uv=False)
+        tol = max(1e-12, 1e-10 * w.max())
+        detail = f" ({int(np.sum(w <= tol))} near-zero modes)"
     return ValueError(
         f"singular {context} matrix{detail}; check that boundary conditions "
         f"suppress every rigid mode")
+
+
+# 1-norm condition number above which `factorize` calls a matrix
+# singular: about four of the sixteen digits of a solve would survive
+MAX_CONDITION = 1e12
 
 
 def factorize(k_ff: sp.csr_matrix, context: str = "stiffness",
@@ -406,8 +412,12 @@ def factorize(k_ff: sp.csr_matrix, context: str = "stiffness",
     """Sparse LU with an informative error when the operator is singular.
 
     SuperLU happily factors a semidefinite matrix into a near-zero pivot
-    instead of failing, so the U diagonal is checked explicitly.
-    `permc_spec` is SuperLU's column ordering.
+    instead of failing, so the U diagonal is checked explicitly.  Pivots
+    can also stay moderate on a numerically singular matrix, so the
+    1-norm condition number is estimated from solves with the factor
+    (Hager's estimator, `onenormest` with one column: it draws no random
+    vectors, so the estimate repeats exactly) and checked against
+    MAX_CONDITION.  `permc_spec` is SuperLU's column ordering.
     """
     try:
         with warnings.catch_warnings():
@@ -418,6 +428,14 @@ def factorize(k_ff: sp.csr_matrix, context: str = "stiffness",
     pivots = np.abs(lu.U.diagonal())
     if pivots.size and pivots.min() <= 1e-13 * max(pivots.max(), 1e-300):
         raise _singular_error(k_ff, context)
+    if pivots.size:
+        def solve_t(x):
+            return lu.solve(x, trans="T")
+
+        inverse = spla.LinearOperator(k_ff.shape, matvec=lu.solve, rmatvec=solve_t,
+                                      matmat=lu.solve, rmatmat=solve_t, dtype=float)
+        if spla.onenormest(inverse, t=1) * spla.norm(k_ff, 1) > MAX_CONDITION:
+            raise _singular_error(k_ff, context)
     return lu
 
 

@@ -85,6 +85,10 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
         dataset = source
     else:
         dataset = initial
+    if isinstance(source, DataSet) and source.mu0 != dataset.mu0:
+        # every level keeps the first level's mu0: convert the pool once
+        # so that refine_around reuses its tree
+        source = source.with_mu0(dataset.mu0)
 
     records: list[LevelRecord] = []
     report = None

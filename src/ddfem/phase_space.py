@@ -29,6 +29,12 @@ the centroid, so a rotated coordinate rounds within a few ulps of the
 unrotated row's norm, as the embedded coordinates do.  The tree
 proposes candidates; the answer is settled by the metric computed from
 direct differences, with ties going to the lowest id.
+
+A refinement pool is searched through the same index: the pool's own
+tree, built once for its mu0, proposes the pool tuples near each
+support tuple, and only those candidates are measured against the
+support.  A multilevel run keeps one mu0 on every level, so it builds
+the pool's tree once.
 """
 
 from __future__ import annotations
@@ -218,6 +224,16 @@ def _scaled(strains: np.ndarray, stresses: np.ndarray, mu0: float) -> np.ndarray
 # tree's axes, round at about 1e-15 of that
 _TIE_MARGIN = 1e-10
 
+# queries per k-d query worker.  On two cores, two workers beat one from
+# about twice this many queries on; below that the split costs about as
+# much as it saves, so a batch of fewer runs on the calling thread
+_QUERIES_PER_WORKER = 4096
+
+
+def _batch_workers(n_queries: int, workers: int) -> int:
+    """Workers for a batch: `workers` at most, one per _QUERIES_PER_WORKER."""
+    return max(1, min(workers, n_queries // _QUERIES_PER_WORKER))
+
 
 def nearest_many(strains: np.ndarray, stresses: np.ndarray, dataset: DataSet,
                  workers: int = 1) -> np.ndarray:
@@ -230,8 +246,10 @@ def nearest_many(strains: np.ndarray, stresses: np.ndarray, dataset: DataSet,
     first is the unique nearest tuple under the directly computed metric.
     Otherwise (a near-tie or duplicate tuples) every tuple in a slightly
     larger ball is re-measured by direct differences.
-    `workers` runs queries in parallel; each query is independent, so
-    results do not depend on it.
+    `workers` caps the query workers; a batch gets one worker per
+    _QUERIES_PER_WORKER queries, so a batch below that runs on the
+    calling thread.  Each query is independent, so results do not
+    depend on the count.
     """
     dd = dataset.dim ** 2
     qe = np.ascontiguousarray(strains, dtype=float).reshape(-1, dd)
@@ -239,13 +257,13 @@ def nearest_many(strains: np.ndarray, stresses: np.ndarray, dataset: DataSet,
     tree = dataset.tree()
     x = _scaled(qe, qs, dataset.mu0)
     y = x @ dataset.axes
-    dist, ids = tree.query(y, k=2, workers=workers)
+    dist, ids = tree.query(y, k=2, workers=_batch_workers(len(y), workers))
     out = ids[:, 0].astype(np.int64)
     margin = _TIE_MARGIN * (dist[:, 0] + np.linalg.norm(x, axis=1))
     near = np.flatnonzero(dist[:, 1] - dist[:, 0] <= margin)
     if near.size:
         balls = tree.query_ball_point(y[near], dist[near, 0] + 2.0 * margin[near],
-                                      workers=workers)
+                                      workers=_batch_workers(near.size, workers))
         for i, ball in zip(near, balls):
             cand = np.sort(np.asarray(ball, dtype=np.int64))
             d2 = penalty_many(np.broadcast_to(qe[i], (cand.size, dd)),
@@ -275,10 +293,18 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
 
     `assigned` holds tuple ids into `current`.  New tuples come either
     from a larger pool (`source` is a DataSet; all pool tuples within
-    `radius` of a used tuple are added) or from a generator callback
-    `source(centers, radius) -> [(strain, stress), ...]`.  Unused tuples
-    of `current` are dropped unless `keep_all` is set.  The metric scale
-    mu0 carries over unchanged so penalties stay comparable across levels.
+    `radius` of a used tuple are added, in pool order) or from a generator
+    callback `source(centers, radius) -> [(strain, stress), ...]`.  Unused
+    tuples of `current` are dropped unless `keep_all` is set.  The metric
+    scale mu0 carries over unchanged so penalties stay comparable across
+    levels.
+
+    A pool is searched on its own tree in the current mu0; a pool under
+    another mu0 is converted first, so a caller refining repeatedly from
+    one pool converts it once and reuses its tree.  The tree proposes the
+    pool tuples within `radius` plus a rounding margin of a used tuple,
+    and each candidate is kept when its distance to the nearest used
+    tuple, measured on unrotated scaled coordinates, is at most `radius`.
     """
     assigned = np.unique(np.asarray(assigned, dtype=np.int64))
     if assigned.size == 0:
@@ -294,12 +320,21 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
     if isinstance(source, DataSet):
         if (source.kind, source.dim) != (current.kind, current.dim):
             raise ValueError("source and current datasets disagree in kind or dimension")
-        # tree over the support in the current scaling: the pool's own
-        # tree may use another mu0
         mu0 = current.mu0
-        support = cKDTree(_scaled(current.strains[assigned], current.stresses[assigned], mu0))
-        d, _ = support.query(_scaled(source.strains, source.stresses, mu0), k=1)
-        near = d <= radius
+        if source.mu0 != mu0:
+            source = source.with_mu0(mu0)
+        centres = _scaled(current.strains[assigned], current.stresses[assigned], mu0)
+        # candidates from the pool's rotated tree: the ball's margin bounds
+        # the rounding of the rotation, relative to the centre's norm plus
+        # the radius, so every tuple within `radius` is among them
+        margin = _TIE_MARGIN * (radius + np.linalg.norm(centres, axis=1))
+        balls = source.tree().query_ball_point(centres @ source.axes, radius + 2.0 * margin)
+        cand = np.unique(np.concatenate([np.asarray(b, dtype=np.int64) for b in balls]))
+        # the selection itself: distance to the nearest used tuple on the
+        # unrotated scaled coordinates
+        support = cKDTree(centres)
+        d, _ = support.query(_scaled(source.strains[cand], source.stresses[cand], mu0), k=1)
+        near = cand[d <= radius]
         strains.append(source.strains[near])
         stresses.append(source.stresses[near])
     else:

@@ -69,8 +69,10 @@ class CsConfig:
     Newton steps together.  load_steps > 1 ramps the external load (and
     prescribed displacements) linearly: the assignment loop runs one
     load step per increment, and each step's first Newton solve starts
-    from the (u, lam) the previous step returned.  threads is the
-    number of workers the nearest-tuple k-d tree queries run on; every
+    from the (u, lam) the previous step returned.  threads caps
+    the workers of the nearest-tuple k-d tree queries, which get one per
+    4,096 queries of a search, so a search of fewer than 8,192 runs on
+    one; every
     query is independent, so results are identical for every value.
     """
 

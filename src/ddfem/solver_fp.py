@@ -43,8 +43,10 @@ from .tensors import angular_momentum_defect
 class FpConfig:
     """Knobs of the alternating scheme.
 
-    mu0 = None defers to the dataset's stored scale.  threads is the
-    number of workers the nearest-tuple k-d tree queries run on; every
+    mu0 = None defers to the dataset's stored scale.  threads caps
+    the workers of the nearest-tuple k-d tree queries, which get one per
+    4,096 queries of a search, so a search of fewer than 8,192 runs on
+    one; every
     query is independent, so results are identical for every value.
     Both linear systems are solved on a sparse LU of the Laplacian,
     factored once per constraint pattern, so there is no solver knob.

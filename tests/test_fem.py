@@ -218,6 +218,17 @@ class TestStiffness:
         with pytest.raises(ValueError, match="near-zero"):
             factorize(k, "unconstrained stiffness")
 
+    def test_factorize_condition_check_draws_no_random_numbers(self):
+        # the 1-norm estimate uses no random start vectors, so it repeats
+        # exactly and leaves numpy's global generator alone
+        mesh = rect_mesh(1.0, 1.0, 4, 4)
+        k = stiffness_vector(mesh).tocsr()[2:, 2:]
+        state = np.random.get_state()
+        factorize(k, "pinned stiffness")
+        after = np.random.get_state()
+        assert state[0] == after[0] and np.array_equal(state[1], after[1])
+        assert state[2:] == after[2:]
+
 
 class TestBoundaryConditions:
     def test_zero_loads(self, distorted_quad):

@@ -108,6 +108,32 @@ class TestRunMultilevel:
         assert len(records) == 2
         assert records[1].n_data >= records[0].n_data
 
+    def test_pool_under_another_mu0_refines_as_if_converted(self, rod_mesh,
+                                                            graded_bcs, monkeypatch):
+        source = rubber_set(2000)
+        coarse = rubber_set(20)
+        assert coarse.mu0 != source.mu0
+        kwargs = dict(max_levels=3, stop_delta=0.0, initial=coarse,
+                      penalty_floor=0.0)
+        conversions = []
+        with_mu0 = DataSet.with_mu0
+        monkeypatch.setattr(DataSet, "with_mu0",
+                            lambda ds, mu0: conversions.append(ds) or with_mu0(ds, mu0))
+        rec_a, rep_a = run_multilevel(rod_mesh, graded_bcs, source, FpConfig(),
+                                      **kwargs)
+        # one conversion per run, so the pool's tree is built once
+        assert conversions == [source]
+        by_hand = source.with_mu0(coarse.mu0)
+        rec_b, rep_b = run_multilevel(rod_mesh, graded_bcs, by_hand, FpConfig(),
+                                      **kwargs)
+        assert len(rec_a) == len(rec_b) == 3
+        for a, b in zip(rec_a, rec_b):
+            assert (a.level, a.n_data, a.n_support, a.solver_iterations) == (
+                b.level, b.n_data, b.n_support, b.solver_iterations)
+            assert a.penalty == b.penalty
+        assert rec_a[1].n_data > rec_a[0].n_support
+        assert np.array_equal(rep_a.u, rep_b.u)
+
     def test_runs_are_deterministic(self, rod_mesh, graded_bcs):
         source = rubber_set(1000)
         coarse = rubber_set(25, mu0=source.mu0)

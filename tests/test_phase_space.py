@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ddfem import phase_space
 from ddfem.phase_space import (DataSet, PairingKind, auto_mu0, global_penalty,
                                load_dataset, median_nn_spacing, nearest_many,
                                penalty_many, refine_around, save_dataset)
@@ -171,15 +172,37 @@ class TestNearest:
         qs = rng.standard_normal((40, 4))
         assert np.array_equal(nearest_many(qe, qs, ds), oracle_nearest(qe, qs, ds))
 
-    def test_worker_count_does_not_change_results(self, rng):
+    def test_worker_count_does_not_change_results(self, rng, monkeypatch):
+        # a small batch per worker, so that 3,050 queries really fan out
+        monkeypatch.setattr(phase_space, "_QUERIES_PER_WORKER", 256)
         ds = flat_set(PairingKind.FP, 2, rng.standard_normal((2000, 4)),
                       rng.standard_normal((2000, 4)), mu0=0.7)
         qe = np.vstack([rng.standard_normal((3000, 4)), ds.strains[:50]])
         qs = np.vstack([rng.standard_normal((3000, 4)), ds.stresses[:50]])
+        spy = WorkerSpy(ds)
         a = nearest_many(qe, qs, ds, workers=1)
         b = nearest_many(qe, qs, ds, workers=4)
+        assert spy.calls == [("query", 1), ("query", 4)]
         assert np.array_equal(a, b)
         assert np.array_equal(a, oracle_nearest(qe, qs, ds))
+
+    @pytest.mark.parametrize("n, asked, expected",
+                             [(1, 4, 1), (8191, 4, 1), (8192, 4, 2), (8192, 1, 1),
+                              (20_000, 4, 4), (25_600, 2, 2), (25_600, 8, 6)])
+    def test_workers_follow_the_batch_size(self, n, asked, expected):
+        assert phase_space._QUERIES_PER_WORKER == 4096
+        assert phase_space._batch_workers(n, asked) == expected
+
+    def test_small_batch_runs_on_one_worker(self, rng):
+        # duplicate tuples put some queries in the near-tie ball query too
+        strains = rng.standard_normal((500, 4))
+        stresses = rng.standard_normal((500, 4))
+        strains[250:], stresses[250:] = strains[:250], stresses[:250]
+        ds = flat_set(PairingKind.FP, 2, strains, stresses, mu0=0.7)
+        spy = WorkerSpy(ds)
+        ids = nearest_many(ds.strains[:300], ds.stresses[:300], ds, workers=4)
+        assert spy.calls == [("query", 1), ("query_ball_point", 1)]
+        assert np.array_equal(ids, oracle_nearest(ds.strains[:300], ds.stresses[:300], ds))
 
     def test_scaling_stress_and_mu0_together_is_neutral(self, rng):
         """Multiplying stresses and mu0 by s rescales all penalties by s."""
@@ -221,6 +244,26 @@ class TestNearest:
         assert peak < 64 * 2 ** 20
         sample = rng.choice(25_600, size=200, replace=False)
         assert np.array_equal(ids[sample], oracle_nearest(qe[sample], qs[sample], ds))
+
+
+class WorkerSpy:
+    """Stands in for a dataset's k-d tree and records each call's workers."""
+
+    def __init__(self, ds):
+        self.tree = ds.tree()
+        self.calls = []
+        ds._tree = self
+
+    def __getattr__(self, name):
+        return getattr(self.tree, name)
+
+    def query(self, x, k=1, workers=1):
+        self.calls.append(("query", workers))
+        return self.tree.query(x, k=k, workers=workers)
+
+    def query_ball_point(self, x, r, workers=1):
+        self.calls.append(("query_ball_point", workers))
+        return self.tree.query_ball_point(x, r, workers=workers)
 
 
 def random_rotation(rng, k):
@@ -569,6 +612,67 @@ class TestRefineAround:
         expected = np.vstack([current.strains[support], pool.strains[d <= radius]])
         assert 0 < np.count_nonzero(d <= radius) < len(pool)
         assert np.array_equal(out.strains, expected)
+
+    def test_pool_selection_at_the_radius(self, rng):
+        """Pool tuples at exactly `radius`, one ulp inside and one outside.
+
+        With mu0 = 2 the scaled coordinates are the strain and half the
+        stress, both exact.  A pool tuple that differs from a support
+        tuple in one component, by a difference that subtracts exactly,
+        lies at exactly that distance in the tree and in the direct
+        metric alike.
+        """
+        current = flat_set(PairingKind.CS, 2, 1.0 + 0.25 * rng.integers(0, 4, (30, 4)),
+                           0.5 + 0.25 * rng.integers(0, 4, (30, 4)), mu0=2.0)
+        support = np.array([2, 11, 23])
+        current.strains[support] = [[1.0, 1.0, 1.0, 1.0], [1.75, 1.0, 1.75, 1.0],
+                                    [1.0, 1.75, 1.0, 1.75]]
+        current.stresses[support] = 0.5 + 0.75 * (current.strains[support] - 1.0)
+        radius = 0.25
+        rows = []
+        for i, centre in enumerate(support):
+            e, s = current.strains[centre], current.stresses[centre]
+            for comp in range(4):
+                # a strain component `radius` above the support tuple's, or a
+                # stress component 2 * radius above (half of it once scaled),
+                # then one ulp of the stored value down, none, and one up
+                on_strain = (i + comp) % 2 == 1
+                base = e[comp] + radius if on_strain else s[comp] + 2.0 * radius
+                for value in (np.nextafter(base, 0.0), base, np.nextafter(base, 4.0)):
+                    ee, ss = e.copy(), s.copy()
+                    (ee if on_strain else ss)[comp] = value
+                    rows.append(np.hstack([ee, ss]))
+        edge = np.array(rows)
+        pool_rows = np.vstack([np.hstack([rng.uniform(0.5, 2.5, (300, 4)),
+                                          rng.uniform(0.0, 2.0, (300, 4))]),
+                               edge, edge[::5],
+                               np.hstack([current.strains[support[:1]],
+                                          current.stresses[support[:1]]])])
+        pool_rows = pool_rows[rng.permutation(len(pool_rows))]
+        # the pool's own mu0 differs: the selection uses the current one
+        pool = flat_set(PairingKind.CS, 2, pool_rows[:, :4], pool_rows[:, 4:], mu0=5.0)
+        out = refine_around(pool, support, current, radius=radius)
+
+        centers = flat_set(PairingKind.CS, 2, current.strains[support],
+                           current.stresses[support], mu0=current.mu0)
+        d = np.sqrt([direct_metric(e, s, centers).min()
+                     for e, s in zip(pool.strains, pool.stresses)])
+        rows = np.vstack([np.hstack([current.strains[support], current.stresses[support]]),
+                          pool_rows[d <= radius]])
+        seen, keep = set(), []
+        for i, row in enumerate(rows):
+            if row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                keep.append(i)
+        # the oracle sees every edge tuple on its side of the radius
+        n_edge = 4 * support.size
+        assert np.count_nonzero(d == radius) >= n_edge
+        assert np.count_nonzero((d < radius) & (d > radius - 1e-15)) >= n_edge
+        assert np.count_nonzero((d > radius) & (d < radius + 1e-15)) >= n_edge
+        # the pool's duplicate rows and its copy of a support tuple collapse
+        assert len(keep) < len(rows)
+        assert np.array_equal(np.hstack([out.strains, out.stresses]), rows[keep])
+        assert out.mu0 == current.mu0
 
 
 class TestDatasetFiles:

@@ -789,6 +789,28 @@ class TestKeptFactor:
             with pytest.raises(ValueError, match="singular tangent matrix"):
                 newton_solve(mesh, bcs, c_star, s_star, 1.0, CsConfig(), solver=solver)
 
+    @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
+    def test_rotation_free_tangent_at_the_solution_raises(self, make_mesh, rng):
+        # only the origin's displacement is fixed, so a rigid rotation about
+        # it is free and the tangent at the converged (u, lam) is singular;
+        # its LU pivots stay far above the pivot test's 1e-13 ratio
+        mesh = make_mesh()
+        data = svk_cs_set(mesh.dim, 200, rng)
+        c_star, s_star = assigned_stars(mesh, data, 0)
+        origin = int(np.flatnonzero(np.all(mesh.nodes == 0.0, axis=1))[0])
+        bcs = BoundaryConditions(
+            dirichlet=[(origin, c, 0.0) for c in range(mesh.dim)],
+            dirichlet_lambda=[(n, c, 0.0) for n in face_nodes(mesh, 0, 0.0)
+                              for c in range(mesh.dim)])
+        u, lam, iters, _, kin = newton_solve(mesh, bcs, c_star, s_star, data.mu0,
+                                             CsConfig())
+        jac = JacobianPattern(mesh, bcs).assemble(
+            tangent_blocks(mesh, u, lam, c_star, s_star, data.mu0, kin=kin))
+        pivots = np.abs(spla.splu(jac, permc_spec="MMD_AT_PLUS_A").U.diagonal())
+        assert iters >= 1 and pivots.min() > 1e-13 * pivots.max()
+        with pytest.raises(ValueError, match="singular tangent matrix"):
+            fem.factorize(jac, "tangent", permc_spec="MMD_AT_PLUS_A")
+
     def test_multi_pass_solve_factors_rarely_and_one_factor_at_a_time(
             self, rng, monkeypatch):
         factorize = solver_cs.factorize
