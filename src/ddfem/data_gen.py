@@ -15,10 +15,10 @@ import enum
 import itertools
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
+from . import textio
 from .phase_space import DataSet, DataTuple, PairingKind
 from .tensors import rotation_2d, rotation_z, voigt_to_tensor
 
@@ -191,41 +191,20 @@ _UNITLOAD_MAGIC = "# dd-unitloads v1"
 
 
 def save_unit_loads(library: UnitLoadLibrary, path) -> None:
-    lines = [_UNITLOAD_MAGIC, f"alpha={library.alpha!r} units=SI"]
-    for k in range(6):
-        row = np.concatenate([library.strains[k], library.stresses[k]])
-        lines.append(" ".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a unit-load file (see "File formats" in docs/config.md)."""
+    textio.write(path, [_UNITLOAD_MAGIC, f"alpha={library.alpha!r} units=SI",
+                        *textio.format_rows(library.strains, library.stresses)])
 
 
 def load_unit_loads(path=None) -> UnitLoadLibrary:
     """Read a unit-load library; default is the packaged homogenized set."""
     if path is None:
-        ref = resources.files("ddfem").joinpath("data/unitloads.txt")
-        text = ref.read_text()
-        name = "ddfem/data/unitloads.txt"
-    else:
-        text = Path(path).read_text()
-        name = str(path)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _UNITLOAD_MAGIC:
-        raise ValueError(f"{name}:1: missing magic line '{_UNITLOAD_MAGIC}'")
-    header = dict(tok.split("=", 1) for tok in lines[1].split() if "=" in tok)
-    if "alpha" not in header:
-        raise ValueError(f"{name}:2: header field 'alpha' missing")
-    alpha = float(header["alpha"])
-    rows = []
-    for ln, raw in enumerate(lines[2:], start=3):
-        text_row = raw.strip()
-        if not text_row or text_row.startswith("#"):
-            continue
-        parts = text_row.split()
-        if len(parts) != 12:
-            raise ValueError(f"{name}:{ln}: expected 12 components, got {len(parts)}")
-        rows.append([float(x) for x in parts])
-    if len(rows) != 6:
-        raise ValueError(f"{name}: expected 6 unit-load rows, found {len(rows)}")
-    table = np.array(rows)
+        path = resources.files("ddfem") / "data/unitloads.txt"
+    src = textio.read(path, _UNITLOAD_MAGIC)
+    alpha = src.field("alpha", float)
+    table = src.rows(src.header_line, None, 12)
+    if len(table) != 6:
+        raise ValueError(f"{src.name}: expected 6 unit-load rows, found {len(table)}")
     return UnitLoadLibrary(alpha, table[:, :6].copy(), table[:, 6:].copy())
 
 

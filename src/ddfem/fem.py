@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import itertools
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from . import textio
 
 _G = 1.0 / np.sqrt(3.0)
 
@@ -491,110 +493,65 @@ _MAGIC = "# dd-mesh v1"
 
 
 def save_mesh(mesh: Mesh, path) -> None:
-    lines = [_MAGIC,
-             f"dim={mesh.dim} etype={mesh.etype.value}",
-             f"nodes {mesh.n_nodes}"]
-    for row in mesh.nodes:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    lines.append(f"elements {mesh.n_elements}")
-    for row in mesh.elements:
-        lines.append(" ".join(str(int(n)) for n in row))
+    """Write a mesh file (see "File formats" in docs/config.md)."""
+    lines = [_MAGIC, f"dim={mesh.dim} etype={mesh.etype.value}",
+             f"nodes {mesh.n_nodes}", *textio.format_rows(mesh.nodes),
+             f"elements {mesh.n_elements}", *textio.format_rows(mesh.elements)]
     for name, ids in mesh.nodesets.items():
-        lines.append(f"nodeset {name} {len(ids)}")
-        lines.append(" ".join(str(int(n)) for n in ids))
+        lines += [f"nodeset {name} {len(ids)}", *textio.format_rows([ids])]
     for name, faces in mesh.facesets.items():
-        lines.append(f"faceset {name} {len(faces)}")
-        for face in faces:
-            lines.append(" ".join(str(int(n)) for n in face))
-    Path(path).write_text("\n".join(lines) + "\n")
+        lines += [f"faceset {name} {len(faces)}", *textio.format_rows(faces)]
+    textio.write(path, lines)
 
 
 def load_mesh(path, area: float = 1.0) -> Mesh:
     """Parse a mesh file; the section area/thickness comes from the caller."""
-    path = Path(path)
-    raw = path.read_text().splitlines()
-    if not raw or raw[0].strip() != _MAGIC:
-        raise ValueError(f"{path}:1: missing magic line '{_MAGIC}'")
-    # (line number, text) pairs with comments and blanks dropped
-    body = [(i, ln.strip()) for i, ln in enumerate(raw[1:], start=2)
-            if ln.strip() and not (ln.lstrip().startswith("#"))]
-    if not body:
-        raise ValueError(f"{path}:2: missing header line")
-    ln0, header_line = body[0]
-    header = dict(tok.split("=", 1) for tok in header_line.split() if "=" in tok)
-    for key in ("dim", "etype"):
-        if key not in header:
-            raise ValueError(f"{path}:{ln0}: header field '{key}' missing")
-    try:
-        etype = ElementType(header["etype"])
-    except ValueError:
-        raise ValueError(f"{path}:{ln0}: unknown element type '{header['etype']}'") from None
-    if header["dim"] != str(etype.dim):
-        raise ValueError(f"{path}:{ln0}: dim={header['dim']} contradicts {etype.value}")
+    src = textio.read(path, _MAGIC)
+    dim, etype = src.field("dim"), src.field("etype", ElementType)
+    if dim != str(etype.dim):
+        raise src.error(src.header_line, f"dim={dim} contradicts {etype.value}")
+    body = iter(src.numbered(src.header_line))
 
-    pos = 1
+    def take(n: int, expect: str) -> list[tuple[int, str]]:
+        got = list(itertools.islice(body, n))
+        if len(got) < n:
+            raise ValueError(f"{src.name}: missing '{expect}' section")
+        return got
 
-    def take(expect: str) -> tuple[int, list[str]]:
-        nonlocal pos
-        if pos >= len(body):
-            raise ValueError(f"{path}: missing '{expect}' section")
-        ln, text = body[pos]
-        parts = text.split()
-        pos += 1
-        return ln, parts
+    def count(ln: int, text: str, grammar: str) -> tuple[list[str], int]:
+        """The tokens of a line that must read `grammar`, and its count."""
+        parts, words = text.split(), grammar.split()
+        ok = len(parts) == len(words) and parts[0] in words[0].split("|")
+        n = src.numbers(ln, parts[-1:])[0] if ok else -1
+        if n < 0:
+            raise src.error(ln, f"expected '{grammar}'")
+        return parts, n
 
-    ln, parts = take("nodes")
-    if parts[0] != "nodes" or len(parts) != 2:
-        raise ValueError(f"{path}:{ln}: expected 'nodes <count>'")
-    n_nodes = int(parts[1])
-    nodes = np.empty((n_nodes, etype.dim))
-    for i in range(n_nodes):
-        ln, parts = take("node line")
-        try:
-            nodes[i] = [float(x) for x in parts]
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: malformed node coordinates") from None
+    def block(keyword: str, width: int, dtype) -> np.ndarray:
+        [(ln, text)] = take(1, keyword)
+        got = take(count(ln, text, f"{keyword} <count>")[1], f"{keyword[:-1]} line")
+        return src.rows(ln, got[-1][0] if got else ln, width, dtype)
 
-    ln, parts = take("elements")
-    if parts[0] != "elements" or len(parts) != 2:
-        raise ValueError(f"{path}:{ln}: expected 'elements <count>'")
-    n_el = int(parts[1])
-    elements = np.empty((n_el, etype.nodes_per_element), dtype=np.int64)
-    for i in range(n_el):
-        ln, parts = take("element line")
-        try:
-            elements[i] = [int(x) for x in parts]
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: malformed element connectivity") from None
+    def node_ids(ln: int, text: str, kind: str, name: str) -> list[int]:
+        ids = src.numbers(ln, text.split())
+        if any(not 0 <= i < len(nodes) for i in ids):
+            raise src.error(ln, f"{kind} '{name}' references missing nodes")
+        return ids
 
-    nodesets: dict = {}
-    facesets: dict = {}
-    while pos < len(body):
-        ln, parts = take("set block")
-        if len(parts) != 3 or parts[0] not in ("nodeset", "faceset"):
-            raise ValueError(f"{path}:{ln}: expected 'nodeset|faceset <name> <count>'")
-        kind, name, count = parts[0], parts[1], int(parts[2])
-        if kind == "nodeset":
-            ids: list[int] = []
-            while len(ids) < count:
-                ln, parts = take("nodeset ids")
-                ids.extend(int(x) for x in parts)
-            if len(ids) != count:
-                raise ValueError(f"{path}:{ln}: nodeset '{name}' id count mismatch")
-            nodesets[name] = np.array(ids, dtype=np.int64)
-        else:
-            faces = []
-            for _ in range(count):
-                ln, parts = take("face line")
-                faces.append(tuple(int(x) for x in parts))
-            facesets[name] = faces
-    mesh = Mesh(nodes, elements, etype, area=area,
-                nodesets=nodesets, facesets=facesets)
-    for name, ids in mesh.nodesets.items():
-        if ids.size and (ids.min() < 0 or ids.max() >= mesh.n_nodes):
-            raise ValueError(f"{path}: nodeset '{name}' references missing nodes")
-    for name, faces in mesh.facesets.items():
-        for face in faces:
-            if any(not 0 <= n < mesh.n_nodes for n in face):
-                raise ValueError(f"{path}: faceset '{name}' references missing nodes")
-    return mesh
+    nodes = block("nodes", etype.dim, float)
+    elements = block("elements", etype.nodes_per_element, int)
+    sets: dict = {"nodeset": {}, "faceset": {}}
+    for ln, text in body:
+        (kind, name, _), n = count(ln, text, "nodeset|faceset <name> <count>")
+        if kind == "faceset":
+            sets[kind][name] = [tuple(node_ids(*row, kind, name)) for row in take(n, "face line")]
+            continue
+        ids: list[int] = []
+        while len(ids) < n:
+            [(ln, text)] = take(1, "nodeset ids")
+            ids += node_ids(ln, text, kind, name)
+        if len(ids) != n:
+            raise src.error(ln, f"nodeset '{name}' id count mismatch")
+        sets[kind][name] = np.array(ids, dtype=np.int64)
+    return Mesh(nodes, elements, etype, area=area,
+                nodesets=sets["nodeset"], facesets=sets["faceset"])

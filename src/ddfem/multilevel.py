@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .fem import BoundaryConditions, Mesh
 from .phase_space import DataSet, refine_around
 from .report import SolveReport
@@ -128,12 +129,8 @@ def write_level_table(records: list[LevelRecord], path) -> None:
     Wall times stay in the in-memory records: emitted files must be
     bit-identical across reruns.
     """
-    lines = ["# dd-levels v1",
-             "level\tn_data\tn_support\tpenalty\titerations"]
-    for r in records:
-        lines.append("\t".join([
-            str(r.level), str(r.n_data), str(r.n_support),
-            repr(r.penalty), str(r.solver_iterations),
-        ]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = textio.format_rows([(r.level, r.n_data, r.n_support) for r in records],
+                              [r.penalty for r in records],
+                              [r.solver_iterations for r in records], sep="\t")
+    textio.write(path, ["# dd-levels v1", "level\tn_data\tn_support\tpenalty\titerations",
+                        *rows])

@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from . import textio
 
 _SYM_TOL = 1e-10
 _ANGULAR_TOL = 1e-8
@@ -363,80 +364,29 @@ _MAGIC = "# dd-dataset v1"
 
 
 def save_dataset(dataset: DataSet, path) -> None:
-    lines = [_MAGIC,
-             f"kind={dataset.kind.value} dim={dataset.dim} units=SI"]
-    lines.extend(" ".join(map(repr, row))
-                 for row in np.hstack([dataset.strains, dataset.stresses]).tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _parse_rows(path: Path, rows: list[str], row_lines: list[int],
-                width: int) -> np.ndarray:
-    """The tuple lines as one (n, width) array.
-
-    One np.loadtxt call parses a well-formed file; whatever it rejects or
-    reads into another shape goes through the line loop, which accepts
-    exactly `float()` tokens and names the first bad line.  loadtxt
-    accepts no token that `float()` rejects, and comment stripping is off
-    so that an inline '#' stays an error.
-    """
-    try:
-        table = np.loadtxt(rows, comments=None, ndmin=2)
-        if table.shape == (len(rows), width):
-            return table
-    except ValueError:
-        pass
-    table = np.empty((len(rows), width))
-    for i, (ln, text) in enumerate(zip(row_lines, rows)):
-        parts = text.split()
-        if len(parts) != width:
-            raise ValueError(f"{path}:{ln}: expected {width} components, got {len(parts)}")
-        try:
-            table[i] = [float(x) for x in parts]
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: malformed number") from None
-    return table
+    """Write a dataset file (see "File formats" in docs/config.md)."""
+    textio.write(path, [_MAGIC, f"kind={dataset.kind.value} dim={dataset.dim} units=SI",
+                        *textio.format_rows(dataset.strains, dataset.stresses)])
 
 
 def load_dataset(path, mu0: float | None = None) -> DataSet:
     """Parse a dataset file; errors carry 1-based line numbers."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != _MAGIC:
-        raise ValueError(f"{path}:1: missing magic line '{_MAGIC}'")
-    if len(lines) < 2:
-        raise ValueError(f"{path}:2: missing header line")
-    header = dict(tok.split("=", 1) for tok in lines[1].split() if "=" in tok)
-    for key in ("kind", "dim", "units"):
-        if key not in header:
-            raise ValueError(f"{path}:2: header field '{key}' missing")
-    try:
-        kind = PairingKind(header["kind"])
-    except ValueError:
-        raise ValueError(f"{path}:2: unknown pairing kind '{header['kind']}'") from None
-    try:
-        dim = int(header["dim"])
-    except ValueError:
-        raise ValueError(f"{path}:2: dim must be an integer") from None
+    src = textio.read(path, _MAGIC)
+    kind, dim = src.field("kind", PairingKind), src.field("dim", int)
     if dim not in (1, 2, 3):
-        raise ValueError(f"{path}:2: dim must be 1, 2 or 3")
-    if header["units"] != "SI":
-        raise ValueError(f"{path}:2: unsupported units '{header['units']}'")
+        raise src.error(src.header_line, "dim must be 1, 2 or 3")
+    if src.field("units") != "SI":
+        raise src.error(src.header_line, f"unsupported units '{src.header['units']}'")
     dd = dim * dim
-    row_lines = [ln for ln, raw in enumerate(lines[2:], start=3)
-                 if (text := raw.strip()) and not text.startswith("#")]
-    if not row_lines:
-        raise ValueError(f"{path}: dataset contains no tuples")
-    table = _parse_rows(path, [lines[ln - 1] for ln in row_lines], row_lines, 2 * dd)
-    # drop the text before the batched validation
-    del lines
-    strains, stresses = table[:, :dd], table[:, dd:]
+    table = src.rows(src.header_line, None, 2 * dd)
+    if not len(table):
+        raise ValueError(f"{src.name}: dataset contains no tuples")
     try:
-        return DataSet(kind, dim, strains, stresses, mu0=mu0)
+        return DataSet(kind, dim, table[:, :dd], table[:, dd:], mu0=mu0)
     except ValueError as err:
         # re-raise tuple-level complaints with the file position
         msg = str(err)
-        if msg.startswith("tuple "):
-            idx = int(msg.split()[1].rstrip(":"))
-            raise ValueError(f"{path}:{row_lines[idx]}: {msg.split(': ', 1)[1]}") from None
-        raise
+        if not msg.startswith("tuple "):
+            raise
+        row = int(msg.split()[1].rstrip(":"))
+        raise src.error(src.numbered(src.header_line)[row][0], msg.split(": ", 1)[1]) from None

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import textio
 from .fem import Mesh
 
 _VTK_CELL = {"LINE2": 3, "QUAD4": 9, "HEX8": 12}
@@ -53,25 +54,21 @@ class SolveReport:
     timings: dict = field(default_factory=dict)
 
 
-def _header(name: str, config_hash: str, report: SolveReport) -> list[str]:
+def _write_table(path, name: str, report: SolveReport, config_hash: str,
+                 cols: list[str], *blocks) -> None:
+    """The magic line, the config line, the column names, then the rows."""
     status = "CONVERGED" if report.converged else "NONCONVERGED"
-    return [f"# dd-{name} v1",
-            f"# config={config_hash} mu0={report.mu0!r} status={status} "
-            f"termination={report.termination}"]
+    textio.write(path, [f"# dd-{name} v1",
+                        f"# config={config_hash} mu0={report.mu0!r} status={status} "
+                        f"termination={report.termination}",
+                        "\t".join(cols), *textio.format_rows(*blocks, sep="\t")])
 
 
 def write_fields(report: SolveReport, path, config_hash: str = "none") -> None:
-    mesh = report.mesh
-    d = mesh.dim
-    cols = (["node"] + [f"u_{i}" for i in range(d)] + [f"lambda_{i}" for i in range(d)])
-    lines = _header("fields", config_hash, report)
-    lines.append("\t".join(cols))
-    u = report.u.reshape(-1, d)
-    lam = report.lam.reshape(-1, d)
-    for n in range(mesh.n_nodes):
-        row = [str(n)] + [repr(float(x)) for x in u[n]] + [repr(float(x)) for x in lam[n]]
-        lines.append("\t".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    d = report.mesh.dim
+    cols = ["node"] + [f"u_{i}" for i in range(d)] + [f"lambda_{i}" for i in range(d)]
+    _write_table(path, "fields", report, config_hash, cols, np.arange(report.mesh.n_nodes),
+                 report.u.reshape(-1, d), report.lam.reshape(-1, d))
 
 
 def write_states(report: SolveReport, path, config_hash: str = "none") -> None:
@@ -79,58 +76,40 @@ def write_states(report: SolveReport, path, config_hash: str = "none") -> None:
     comps = [f"{i}{j}" for i in range(d) for j in range(d)]
     cols = (["element", "qp"] + [f"strain_{c}" for c in comps]
             + [f"stress_{c}" for c in comps] + ["assigned", "penalty"])
-    lines = _header("states", config_hash, report)
-    lines.append("\t".join(cols))
     n_el, nqp = report.assigned.shape
-    for e in range(n_el):
-        for q in range(nqp):
-            row = ([str(e), str(q)]
-                   + [repr(float(x)) for x in report.strains[e, q].ravel()]
-                   + [repr(float(x)) for x in report.stresses[e, q].ravel()]
-                   + [str(int(report.assigned[e, q])),
-                      repr(float(report.local_penalties[e, q]))])
-            lines.append("\t".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, "states", report, config_hash, cols,
+                 *np.divmod(np.arange(n_el * nqp), nqp), report.strains.reshape(-1, d * d),
+                 report.stresses.reshape(-1, d * d), report.assigned.ravel(),
+                 report.local_penalties.ravel())
 
 
 def write_history(report: SolveReport, path, config_hash: str = "none") -> None:
-    lines = _header("history", config_hash, report)
-    lines.append("\t".join(["iteration", "penalty", "residual"]))
-    for i, penalty in enumerate(report.penalty_history):
-        residual = (report.residual_history[i]
-                    if i < len(report.residual_history) else float("nan"))
-        lines.append("\t".join([str(i), repr(float(penalty)), repr(float(residual))]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    n = len(report.penalty_history)
+    residual = (list(report.residual_history) + [float("nan")] * n)[:n]
+    _write_table(path, "history", report, config_hash, ["iteration", "penalty", "residual"],
+                 np.arange(n), np.asarray(report.penalty_history, dtype=float),
+                 np.asarray(residual, dtype=float))
 
 
 def write_vtk(report: SolveReport, path, config_hash: str = "none") -> None:
     """Legacy ASCII unstructured grid with u and lambda as point vectors."""
     mesh = report.mesh
-    d = mesh.dim
-    pts = np.zeros((mesh.n_nodes, 3))
-    pts[:, :d] = mesh.nodes
-    status = "CONVERGED" if report.converged else "NONCONVERGED"
-    lines = ["# vtk DataFile Version 3.0",
-             f"dd solve config={config_hash} status={status}",
-             "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {mesh.n_nodes} double"]
-    for p in pts:
-        lines.append(" ".join(repr(float(x)) for x in p))
     nper = mesh.etype.nodes_per_element
-    lines.append(f"CELLS {mesh.n_elements} {mesh.n_elements * (nper + 1)}")
-    for row in mesh.elements:
-        lines.append(" ".join([str(nper)] + [str(int(n)) for n in row]))
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    lines.extend([str(_VTK_CELL[mesh.etype.value])] * mesh.n_elements)
-    lines.append(f"POINT_DATA {mesh.n_nodes}")
-    for name, vec in (("displacement", report.u), ("multiplier", report.lam)):
-        lines.append(f"VECTORS {name} double")
-        full = np.zeros((mesh.n_nodes, 3))
-        full[:, :d] = vec.reshape(-1, d)
-        for p in full:
-            lines.append(" ".join(repr(float(x)) for x in p))
-    Path(path).write_text("\n".join(lines) + "\n")
+    status = "CONVERGED" if report.converged else "NONCONVERGED"
+
+    def xyz(v):
+        return textio.format_rows(np.pad(np.reshape(v, (mesh.n_nodes, -1)),
+                                         ((0, 0), (0, 3 - mesh.dim))))
+
+    textio.write(path, [
+        "# vtk DataFile Version 3.0", f"dd solve config={config_hash} status={status}",
+        "ASCII", "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {mesh.n_nodes} double", *xyz(mesh.nodes),
+        f"CELLS {mesh.n_elements} {mesh.n_elements * (nper + 1)}",
+        *textio.format_rows(np.full(mesh.n_elements, nper), mesh.elements),
+        f"CELL_TYPES {mesh.n_elements}", *[str(_VTK_CELL[mesh.etype.value])] * mesh.n_elements,
+        f"POINT_DATA {mesh.n_nodes}", "VECTORS displacement double", *xyz(report.u),
+        "VECTORS multiplier double", *xyz(report.lam)])
 
 
 def emit_report(report: SolveReport, outdir, config_hash: str = "none",
@@ -140,20 +119,11 @@ def emit_report(report: SolveReport, outdir, config_hash: str = "none",
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    if fields:
-        p = outdir / "fields.tsv"
-        write_fields(report, p, config_hash)
-        written.append(p)
-    if states:
-        p = outdir / "states.tsv"
-        write_states(report, p, config_hash)
-        written.append(p)
-    if history:
-        p = outdir / "history.tsv"
-        write_history(report, p, config_hash)
-        written.append(p)
-    if vtk:
-        p = outdir / "solution.vtk"
-        write_vtk(report, p, config_hash)
-        written.append(p)
+    for wanted, name, writer in ((fields, "fields.tsv", write_fields),
+                                 (states, "states.tsv", write_states),
+                                 (history, "history.tsv", write_history),
+                                 (vtk, "solution.vtk", write_vtk)):
+        if wanted:
+            writer(report, outdir / name, config_hash)
+            written.append(outdir / name)
     return written

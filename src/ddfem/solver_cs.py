@@ -44,6 +44,7 @@ it, or from zero fields on the first pass.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -55,6 +56,8 @@ from .fem import (BoundaryConditions, Mesh, divergence_rhs, factorize,
                   free_dofs, gradient_field, gradient_operator)
 from .phase_space import DataSet, PairingKind, nearest_many
 from .report import SolveReport
+
+_AXES = "xyz"
 
 
 @dataclass
@@ -265,6 +268,39 @@ class JacobianPattern:
                              shape=(self.size, self.size))
 
 
+def check_rigid_modes(mesh: Mesh, pattern: JacobianPattern) -> None:
+    """Raise when the prescribed dofs leave a rigid mode of (u, lam) free.
+
+    The d translations and d(d-1)/2 infinitesimal rotations, evaluated at
+    the prescribed u dofs, must have full column rank; without it Newton's
+    chord steps can converge to one of a family of solutions.  Rotations
+    are taken about the prescribed nodes' centroid and scaled by their
+    extent, which leaves the rank alone.  lam enters the residuals only
+    through its gradient: its translations are null modes of the tangent
+    and need a prescribed dof, its rotations are not.
+    """
+    d = mesh.dim
+    node, comp = np.divmod(pattern.fixed_u, d)
+    x = mesh.nodes[node]
+    if x.size:
+        x = x - x.mean(axis=0)
+        x = x / max(np.abs(x).max(), 1.0e-300)
+    modes = [(f"translation along {_AXES[k]}", comp == k) for k in range(d)]
+    modes += [(f"rotation in the {_AXES[i]}-{_AXES[j]} plane",
+               np.where(comp == i, -x[:, j], 0.0) + np.where(comp == j, x[:, i], 0.0))
+              for i, j in itertools.combinations(range(d), 2)]
+    m = np.column_stack([values for _, values in modes]).astype(float)
+    w, v = np.linalg.eigh(m.T @ m)
+    if w[0] <= 1e-12 * w[-1]:
+        name = modes[int(np.argmax(np.abs(v[:, 0])))][0]
+        raise ValueError(f"the prescribed displacements leave a rigid {name} free; "
+                         f"prescribe enough displacement components to suppress it")
+    for k in range(d):
+        if not np.any(pattern.fixed_l % d == k):
+            raise ValueError(f"no multiplier dof along {_AXES[k]} is prescribed, which "
+                             f"leaves a translation of the multiplier field free")
+
+
 # A chord step on the kept factor is accepted when it cuts the residual
 # norm to at most this fraction; a slower step refactors.  The bound is
 # stricter than the line search's sufficient-decrease test, so a chord
@@ -393,7 +429,11 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
 
 def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
              config: CsConfig | None = None) -> SolveReport:
-    """Newton inside the assignment loop, which runs the load steps."""
+    """Newton inside the assignment loop, which runs the load steps.
+
+    Raises ValueError before the first Newton step when the prescribed
+    dofs leave a rigid mode free (`check_rigid_modes`).
+    """
     config = config or CsConfig()
     dataset = checked_dataset(mesh, dataset, PairingKind.CS, config.mu0)
     mu0 = dataset.mu0
@@ -403,6 +443,7 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     d = mesh.dim
     f_ext = bcs.external_force(mesh)
     pattern = JacobianPattern(mesh, bcs)
+    check_rigid_modes(mesh, pattern)
     solver = _TangentSolver()
     zeros = np.zeros(mesh.n_dofs)
     newton_history: list[int] = []

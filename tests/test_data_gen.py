@@ -272,6 +272,20 @@ class TestSuperposition:
         with pytest.raises(ValueError, match=r":2:.*alpha"):
             load_unit_loads(path)
 
+    def test_magic_line_alone_names_line_2(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# dd-unitloads v1\n")
+        with pytest.raises(ValueError, match=r"bad.txt:2: missing header line"):
+            load_unit_loads(path)
+
+    def test_malformed_number_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        rows = [" ".join(["0.0"] * 12)] * 6
+        rows[3] = "0.0.1" + rows[3][3:]
+        path.write_text("# dd-unitloads v1\nalpha=0.02\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=r"bad.txt:6: malformed number"):
+            load_unit_loads(path)
+
     def test_wrong_component_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# dd-unitloads v1\nalpha=0.02\n1 2 3\n")

@@ -348,6 +348,28 @@ class TestMeshFiles:
         with pytest.raises(ValueError):
             load_mesh(path)
 
+    @pytest.mark.parametrize("body, line", [
+        ("nodes two\n0.0\n1.0\nelements 1\n0 1\n", 3),
+        ("nodes 2\n0.0\n1.0\nelements 1\n0 1\nnodeset end 1\nzero\n", 9),
+        ("nodes 2\n0.0\n1.0\nelements 1\n0 1\nfaceset right x\n1\n", 8),
+    ], ids=["node count", "nodeset id", "faceset count"])
+    def test_malformed_integer_names_its_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.mesh"
+        path.write_text("# dd-mesh v1\ndim=1 etype=LINE2\n" + body)
+        with pytest.raises(ValueError, match=rf"bad.mesh:{line}: "):
+            load_mesh(path)
+
+    def test_every_int_token_and_interleaved_comments_are_accepted(self, tmp_path):
+        # the batched parse rejects "1_0" and the comment lines; the line
+        # loop reads the block without them, each token like int()
+        nodes = "\n".join(repr(float(i)) for i in range(11))
+        path = tmp_path / "rod.mesh"
+        path.write_text("# dd-mesh v1\n\n# LINE2 rod\ndim=1 etype=LINE2\nnodes 11\n"
+                        + nodes + "\nelements 2\n0 1\n# the last element\n\n9 1_0\n")
+        mesh = load_mesh(path)
+        assert np.array_equal(mesh.nodes[:, 0], np.arange(11.0))
+        assert mesh.elements.tolist() == [[0, 1], [9, 10]]
+
     def test_nodeset_out_of_range(self, tmp_path):
         path = tmp_path / "bad.mesh"
         path.write_text("# dd-mesh v1\ndim=1 etype=LINE2\nnodes 2\n0.0\n1.0\n"

@@ -758,6 +758,30 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"bad.txt:6: FP pair violates"):
             load_dataset(path)
 
+    def test_comments_and_blanks_leave_the_tuples_and_lines_alone(self, tmp_path, rng):
+        # a clean file takes the batched parse, one with comments and
+        # blank lines the filtered one; a bad tuple names its own line
+        rows = [f"{lam!r} {p!r}" for lam, p in rng.uniform(1.0, 2.0, (40, 2)).tolist()]
+        head = "# dd-dataset v1\nkind=FP dim=1 units=SI\n"
+        noisy = [line for i, row in enumerate(rows)
+                 for line in ([row, "", "# note"] if i % 7 == 3 else [row])]
+        clean_path, noisy_path = tmp_path / "clean.txt", tmp_path / "noisy.txt"
+        clean_path.write_text(head + "\n".join(rows) + "\n")
+        noisy_path.write_text(head + "# comment\n\n" + "\n".join(noisy) + "\n")
+        clean, back = load_dataset(clean_path), load_dataset(noisy_path)
+        assert np.array_equal(clean.strains, back.strains)
+        assert np.array_equal(clean.stresses, back.stresses)
+        assert clean.mu0 == back.mu0
+        bad = rows[25]
+        for path in (clean_path, noisy_path):
+            lines = path.read_text().splitlines()
+            line = lines.index(bad) + 1
+            lines[line - 1] = "nan 1.0"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=rf"{path.name}:{line}: non-finite"):
+                load_dataset(path)
+        assert lines.index("nan 1.0") != 3 + 25
+
     def test_mu0_override(self, tmp_path, line_set):
         path = tmp_path / "data.txt"
         save_dataset(line_set, path)

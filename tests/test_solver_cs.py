@@ -811,6 +811,52 @@ class TestKeptFactor:
         with pytest.raises(ValueError, match="singular tangent matrix"):
             fem.factorize(jac, "tangent", permc_spec="MMD_AT_PLUS_A")
 
+    @pytest.mark.parametrize("make_mesh, plane", zip(MIXED_MESHES, ["x-y", ""]),
+                             ids=["QUAD4", "HEX8"])
+    def test_rotation_free_solve_raises_before_newton(self, make_mesh, plane, rng,
+                                                      monkeypatch):
+        # the fixture above: only the origin's displacement is fixed
+        mesh = make_mesh()
+        origin = int(np.flatnonzero(np.all(mesh.nodes == 0.0, axis=1))[0])
+        bcs = BoundaryConditions(
+            dirichlet=[(origin, c, 0.0) for c in range(mesh.dim)],
+            dirichlet_lambda=[(n, c, 0.0) for n in face_nodes(mesh, 0, 0.0)
+                              for c in range(mesh.dim)])
+
+        def newton_solve(*args, **kwargs):
+            raise AssertionError("Newton ran on a problem with a free rotation")
+
+        monkeypatch.setattr(solver_cs, "newton_solve", newton_solve)
+        with pytest.raises(ValueError, match=f"rigid rotation in the {plane}"):
+            solve_cs(mesh, bcs, svk_cs_set(mesh.dim, 200, rng))
+
+    @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
+    def test_multiplier_translations_are_the_tangents_only_rigid_lam_modes(
+            self, make_mesh, rng):
+        # the tangent with no dof prescribed, at a generic state: a
+        # translation of lam is a null vector, a rotation of lam is not
+        mesh = make_mesh()
+        n, d = mesh.n_dofs, mesh.dim
+        u, lam, c_star, s_star = random_admissible_state(mesh, rng, 1.0)
+        jac = JacobianPattern(mesh, BoundaryConditions()).assemble(
+            tangent_blocks(mesh, u, lam, c_star, s_star, 1.0))
+        scale = spla.norm(jac, 1)
+        x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+        for k in range(d):
+            mode = np.zeros((mesh.n_nodes, d))
+            mode[:, k] = 1.0
+            assert np.abs(jac @ np.r_[np.zeros(n), mode.ravel()]).max() < 1e-12 * scale
+        rotation = np.zeros((mesh.n_nodes, d))
+        rotation[:, 0], rotation[:, 1] = -y, x
+        assert np.abs(jac @ np.r_[np.zeros(n), rotation.ravel()]).max() > 1e-3 * scale
+
+    def test_free_multiplier_translation_raises(self, rng):
+        mesh = rect_mesh(1.0, 0.5, 4, 2)
+        bcs = clamped_tip_bcs(mesh, 0.02)
+        bcs.dirichlet_lambda = [(n, 0, 0.0) for n in face_nodes(mesh, 0, 0.0)]
+        with pytest.raises(ValueError, match="no multiplier dof along y"):
+            solve_cs(mesh, bcs, svk_cs_set(2, 100, rng))
+
     def test_multi_pass_solve_factors_rarely_and_one_factor_at_a_time(
             self, rng, monkeypatch):
         factorize = solver_cs.factorize
