@@ -31,13 +31,41 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
 from .fem import Mesh
 from .phase_space import DataSet, PairingKind, penalty_many
 from .report import SolveReport
+
+
+@dataclass
+class LoopConfig:
+    """The assignment loop's knobs, which both solvers' configs share.
+
+    max_data_iterations = None takes the formulation's `default_passes`,
+    and mu0 = None the dataset's stored scale.  threads caps the workers of
+    the nearest-tuple queries, one per 4,096 queries of a search; every
+    query is independent, so results are identical for every value.
+    """
+
+    default_passes: ClassVar[int] = 100
+
+    max_data_iterations: int | None = None
+    penalty_tol: float = 1e-12
+    mu0: float | None = None
+    threads: int = 1
+
+    def __post_init__(self):
+        if self.max_data_iterations is None:
+            self.max_data_iterations = self.default_passes
+        if self.max_data_iterations < 1:
+            raise ValueError("max_data_iterations must be at least 1")
+        if self.penalty_tol <= 0.0:
+            raise ValueError("tolerances must be positive")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
 
 
 @dataclass
@@ -63,13 +91,15 @@ class LoopResult:
     passes: int
     penalty_history: list
     residual_history: list
+    mesh: Mesh
+    mu0: float
 
     @property
     def converged(self) -> bool:
         return self.termination != "max-iterations"
 
-    def report(self, formulation: str, mesh: Mesh, mu0: float, diagnostics: dict,
-               t0: float, newton_history: list | None = None) -> SolveReport:
+    def report(self, formulation: str, diagnostics: dict, t0: float,
+               newton_history: list | None = None) -> SolveReport:
         """The SolveReport of the returned pass, whose payload is (u, lam).
 
         `t0` is the `time.perf_counter()` reading at the start of the solve.
@@ -78,7 +108,7 @@ class LoopResult:
         u, lam = final.payload
         points = final.strains.shape[:2]
         return SolveReport(
-            formulation=formulation, mesh=mesh, mu0=mu0, u=u, lam=lam,
+            formulation=formulation, mesh=self.mesh, mu0=self.mu0, u=u, lam=lam,
             strains=final.strains, stresses=final.stresses,
             assigned=final.assigned.reshape(points),
             local_penalties=final.local_penalties.reshape(points),
@@ -101,21 +131,25 @@ def checked_dataset(mesh: Mesh, dataset: DataSet, kind: PairingKind,
     return dataset if mu0 is None else dataset.with_mu0(mu0)
 
 
-def assignment_loop(solve_pass: Callable, search: Callable, dataset: DataSet,
-                    weights: np.ndarray, config, load_steps: int = 1) -> LoopResult:
+def assignment_loop(solve_pass: Callable, search: Callable, mesh: Mesh,
+                    dataset: DataSet, config: LoopConfig,
+                    load_steps: int = 1) -> LoopResult:
     """Run every load step of a solve under the module's termination contract.
 
     `solve_pass(ids, scale, start)` solves at the assignment `ids` under
     the load fraction `scale`, warm-started from the payload `start` of
     an earlier pass (None on the first pass of the solve).  It returns
     the recovered (strains, stresses), both indexed (element, qp, d, d),
-    the equilibrium residual and an opaque payload.  `search(strains,
-    stresses)` maps flat per-point states to tuple ids.  `weights` are
-    the flat quadrature weights; `config` supplies max_data_iterations
-    and penalty_tol, which hold per load step.
+    the equilibrium residual and an opaque payload.  Every search, the
+    seed query included, is `search(strains, stresses, dataset,
+    workers=config.threads)` on flat per-point states, as
+    `phase_space.nearest_many` takes them.  Penalties are weighted by the
+    mesh's quadrature weights.
     """
+    weights = mesh.quadrature().weights.ravel()
     n, d = weights.size, dataset.dim
-    seed = int(search(np.eye(d).reshape(1, -1), np.zeros((1, d * d)))[0])
+    seed = int(search(np.eye(d).reshape(1, -1), np.zeros((1, d * d)), dataset,
+                      workers=config.threads)[0])
     assigned = np.full(n, seed, dtype=np.int64)
     start = None
     penalties: list[float] = []
@@ -137,7 +171,7 @@ def assignment_loop(solve_pass: Callable, search: Callable, dataset: DataSet,
             if best is None or current.penalty < best.penalty:
                 best = current
 
-            proposed = search(strains_flat, stresses_flat)
+            proposed = search(strains_flat, stresses_flat, dataset, workers=config.threads)
             key = proposed.tobytes()
             step_passes = len(penalties) - first
             if np.array_equal(proposed, assigned):
@@ -162,4 +196,5 @@ def assignment_loop(solve_pass: Callable, search: Callable, dataset: DataSet,
             break
         # the next step starts from the pass this one returned
         assigned, start = current.assigned, current.payload
-    return LoopResult(current, termination, passes, penalties, residuals)
+    return LoopResult(current, termination, passes, penalties, residuals, mesh,
+                      dataset.mu0)

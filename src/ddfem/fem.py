@@ -13,17 +13,19 @@ components in (element, qp, i, j) order and its columns the dofs; row
 nper nodes, with int32 indices.  Then grad(u) is `B u` reshaped to
 (nel, nqp, d, d), and the divergence of a qp tensor field T is
 `B^T (w T)`, taken from a stored CSR copy of the transpose because
-`B.T @ x` builds a new matrix object on every call.  A solver holds one
-operator for the length of a solve (`gradient_operator`) and releases it
-when the solve returns; a block nested in it reuses that operator, and a
-call outside any block builds a temporary one.  A stiffness matrix is
-`B^T (W D) B` for a linear law with (d*d, d*d) moduli D (`stiffness`).
+`B.T @ x` builds a new matrix object on every call.  A mesh's
+`Quadrature` builds the operator at the first gradient or divergence
+and keeps it for the mesh's lifetime, like its shape gradients and
+weights, so every solve and every residual on one mesh shares one.  A
+stiffness matrix is `B^T (W D) B` for a linear law with (d*d, d*d)
+moduli D (`stiffness`), formed from a B that is dropped after the
+product, so a mesh that is only assembled keeps no operator.
 """
 
 from __future__ import annotations
 
-import contextlib
 import enum
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -139,7 +141,8 @@ class Mesh:
 
 
 class Quadrature:
-    """Per-mesh cache of shape values, gradients and scaled weights.
+    """Per-mesh cache of shape values, gradients, scaled weights and the
+    discrete gradient.
 
     weights already carry det(J), the Gauss weight and the section
     area/thickness, so `sum(weights)` is the mesh volume measure.
@@ -167,53 +170,38 @@ class Quadrature:
         scale = mesh.area if dim < 3 else 1.0
         self.weights = det * w[None, :] * scale
         self.nqp = nqp
-        self.mesh = mesh
-        # the GradientOperator of the solve in progress, if any
-        self.operator = None
+        # what B needs of the mesh, but no reference back to it: a dropped
+        # mesh is freed at once, with its operator, not by a cycle collection
+        self.elements, self.n_dofs = mesh.elements, mesh.n_dofs
+
+    @functools.cached_property
+    def operator(self) -> "GradientOperator":
+        """The mesh's GradientOperator, built on first use and kept."""
+        return GradientOperator(self)
+
+
+def _gradient_matrix(quad: Quadrature) -> sp.csr_matrix:
+    """The discrete gradient B of the quadrature's mesh."""
+    nel, nqp, nper, d = quad.dndx.shape
+    n_rows = nel * nqp * d * d
+    # entry (e, q, i, j, a): dN_a/dX_j at dof node_a * d + i; scipy
+    # narrows the indices to int32 whenever they fit
+    dofs = quad.elements[:, None, :] * d + np.arange(d)[None, :, None]  # (e, i, a)
+    cols = np.broadcast_to(dofs[:, None, :, None, :], (nel, nqp, d, d, nper))
+    vals = np.broadcast_to(np.swapaxes(quad.dndx, 2, 3)[:, :, None],
+                           (nel, nqp, d, d, nper))
+    return sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, n_rows * nper + 1, nper)),
+                         shape=(n_rows, quad.n_dofs))
 
 
 class GradientOperator:
     """The discrete gradient B of one mesh and its stored CSR transpose."""
 
     def __init__(self, quad: Quadrature):
-        mesh = quad.mesh
-        nel, nqp, nper, d = quad.dndx.shape
-        n_rows = nel * nqp * d * d
-        # entry (e, q, i, j, a): dN_a/dX_j at dof node_a * d + i; scipy
-        # narrows the indices to int32 whenever they fit
-        dofs = mesh.elements[:, None, :] * d + np.arange(d)[None, :, None]  # (e, i, a)
-        cols = np.broadcast_to(dofs[:, None, :, None, :], (nel, nqp, d, d, nper))
-        vals = np.broadcast_to(np.swapaxes(quad.dndx, 2, 3)[:, :, None],
-                               (nel, nqp, d, d, nper))
-        self.b = sp.csr_matrix((vals.ravel(), cols.ravel(),
-                                np.arange(0, n_rows * nper + 1, nper)),
-                               shape=(n_rows, mesh.n_dofs))
+        self.b = _gradient_matrix(quad)
         self.bt = self.b.T.tocsr()
-        self.shape = (nel, nqp, d, d)
+        self.shape = quad.dndx.shape[:2] + quad.dndx.shape[-1:] * 2
         self.weights = quad.weights[:, :, None, None]
-
-
-def _operator(mesh: Mesh) -> GradientOperator:
-    quad = mesh.quadrature()
-    return quad.operator or GradientOperator(quad)
-
-
-@contextlib.contextmanager
-def gradient_operator(mesh: Mesh):
-    """Hold the mesh's GradientOperator for the block, release it on exit.
-
-    A block nested in another on the same mesh uses the operator already
-    held and leaves it in place when it exits.
-    """
-    quad = mesh.quadrature()
-    if quad.operator is not None:
-        yield
-        return
-    quad.operator = GradientOperator(quad)
-    try:
-        yield
-    finally:
-        quad.operator = None
 
 
 def gradient_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -222,13 +210,13 @@ def gradient_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     Works for the displacement u and for the displacement-like multiplier
     field alike; both carry dim components per node.
     """
-    op = _operator(mesh)
+    op = mesh.quadrature().operator
     return (op.b @ u.reshape(-1)).reshape(op.shape)
 
 
 def divergence_rhs(mesh: Mesh, tensor_qp: np.ndarray) -> np.ndarray:
     """Assemble R[(a,i)] = integral A_ij dN_a/dX_j for a qp tensor field."""
-    op = _operator(mesh)
+    op = mesh.quadrature().operator
     return op.bt @ (op.weights * tensor_qp).ravel()
 
 
@@ -236,11 +224,14 @@ def stiffness(mesh: Mesh, moduli: np.ndarray) -> sp.csr_matrix:
     """K = B^T (W D) B for a linear law taking grad(u) to D grad(u).
 
     `moduli` is D, one (d*d, d*d) matrix over the row-major tensor
-    components for every quadrature point, and W holds the weights.
+    components for every quadrature point, and W holds the weights.  An
+    assembly is a one-off product, so it builds a B of its own and keeps
+    none: a mesh that is only assembled holds no GradientOperator.
     """
-    op = _operator(mesh)
-    wd = sp.kron(sp.diags(op.weights.ravel()), moduli, format="csr")
-    return (op.bt @ (wd @ op.b)).tocsr()
+    quad = mesh.quadrature()
+    b = _gradient_matrix(quad)
+    wd = sp.kron(sp.diags(quad.weights.ravel()), moduli, format="csr")
+    return (b.T.tocsr() @ (wd @ b)).tocsr()
 
 
 def stiffness_vector(mesh: Mesh, mu0: float = 1.0) -> sp.csr_matrix:

@@ -51,9 +51,10 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
     Parameters
     ----------
     source : DataSet or callable
-        Pool the refinement draws from.  A callable receives
-        ``(centers, radius)`` and returns ``(strains, stresses)`` rows for
-        freshly generated tuples near the given strain centers.
+        Pool the refinement draws from, or a generator of fresh tuples:
+        ``source(centers, radius)`` gets the used tuples as a DataSet and
+        the refinement radius, and returns an iterable of
+        ``(strain, stress)`` pairs, each of d*d values in any shape.
     config : FpConfig or CsConfig
         Picks the solver formulation for every level.
     initial : DataSet, optional

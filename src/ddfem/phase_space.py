@@ -295,10 +295,11 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
     `assigned` holds tuple ids into `current`.  New tuples come either
     from a larger pool (`source` is a DataSet; all pool tuples within
     `radius` of a used tuple are added, in pool order) or from a generator
-    callback `source(centers, radius) -> [(strain, stress), ...]`.  Unused
-    tuples of `current` are dropped unless `keep_all` is set.  The metric
-    scale mu0 carries over unchanged so penalties stay comparable across
-    levels.
+    of fresh tuples: `source(centers, radius)` gets the used tuples as a
+    DataSet and the radius, and returns an iterable of (strain, stress)
+    pairs, each of d*d values in any shape.  Unused tuples of `current`
+    are dropped unless `keep_all` is set.  The metric scale mu0 carries
+    over unchanged so penalties stay comparable across levels.
 
     A pool is searched on its own tree in the current mu0; a pool under
     another mu0 is converted first, so a caller refining repeatedly from

@@ -33,7 +33,7 @@ grad(lam), C and S) are computed once per Newton iterate: both residuals
 of a trial (u, lam) come from one evaluation, and the accepted iterate's
 evaluation also feeds its tangent and, at convergence, the pass's state
 recovery.  Gradients and divergences are products with the mesh's sparse
-discrete gradient, held for the length of `solve_cs`.  One Newton solve is
+discrete gradient, which the mesh builds once and keeps.  One Newton solve is
 one pass of `assignment.assignment_loop`, which runs the load steps of
 the continuation ramp, reassigns the nearest tuples under the
 termination contract stated there, and builds the SolveReport.  Each
@@ -51,9 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assignment import assignment_loop, checked_dataset
+from .assignment import LoopConfig, assignment_loop, checked_dataset
 from .fem import (BoundaryConditions, Mesh, divergence_rhs, factorize,
-                  free_dofs, gradient_field, gradient_operator)
+                  free_dofs, gradient_field)
 from .phase_space import DataSet, PairingKind, nearest_many
 from .report import SolveReport
 
@@ -61,8 +61,8 @@ _AXES = "xyz"
 
 
 @dataclass
-class CsConfig:
-    """Newton and outer-loop knobs.
+class CsConfig(LoopConfig):
+    """The assignment loop's knobs plus Newton's and the load ramp's.
 
     line_search "backtracking" guards each full Newton step with
     residual-decrease backtracking (factor ls_factor, at most ls_maxsteps
@@ -72,37 +72,28 @@ class CsConfig:
     Newton steps together.  load_steps > 1 ramps the external load (and
     prescribed displacements) linearly: the assignment loop runs one
     load step per increment, and each step's first Newton solve starts
-    from the (u, lam) the previous step returned.  threads caps
-    the workers of the nearest-tuple k-d tree queries, which get one per
-    4,096 queries of a search, so a search of fewer than 8,192 runs on
-    one; every
-    query is independent, so results are identical for every value.
+    from the (u, lam) the previous step returned.
     """
 
-    max_data_iterations: int = 100
     newton_tol: float = 1e-10
     newton_maxit: int = 30
     line_search: str = "none"
     ls_factor: float = 0.5
     ls_maxsteps: int = 8
     load_steps: int = 1
-    mu0: float | None = None
-    penalty_tol: float = 1e-12
-    threads: int = 1
 
     def __post_init__(self):
-        if self.newton_tol <= 0.0 or self.penalty_tol <= 0.0:
+        super().__post_init__()
+        if self.newton_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.load_steps < 1:
             raise ValueError("load_steps must be at least 1")
-        if self.max_data_iterations < 1 or self.newton_maxit < 1:
-            raise ValueError("iteration limits must be at least 1")
+        if self.newton_maxit < 1:
+            raise ValueError("newton_maxit must be at least 1")
         if self.line_search not in ("none", "backtracking"):
             raise ValueError(f"unknown line search '{self.line_search}'")
         if not 0.0 < self.ls_factor < 1.0:
             raise ValueError("ls_factor must lie in (0, 1)")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 class NewtonError(RuntimeError):
@@ -150,18 +141,16 @@ def recover_states_cs(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
 def residual_u(mesh: Mesh, u: np.ndarray, lam: np.ndarray, c_star: np.ndarray,
                s_star: np.ndarray, mu0: float) -> np.ndarray:
     """Unconstrained nodal residual of the strain-matching equation."""
-    with gradient_operator(mesh):
-        kin = _kinematics(mesh, u, lam, s_star, mu0)
-        return divergence_rhs(mesh, _strain_matching(kin, c_star, mu0))
+    kin = _kinematics(mesh, u, lam, s_star, mu0)
+    return divergence_rhs(mesh, _strain_matching(kin, c_star, mu0))
 
 
 def residual_lambda(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
                     s_star: np.ndarray, mu0: float,
                     f_ext: np.ndarray) -> np.ndarray:
     """Unconstrained nodal equilibrium residual of P = F S."""
-    with gradient_operator(mesh):
-        kin = _kinematics(mesh, u, lam, s_star, mu0)
-        return divergence_rhs(mesh, _first_piola(kin)) - f_ext
+    kin = _kinematics(mesh, u, lam, s_star, mu0)
+    return divergence_rhs(mesh, _first_piola(kin)) - f_ext
 
 
 def _node_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -459,20 +448,18 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         c_qp, s_qp = recover_states_cs(mesh, u, lam, s_star, mu0, kin=kin)
         return c_qp, s_qp, norms[-1], (u, lam)
 
-    with gradient_operator(mesh):
-        result = assignment_loop(
-            solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
-            dataset, quad.weights.ravel(), config, config.load_steps)
-        s_qp = result.final.stresses
-        f_qp = gradient_field(mesh, result.final.payload[0]) + np.eye(d)
-        eq = (divergence_rhs(mesh, f_qp @ s_qp) - f_ext)[pattern.free_l]
+    result = assignment_loop(solve_pass, nearest_many, mesh, dataset, config,
+                             config.load_steps)
+    s_qp = result.final.stresses
+    f_qp = gradient_field(mesh, result.final.payload[0]) + np.eye(d)
+    eq = (divergence_rhs(mesh, f_qp @ s_qp) - f_ext)[pattern.free_l]
 
     asym = s_qp - np.swapaxes(s_qp, -1, -2)
     s_scale = max(1.0, float(np.abs(s_qp).max()))
     f_norm = float(np.linalg.norm(f_ext))
     eq_rel = float(np.linalg.norm(eq)) / f_norm if f_norm > 0 else float(np.linalg.norm(eq))
     return result.report(
-        "CS", mesh, mu0,
+        "CS",
         {"equilibrium_residual": eq_rel,
          "stress_asymmetry": float(np.linalg.norm(asym) / s_scale),
          "factorizations": solver.factorizations,

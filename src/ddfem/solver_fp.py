@@ -31,39 +31,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import assignment_loop, checked_dataset
+from .assignment import LoopConfig, assignment_loop, checked_dataset
 from .fem import (BoundaryConditions, Mesh, ReducedSystem, divergence_rhs,
-                  factorize, gradient_field, gradient_operator, stiffness_vector)
+                  factorize, gradient_field, stiffness_vector)
 from .phase_space import DataSet, PairingKind, nearest_many
 from .report import SolveReport
 from .tensors import angular_momentum_defect
 
 
 @dataclass
-class FpConfig:
-    """Knobs of the alternating scheme.
+class FpConfig(LoopConfig):
+    """Knobs of the alternating scheme: the loop's alone, since both linear
+    systems are solved on one sparse LU per constraint pattern."""
 
-    mu0 = None defers to the dataset's stored scale.  threads caps
-    the workers of the nearest-tuple k-d tree queries, which get one per
-    4,096 queries of a search, so a search of fewer than 8,192 runs on
-    one; every
-    query is independent, so results are identical for every value.
-    Both linear systems are solved on a sparse LU of the Laplacian,
-    factored once per constraint pattern, so there is no solver knob.
-    """
-
-    max_data_iterations: int = 200
-    penalty_tol: float = 1e-12
-    mu0: float | None = None
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.max_data_iterations < 1:
-            raise ValueError("max_data_iterations must be at least 1")
-        if self.penalty_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+    default_passes = 200
 
 
 def recover_states(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
@@ -104,23 +85,20 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
             eq_rel /= f_ext_norm
         return f_qp, p_qp, eq_rel, (u, lam)
 
-    with gradient_operator(mesh):
-        k = stiffness_vector(mesh, mu0)
-        red_u = ReducedSystem(k, fixed_u)
-        lu_u = factorize(red_u.k_ff, "scaled Laplacian")
-        if np.array_equal(fixed_l, fixed_u):
-            red_l, lu_l = red_u, lu_u
-        else:
-            red_l = ReducedSystem(k, fixed_l)
-            lu_l = factorize(red_l.k_ff, "scaled Laplacian")
-        result = assignment_loop(
-            solve_pass, lambda s, t: nearest_many(s, t, dataset, workers=config.threads),
-            dataset, quad.weights.ravel(), config)
-        final = result.final
-        f_star = dataset.strains[final.assigned].reshape(final.strains.shape)
-        neglected = mu0 * divergence_rhs(mesh, final.strains - f_star)[red_u.free]
+    k = stiffness_vector(mesh, mu0)
+    red_u = ReducedSystem(k, fixed_u)
+    lu_u = factorize(red_u.k_ff, "scaled Laplacian")
+    if np.array_equal(fixed_l, fixed_u):
+        red_l, lu_l = red_u, lu_u
+    else:
+        red_l = ReducedSystem(k, fixed_l)
+        lu_l = factorize(red_l.k_ff, "scaled Laplacian")
+    result = assignment_loop(solve_pass, nearest_many, mesh, dataset, config)
+    final = result.final
+    f_star = dataset.strains[final.assigned].reshape(final.strains.shape)
+    neglected = mu0 * divergence_rhs(mesh, final.strains - f_star)[red_u.free]
     return result.report(
-        "FP", mesh, mu0,
+        "FP",
         {"equilibrium_residual": final.residual,
          "angular_momentum_defect": angular_momentum_defect(final.strains, final.stresses),
          "neglected_term": float(np.linalg.norm(neglected))}, t0)

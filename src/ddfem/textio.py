@@ -47,10 +47,11 @@ class TextFile:
                 if _is_row(raw)]
 
     def numbers(self, line: int, tokens: list[str], dtype=int) -> list:
-        """`dtype()` of every token of one line; a bad token names the line."""
+        """`dtype()` of every token of one line, ints within int64; a bad
+        token names the line."""
         try:
-            return [dtype(tok) for tok in tokens]
-        except ValueError:
+            return np.array([dtype(tok) for tok in tokens], dtype=dtype).tolist()
+        except (ValueError, OverflowError):
             raise self.error(line, "malformed number") from None
 
     def rows(self, start: int, stop: int | None, width: int, dtype=float) -> np.ndarray:
@@ -59,7 +60,7 @@ class TextFile:
         One np.loadtxt call parses a block of rows only; a block with
         blanks or comments is parsed once more without them.  Whatever
         loadtxt rejects goes through the line loop, which accepts exactly
-        the tokens `dtype()` accepts and names the first bad line.
+        the tokens `numbers` accepts and names the first bad line.
         """
         table = _loadtxt(self.lines[start:stop], width, dtype)
         if table is None:

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -58,19 +56,22 @@ def scripted_search(*tuple_ids):
     return search
 
 
-def spy_gradient_operators(module, monkeypatch):
-    """Record (weak reference, id) of the operator behind each
-    `module.gradient_field` call; the list fills as the solver runs."""
-    held = []
-    gradient = module.gradient_field
+def count_operator_builds(monkeypatch):
+    """List that gains an entry per GradientOperator built from here on.
 
-    def spy(mesh, u):
-        operator = mesh.quadrature().operator
-        held.append((weakref.ref(operator), id(operator)))
-        return gradient(mesh, u)
+    The entries hold no reference to the quadrature or the operator.
+    """
+    from ddfem import fem
 
-    monkeypatch.setattr(module, "gradient_field", spy)
-    return held
+    builds = []
+
+    class Counted(fem.GradientOperator):
+        def __init__(self, quad):
+            builds.append(None)
+            super().__init__(quad)
+
+    monkeypatch.setattr(fem, "GradientOperator", Counted)
+    return builds
 
 
 def random_admissible_state(mesh, rng, mu0, u_scale=0.05, lam_scale=0.04):
@@ -97,10 +98,8 @@ def random_admissible_state(mesh, rng, mu0, u_scale=0.05, lam_scale=0.04):
 def fd_tangent_blocks(mesh, u, lam, c_star, s_star, mu0, h=1e-6):
     """Central-difference Jacobian blocks of the two coupled residuals.
 
-    The residuals run inside one `gradient_operator` block, so the 8 n
-    evaluations share one discrete gradient instead of building their own.
+    The 8 n residual evaluations share the mesh's one discrete gradient.
     """
-    from ddfem.fem import gradient_operator
     from ddfem.solver_cs import residual_lambda, residual_u
 
     n = mesh.n_dofs
@@ -116,14 +115,13 @@ def fd_tangent_blocks(mesh, u, lam, c_star, s_star, mu0, h=1e-6):
     k_ul = np.empty((n, n))
     k_lu = np.empty((n, n))
     k_ll = np.empty((n, n))
-    with gradient_operator(mesh):
-        for j in range(n):
-            dx = np.zeros(n)
-            dx[j] = h
-            k_uu[:, j] = (ru(u + dx, lam) - ru(u - dx, lam)) / (2.0 * h)
-            k_ul[:, j] = (ru(u, lam + dx) - ru(u, lam - dx)) / (2.0 * h)
-            k_lu[:, j] = (rl(u + dx, lam) - rl(u - dx, lam)) / (2.0 * h)
-            k_ll[:, j] = (rl(u, lam + dx) - rl(u, lam - dx)) / (2.0 * h)
+    for j in range(n):
+        dx = np.zeros(n)
+        dx[j] = h
+        k_uu[:, j] = (ru(u + dx, lam) - ru(u - dx, lam)) / (2.0 * h)
+        k_ul[:, j] = (ru(u, lam + dx) - ru(u, lam - dx)) / (2.0 * h)
+        k_lu[:, j] = (rl(u + dx, lam) - rl(u - dx, lam)) / (2.0 * h)
+        k_ll[:, j] = (rl(u, lam + dx) - rl(u, lam - dx)) / (2.0 * h)
     return k_uu, k_ul, k_lu, k_ll
 
 

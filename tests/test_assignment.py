@@ -15,7 +15,6 @@ from ddfem.phase_space import DataSet, PairingKind
 DATA = DataSet(PairingKind.FP, 1, np.array([[1.0], [1.1], [1.2], [1.3]]),
                np.zeros((4, 1)), mu0=1.0, validate=False)
 MESH = line_mesh(1.0, 2)
-WEIGHTS = MESH.quadrature().weights.ravel()
 
 
 class ScriptedPass:
@@ -36,10 +35,10 @@ class ScriptedPass:
 
 def run(tuple_ids, load_steps, max_data_iterations=100):
     solve_pass = ScriptedPass()
-    search = scripted_search(*tuple_ids)
-    config = SimpleNamespace(max_data_iterations=max_data_iterations, penalty_tol=1e-12)
-    result = assignment_loop(solve_pass, lambda s, t: search(s, t, DATA), DATA,
-                             WEIGHTS, config, load_steps)
+    config = SimpleNamespace(max_data_iterations=max_data_iterations, penalty_tol=1e-12,
+                             threads=1)
+    result = assignment_loop(solve_pass, scripted_search(*tuple_ids), MESH, DATA, config,
+                             load_steps)
     return result, solve_pass
 
 
@@ -78,14 +77,29 @@ def test_a_capped_step_runs_no_later_step():
     assert result.penalty_history[-1] == result.penalty_history[0]
 
 
+def test_every_search_gets_the_dataset_and_the_thread_cap():
+    seen = []
+    scripted = scripted_search(2, 1, 1)
+
+    def search(strains, stresses, dataset, workers=1):
+        seen.append((dataset, workers))
+        return scripted(strains, stresses, dataset, workers)
+
+    config = SimpleNamespace(max_data_iterations=100, penalty_tol=1e-12, threads=3)
+    result = assignment_loop(ScriptedPass(), search, MESH, DATA, config)
+    # the seed query, then one search after each of the two passes
+    assert result.passes == 2 and len(seen) == 3
+    assert all(dataset is DATA and workers == 3 for dataset, workers in seen)
+
+
 @pytest.mark.parametrize("load_steps, passes", [(1, 2), (2, 3)])
 def test_report_carries_the_returned_pass_and_every_history_row(load_steps, passes):
     result, solve_pass = run((2, 1, 1), load_steps)
     diagnostics = {"equilibrium_residual": result.final.residual}
-    report = result.report("FP", MESH, DATA.mu0, diagnostics, t0=0.0,
-                           newton_history=[1] * result.passes)
+    report = result.report("FP", diagnostics, t0=0.0, newton_history=[1] * result.passes)
     u, lam = result.final.payload
     assert report.u is u and report.lam is lam
+    assert report.mesh is MESH and report.mu0 == DATA.mu0
     assert report.assigned.shape == MESH.quadrature().weights.shape
     assert np.all(report.assigned == 1)
     assert report.global_penalty == result.final.penalty

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddfem import cli
+from ddfem import cli, multilevel
 from ddfem.cli import MultilevelOptions, RunConfig, main, parse_config
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import line_mesh, save_mesh
@@ -173,6 +173,13 @@ pairing = CS
                 "[solver]\nnewton_tol = 1e-9\n")
         with pytest.raises(ValueError, match="unknown key for formulation FP"):
             parse_config(text)
+
+    @pytest.mark.parametrize("formulation, passes", [("FP", 200), ("CS", 100)])
+    def test_pass_cap_defaults_per_formulation(self, workspace, formulation, passes):
+        _, mesh_path, data_path = workspace
+        text = (f"[run]\nformulation = {formulation}\nmesh = {mesh_path}\n"
+                f"dataset = {data_path}\noutput = o\n")
+        assert parse_config(text).solver.max_data_iterations == passes
 
     @pytest.mark.parametrize("formulation, cls, values", [
         ("FP", FpConfig, {"max_data_iterations": 77, "penalty_tol": 1e-9,
@@ -396,6 +403,69 @@ dirichlet.clamp = x=0
         cfg = rod_config(tmp_path, mesh_path, data_path)
         assert main(["solve", str(cfg), "--threads", "0"]) == 1
         assert "at least 1" in capsys.readouterr().err
+
+    def test_element_id_beyond_int64_is_an_input_error(self, workspace, capsys):
+        tmp_path, _, data_path = workspace
+        mesh_path = tmp_path / "big.mesh"
+        mesh_path.write_text("# dd-mesh v1\ndim=1 etype=LINE2\nnodes 2\n0.0\n1.0\n"
+                             "elements 1\n0 99999999999999999999\n")
+        cfg = rod_config(tmp_path, mesh_path, data_path)
+        assert main(["solve", str(cfg), "--threads", "1"]) == 1
+        assert f"error: {mesh_path}:7: malformed number" in capsys.readouterr().err
+
+
+def spy_solver_entries(monkeypatch):
+    """Replace the solver entry points of `cli` and `multilevel` with spies
+    that record "module.name" and call through; returns the record."""
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(f"{module.__name__.rpartition('.')[2]}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(cli, "solve_fp"), (cli, "solve_cs"), (cli, "run_multilevel"),
+                         (multilevel, "solve_fp"), (multilevel, "solve_cs")]:
+        spy(module, name)
+    return calls
+
+
+class TestSolverEntryPoints:
+    """`main` reaches every solve through the module attributes it imports.
+
+    The benchmark's untraced solve time is the time spent inside
+    `cli.solve_fp`, `cli.solve_cs` and `cli.run_multilevel`, and a traced
+    run also times `multilevel.solve_fp` and `multilevel.solve_cs`.  A
+    dispatch that bound the functions at import time would go around them,
+    and the solve time would read 0 s.
+    """
+
+    @pytest.mark.parametrize("command, formulation, want", [
+        ("solve", "FP", ["cli.solve_fp"]),
+        ("solve", "CS", ["cli.solve_cs"]),
+        ("multilevel", "FP", ["cli.run_multilevel", "multilevel.solve_fp"]),
+        ("multilevel", "CS", ["cli.run_multilevel", "multilevel.solve_cs"]),
+    ])
+    def test_each_command_calls_its_solver_once(self, workspace, monkeypatch,
+                                                command, formulation, want):
+        tmp_path, mesh_path, data_path = workspace
+        if formulation == "CS":
+            data_path = tmp_path / "rubber_cs.data"
+            save_dataset(generate(GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=2000,
+                                                stretch_range=(1.0, 3.2),
+                                                pairing=PairingKind.CS)), data_path)
+        extra = (f"[multilevel]\nsource = {data_path}\nmax_levels = 1\n"
+                 if command == "multilevel" else "")
+        cfg = rod_config(tmp_path, mesh_path, data_path, extra_sections=extra)
+        cfg.write_text(cfg.read_text().replace("formulation = FP",
+                                               f"formulation = {formulation}"))
+        calls = spy_solver_entries(monkeypatch)
+        assert main([command, str(cfg), "--threads", "1"]) == 0
+        assert calls == want
 
 
 class TestDatasetCommands:

@@ -6,17 +6,18 @@ solvers do reduces to gradient_field / divergence_rhs / stiffness being
 exact for affine fields.
 """
 
-import contextlib
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import count_operator_builds
 from ddfem.fem import (BoundaryConditions, ElementType, Mesh, ReducedSystem,
                        box_mesh, divergence_rhs, factorize, free_dofs,
-                       gauss_points, gradient_field, gradient_operator,
-                       line_mesh, load_mesh, rect_mesh, save_mesh,
-                       shape_functions, stiffness_vector)
+                       gauss_points, gradient_field, line_mesh, load_mesh,
+                       rect_mesh, save_mesh, shape_functions, stiffness_vector)
 
 
 @pytest.fixture
@@ -137,12 +138,10 @@ class TestGradientOperator:
     def test_matches_the_element_loop_formulas(self, make_mesh, rng):
         mesh = make_mesh()
         u, t = self.random_pair(mesh, rng)
-        for held in (False, True):
-            with gradient_operator(mesh) if held else contextlib.nullcontext():
-                grad, div = gradient_field(mesh, u), divergence_rhs(mesh, t)
-            want_grad, want_div = einsum_gradient(mesh, u), einsum_divergence(mesh, t)
-            assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
-            assert np.max(np.abs(div - want_div)) <= 1e-14 * np.max(np.abs(want_div))
+        grad, div = gradient_field(mesh, u), divergence_rhs(mesh, t)
+        want_grad, want_div = einsum_gradient(mesh, u), einsum_divergence(mesh, t)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
+        assert np.max(np.abs(div - want_div)) <= 1e-14 * np.max(np.abs(want_div))
 
     def test_divergence_is_the_adjoint_of_the_gradient(self, make_mesh, rng):
         # u . div(T) = sum over points of w grad(u) : T
@@ -152,19 +151,31 @@ class TestGradientOperator:
         assert_allclose(u @ divergence_rhs(mesh, t),
                         np.sum(weights * gradient_field(mesh, u) * t), rtol=1e-13)
 
-    def test_operator_is_held_for_the_block_only(self, make_mesh):
+    def test_operator_is_built_on_first_use_and_kept(self, make_mesh, rng,
+                                                     monkeypatch):
+        builds = count_operator_builds(monkeypatch)
         mesh = make_mesh()
-        quad = mesh.quadrature()
-        assert quad.operator is None
-        with gradient_operator(mesh):
-            op = quad.operator
-            assert op.b.indices.dtype == np.int32
-            assert np.all(np.diff(op.b.indptr) == mesh.etype.nodes_per_element)
-            # a nested block reuses the held operator and leaves it in place
-            with gradient_operator(mesh):
-                assert quad.operator is op
-            assert quad.operator is op
-        assert quad.operator is None
+        u, t = self.random_pair(mesh, rng)
+        # an assembly builds a B of its own and leaves no operator behind
+        stiffness_vector(mesh)
+        assert len(builds) == 0
+        grad = gradient_field(mesh, u)
+        op = mesh.quadrature().operator
+        assert op.b.indices.dtype == np.int32
+        assert np.all(np.diff(op.b.indptr) == mesh.etype.nodes_per_element)
+        divergence_rhs(mesh, t)
+        stiffness_vector(mesh)
+        assert len(builds) == 1 and mesh.quadrature().operator is op
+        # a new mesh gets its own operator, with its own weights
+        other = replace(mesh, area=2.0 * mesh.area)
+        assert np.array_equal(gradient_field(other, u), grad)
+        assert len(builds) == 2 and other.quadrature().operator is not op
+        scale = 1.0 if mesh.dim == 3 else 2.0      # HEX8 ignores the area
+        assert np.array_equal(divergence_rhs(other, t), scale * divergence_rhs(mesh, t))
+        # no reference cycle keeps a dropped mesh: its operator goes with it
+        kept = weakref.ref(op)
+        del mesh, op
+        assert kept() is None
 
 
 def scalar_laplacian(mesh, mu0):
@@ -352,11 +363,19 @@ class TestMeshFiles:
         ("nodes two\n0.0\n1.0\nelements 1\n0 1\n", 3),
         ("nodes 2\n0.0\n1.0\nelements 1\n0 1\nnodeset end 1\nzero\n", 9),
         ("nodes 2\n0.0\n1.0\nelements 1\n0 1\nfaceset right x\n1\n", 8),
-    ], ids=["node count", "nodeset id", "faceset count"])
+        ("nodes 99999999999999999999\n0.0\n1.0\nelements 1\n0 1\n", 3),
+    ], ids=["node count", "nodeset id", "faceset count", "node count beyond int64"])
     def test_malformed_integer_names_its_line(self, tmp_path, body, line):
         path = tmp_path / "bad.mesh"
         path.write_text("# dd-mesh v1\ndim=1 etype=LINE2\n" + body)
         with pytest.raises(ValueError, match=rf"bad.mesh:{line}: "):
+            load_mesh(path)
+
+    def test_element_id_beyond_int64_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.mesh"
+        path.write_text("# dd-mesh v1\ndim=1 etype=LINE2\nnodes 2\n0.0\n1.0\n"
+                        "elements 1\n0 99999999999999999999\n")
+        with pytest.raises(ValueError, match=r"bad.mesh:7: malformed number$"):
             load_mesh(path)
 
     def test_every_int_token_and_interleaved_comments_are_accepted(self, tmp_path):
@@ -374,5 +393,5 @@ class TestMeshFiles:
         path = tmp_path / "bad.mesh"
         path.write_text("# dd-mesh v1\ndim=1 etype=LINE2\nnodes 2\n0.0\n1.0\n"
                         "elements 1\n0 1\nnodeset end 1\n9\n")
-        with pytest.raises(ValueError, match="nodeset"):
+        with pytest.raises(ValueError, match=":9: nodeset 'end' references missing nodes"):
             load_mesh(path)

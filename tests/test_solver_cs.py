@@ -6,6 +6,7 @@ of the residuals themselves.
 """
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from conftest import (coupled_blocks, end_load_bcs, fd_tangent_blocks,
-                      random_admissible_state, relative_frobenius,
-                      scripted_search, spy_gradient_operators)
+from conftest import (count_operator_builds, coupled_blocks, end_load_bcs,
+                      fd_tangent_blocks, random_admissible_state, relative_frobenius,
+                      scripted_search)
 from ddfem import fem, solver_cs
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import (BoundaryConditions, box_mesh, free_dofs, gradient_field,
-                       gradient_operator, line_mesh, rect_mesh, stiffness_vector)
+                       line_mesh, rect_mesh, stiffness_vector)
 from ddfem.phase_space import DataSet, PairingKind
 from ddfem.reference import LinearElasticLaw, solve_linear_elastic
 from ddfem.solver_cs import (CsConfig, JacobianPattern, NewtonError,
@@ -84,78 +85,32 @@ class TestResiduals:
         assert np.array_equal(r, -f_ext)
 
 
-def count_operator_builds(monkeypatch):
-    """List that gains an entry per GradientOperator built from here on."""
-    builds = []
-
-    class Counted(fem.GradientOperator):
-        def __init__(self, quad):
-            builds.append(quad)
-            super().__init__(quad)
-
-    monkeypatch.setattr(fem, "GradientOperator", Counted)
-    return builds
-
-
 class TestResidualOperator:
-    """The residuals run in one `gradient_operator` block: a call builds
-    one operator, or none inside a block that holds one."""
+    """The residuals use the mesh's one operator: repeated calls build it
+    once, and a new mesh builds its own."""
 
     def calls(self, mesh, rng):
         u, lam, c_star, s_star = random_admissible_state(mesh, rng, 1.3)
         f_ext = np.zeros(mesh.n_dofs)
-        return (lambda: residual_u(mesh, u, lam, c_star, s_star, 1.3),
-                lambda: residual_lambda(mesh, u, lam, s_star, 1.3, f_ext))
+        return (lambda m: residual_u(m, u, lam, c_star, s_star, 1.3),
+                lambda m: residual_lambda(m, u, lam, s_star, 1.3, f_ext))
 
-    def test_one_operator_per_call_outside_a_solve(self, unit_square, rng,
-                                                   monkeypatch):
-        calls = self.calls(unit_square, rng)
-        held = spy_gradient_operators(solver_cs, monkeypatch)
-        builds = count_operator_builds(monkeypatch)
-        for k, call in enumerate(calls, start=1):
-            del held[:]
-            call()
-            assert len(builds) == k
-            # both gradients of the call saw it, and it died with the call
-            assert len(held) == 2 and held[0][1] == held[1][1]
-            assert all(ref() is None for ref, _ in held)
-        assert unit_square.quadrature().operator is None
-
-    def test_no_operator_built_inside_a_held_block(self, unit_square, rng,
-                                                   monkeypatch):
-        calls = self.calls(unit_square, rng)
-        held = spy_gradient_operators(solver_cs, monkeypatch)
-        builds = count_operator_builds(monkeypatch)
-        quad = unit_square.quadrature()
-        with gradient_operator(unit_square):
-            outer = quad.operator
-            for call in calls * 2:
-                call()
-            assert quad.operator is outer
-        assert len(builds) == 1 and len(held) == 8
-        assert all(key == id(outer) for _, key in held)
-        assert quad.operator is None
-
-    def test_nested_block_in_a_solve_keeps_the_solve_operator(self, rod_mesh,
+    def test_repeated_calls_outside_a_solve_build_at_most_one(self, unit_square, rng,
                                                               monkeypatch):
-        newton = solver_cs.newton_solve
+        builds = count_operator_builds(monkeypatch)
+        calls = self.calls(unit_square, rng)
+        first = [call(unit_square) for call in calls]
+        for call, want in zip(calls * 2, first * 2):
+            assert np.array_equal(call(unit_square), want)
+        assert len(builds) == 1
 
-        def nested(mesh, bcs, c_star, s_star, mu0, config, **kw):
-            outer = mesh.quadrature().operator
-            z = np.zeros(mesh.n_dofs)
-            with gradient_operator(mesh):
-                residual_u(mesh, z, z, c_star, s_star, mu0)
-            assert mesh.quadrature().operator is outer
-            return newton(mesh, bcs, c_star, s_star, mu0, config, **kw)
-
-        monkeypatch.setattr(solver_cs, "newton_solve", nested)
-        held = spy_gradient_operators(solver_cs, monkeypatch)
-        data = cs_set([1.0, 1.5625, 2.2, 0.82], [0.0, 2.4e5, 6.0e5, -2.0e5], mu0=4.0e5)
-        report = solve_cs(rod_mesh, end_load_bcs(rod_mesh, 1.25 * 2.4e5 * rod_mesh.area),
-                          data, CsConfig(load_steps=2))
-        assert report.converged and len({key for _, key in held}) == 1
-        assert all(ref() is None for ref, _ in held)
-        assert rod_mesh.quadrature().operator is None
+    def test_a_new_mesh_gets_its_own_operator(self, unit_square, rng, monkeypatch):
+        builds = count_operator_builds(monkeypatch)
+        thick = replace(unit_square, area=2.0)
+        for call in self.calls(unit_square, rng):
+            # the weights, and so the residuals, scale with the thickness
+            assert np.array_equal(call(thick), 2.0 * call(unit_square))
+        assert len(builds) == 2
 
 
 class TestRecovery:
@@ -307,16 +262,15 @@ class TestSolveCs:
         assert np.all(report.assigned == 0)
         assert_allclose(report.u, 0.0, atol=1e-18)
 
-    def test_gradient_operator_does_not_outlive_the_solve(self, rod_mesh,
-                                                          monkeypatch):
-        held = spy_gradient_operators(solver_cs, monkeypatch)
+    def test_two_solves_on_one_mesh_build_one_operator(self, rod_mesh, monkeypatch):
+        builds = count_operator_builds(monkeypatch)
         data = cs_set([1.0, 1.5625, 2.2, 0.82], [0.0, 2.4e5, 6.0e5, -2.0e5], mu0=4.0e5)
-        report = solve_cs(rod_mesh, end_load_bcs(rod_mesh, 1.25 * 2.4e5 * rod_mesh.area),
-                          data, CsConfig(load_steps=2))
-        # one operator served every load step and is gone when the solve returns
-        assert report.converged and len({key for _, key in held}) == 1
-        assert all(ref() is None for ref, _ in held)
-        assert rod_mesh.quadrature().operator is None
+        bcs = end_load_bcs(rod_mesh, 1.25 * 2.4e5 * rod_mesh.area)
+        first, second = (solve_cs(rod_mesh, bcs, data, CsConfig(load_steps=2))
+                         for _ in range(2))
+        # one operator served every load step of both solves
+        assert first.converged and len(builds) == 1
+        assert np.array_equal(first.u, second.u)
 
     def test_dirichlet_dofs_are_collected_once_per_solve(self, rng, monkeypatch):
         collect = fem._collect_dirichlet
@@ -424,6 +378,8 @@ class TestSolveCs:
         dict(line_search="bisection"),
         dict(ls_factor=1.0),
         dict(threads=0),
+        dict(max_data_iterations=0),
+        dict(penalty_tol=0.0),
     ])
     def test_invalid_config_raises(self, kwargs):
         with pytest.raises(ValueError):
