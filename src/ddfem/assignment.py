@@ -23,15 +23,16 @@ The best pass is the first pass with the smallest penalty.  On a cycle
 or at the cap, the step returns the best pass, and when that is not the
 last pass its penalty and residual are appended as one more history
 row.  A fixed point or stagnation returns the last pass.  Either way the
-last history row belongs to the returned pass.  The solve returns the
-pass its last step returned, with the history rows of every step.
+last history row belongs to the returned pass.  The loop returns the
+SolveReport of the pass its last step returned, with the history rows
+of every step; the report is converged unless its termination is
+``max-iterations``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -62,61 +63,24 @@ class LoopConfig:
             self.max_data_iterations = self.default_passes
         if self.max_data_iterations < 1:
             raise ValueError("max_data_iterations must be at least 1")
-        if self.penalty_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not 0.0 < self.penalty_tol < np.inf:
+            raise ValueError("tolerances must be positive and finite")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
 
 
 @dataclass
 class Pass:
-    """One solve at a fixed assignment and the states it recovered."""
+    """One solve at a fixed assignment, its fields and the states it recovered."""
 
     assigned: np.ndarray
+    u: np.ndarray
+    lam: np.ndarray
     strains: np.ndarray
     stresses: np.ndarray
     residual: float
-    payload: Any
     local_penalties: np.ndarray
     penalty: float
-
-
-@dataclass
-class LoopResult:
-    """The pass a solve returns, how its last load step stopped, and the
-    history rows of every step."""
-
-    final: Pass
-    termination: str
-    passes: int
-    penalty_history: list
-    residual_history: list
-    mesh: Mesh
-    mu0: float
-
-    @property
-    def converged(self) -> bool:
-        return self.termination != "max-iterations"
-
-    def report(self, formulation: str, diagnostics: dict, t0: float,
-               newton_history: list | None = None) -> SolveReport:
-        """The SolveReport of the returned pass, whose payload is (u, lam).
-
-        `t0` is the `time.perf_counter()` reading at the start of the solve.
-        """
-        final = self.final
-        u, lam = final.payload
-        points = final.strains.shape[:2]
-        return SolveReport(
-            formulation=formulation, mesh=self.mesh, mu0=self.mu0, u=u, lam=lam,
-            strains=final.strains, stresses=final.stresses,
-            assigned=final.assigned.reshape(points),
-            local_penalties=final.local_penalties.reshape(points),
-            global_penalty=final.penalty, penalty_history=self.penalty_history,
-            residual_history=self.residual_history, newton_history=newton_history,
-            data_iterations=self.passes, converged=self.converged,
-            termination=self.termination, diagnostics=diagnostics,
-            timings={"total": time.perf_counter() - t0})
 
 
 def checked_dataset(mesh: Mesh, dataset: DataSet, kind: PairingKind,
@@ -131,22 +95,25 @@ def checked_dataset(mesh: Mesh, dataset: DataSet, kind: PairingKind,
     return dataset if mu0 is None else dataset.with_mu0(mu0)
 
 
-def assignment_loop(solve_pass: Callable, search: Callable, mesh: Mesh,
-                    dataset: DataSet, config: LoopConfig,
-                    load_steps: int = 1) -> LoopResult:
+def assignment_loop(formulation: str, solve_pass: Callable, search: Callable,
+                    mesh: Mesh, dataset: DataSet, config: LoopConfig,
+                    load_steps: int = 1) -> SolveReport:
     """Run every load step of a solve under the module's termination contract.
 
-    `solve_pass(ids, scale, start)` solves at the assignment `ids` under
-    the load fraction `scale`, warm-started from the payload `start` of
+    `solve_pass(strain_star, stress_star, scale, start)` solves at the
+    assigned tuples, both gathered and indexed (element, qp, d, d), under
+    the load fraction `scale`, warm-started from the (u, lam) `start` of
     an earlier pass (None on the first pass of the solve).  It returns
-    the recovered (strains, stresses), both indexed (element, qp, d, d),
-    the equilibrium residual and an opaque payload.  Every search, the
-    seed query included, is `search(strains, stresses, dataset,
-    workers=config.threads)` on flat per-point states, as
+    (u, lam, strains, stresses, residual): the nodal fields, the recovered
+    states indexed like the tuples, and the equilibrium residual.  Every
+    search, the seed query included, is `search(strains, stresses,
+    dataset, workers=config.threads)` on flat per-point states, as
     `phase_space.nearest_many` takes them.  Penalties are weighted by the
-    mesh's quadrature weights.
+    mesh's quadrature weights.  Returns the SolveReport of the returned
+    pass; the caller adds its diagnostics and timings.
     """
-    weights = mesh.quadrature().weights.ravel()
+    weights = mesh.quadrature().weights
+    points, weights = weights.shape, weights.ravel()
     n, d = weights.size, dataset.dim
     seed = int(search(np.eye(d).reshape(1, -1), np.zeros((1, d * d)), dataset,
                       workers=config.threads)[0])
@@ -160,11 +127,13 @@ def assignment_loop(solve_pass: Callable, search: Callable, mesh: Mesh,
         seen = {assigned.tobytes()}
         best = termination = None
         while termination is None:
-            strains, stresses, residual, start = solve_pass(assigned, step / load_steps,
-                                                            start)
+            u, lam, strains, stresses, residual = solve_pass(
+                dataset.strains[assigned].reshape(*points, d, d),
+                dataset.stresses[assigned].reshape(*points, d, d), step / load_steps, start)
+            start = u, lam
             strains_flat, stresses_flat = strains.reshape(n, -1), stresses.reshape(n, -1)
             local = penalty_many(strains_flat, stresses_flat, assigned, dataset)
-            current = Pass(assigned, strains, stresses, residual, start, local,
+            current = Pass(assigned, u, lam, strains, stresses, residual, local,
                            float(np.dot(weights, local)))
             penalties.append(current.penalty)
             residuals.append(residual)
@@ -195,6 +164,11 @@ def assignment_loop(solve_pass: Callable, search: Callable, mesh: Mesh,
         if termination == "max-iterations":
             break
         # the next step starts from the pass this one returned
-        assigned, start = current.assigned, current.payload
-    return LoopResult(current, termination, passes, penalties, residuals, mesh,
-                      dataset.mu0)
+        assigned, start = current.assigned, (current.u, current.lam)
+    return SolveReport(
+        formulation=formulation, mesh=mesh, mu0=dataset.mu0, u=current.u, lam=current.lam,
+        strains=current.strains, stresses=current.stresses,
+        assigned=current.assigned.reshape(points),
+        local_penalties=current.local_penalties.reshape(points),
+        global_penalty=current.penalty, penalty_history=penalties,
+        residual_history=residuals, data_iterations=passes, termination=termination)

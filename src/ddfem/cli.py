@@ -384,7 +384,7 @@ def cmd_reference(args) -> int:
         lam=np.zeros_like(u), strains=eps, stresses=sigma,
         assigned=zeros.astype(np.int64) - 1, local_penalties=zeros,
         global_penalty=0.0, penalty_history=[], residual_history=[],
-        data_iterations=0, converged=True, termination="direct",
+        data_iterations=0, termination="direct",
     )
     return _finish(report, _emit(report, cfg, chash))
 

@@ -114,8 +114,8 @@ class Mesh:
             -1, self.etype.nodes_per_element)
         if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= len(self.nodes)):
             raise ValueError("element connectivity references missing nodes")
-        if self.area <= 0.0:
-            raise ValueError("area must be positive")
+        if not 0.0 < self.area < np.inf:
+            raise ValueError("area must be positive and finite")
         self._quad = None
 
     @property

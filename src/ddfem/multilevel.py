@@ -64,6 +64,9 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
         Relative support growth below which the loop stops: after level
         ``l`` the loop ends when ``(|S_l| - |S_{l-1}|) / max(1, |S_{l-1}|)``
         falls below it.
+    radius : float, optional
+        Refinement radius, positive and finite; None takes twice the
+        current level's median nearest-neighbour spacing.
     keep_all : bool
         Keep every tuple of the previous level instead of pruning the ones
         no quadrature point was assigned to.
@@ -75,12 +78,14 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
     -------
     (records, report)
         One :class:`LevelRecord` per completed level, and the final level's
-        :class:`~ddfem.report.SolveReport`.  An inner-solver failure aborts
-        the loop; the partial records and the failed report are returned
-        with the report's ``converged`` flag cleared.
+        :class:`~ddfem.report.SolveReport`.  A nonconverged level ends the
+        loop; the records so far are returned with that level's report,
+        whose ``converged`` is False.
     """
     if max_levels < 1:
         raise ValueError(f"max_levels must be >= 1, got {max_levels}")
+    if radius is not None and not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if initial is None:
         if not isinstance(source, DataSet):
             raise ValueError("initial dataset is required when source is a generator")

@@ -205,16 +205,6 @@ def penalty_many(strains: np.ndarray, stresses: np.ndarray,
     return 0.5 * mu0 * np.sum(e * e, axis=1) + 0.5 / mu0 * np.sum(s * s, axis=1)
 
 
-def global_penalty(strains: np.ndarray, stresses: np.ndarray, weights: np.ndarray,
-                   assigned: np.ndarray, dataset: DataSet) -> float:
-    """Integration-weighted sum of local penalties over all states."""
-    assigned = np.asarray(assigned)
-    if np.any(assigned < 0):
-        raise ValueError("global penalty requires every state to be assigned")
-    values = penalty_many(strains, stresses, assigned, dataset)
-    return float(np.dot(np.asarray(weights, dtype=float).reshape(-1), values))
-
-
 def _scaled(strains: np.ndarray, stresses: np.ndarray, mu0: float) -> np.ndarray:
     """Rows [sqrt(mu0/2) strain, sqrt(1/(2 mu0)) stress]: Euclidean = metric."""
     return np.hstack([np.sqrt(0.5 * mu0) * strains, np.sqrt(0.5 / mu0) * stresses])
@@ -224,6 +214,12 @@ def _scaled(strains: np.ndarray, stresses: np.ndarray, mu0: float) -> np.ndarray
 # plus its distance; the scaled coordinates, and their rotation onto the
 # tree's axes, round at about 1e-15 of that
 _TIE_MARGIN = 1e-10
+
+
+def _tie_margin(distance: np.ndarray | float, points: np.ndarray) -> np.ndarray:
+    """Rounding margin on scaled distances `distance` from the scaled rows `points`."""
+    return _TIE_MARGIN * (distance + np.linalg.norm(points, axis=1))
+
 
 # queries per k-d query worker.  On two cores, two workers beat one from
 # about twice this many queries on; below that the split costs about as
@@ -260,7 +256,7 @@ def nearest_many(strains: np.ndarray, stresses: np.ndarray, dataset: DataSet,
     y = x @ dataset.axes
     dist, ids = tree.query(y, k=2, workers=_batch_workers(len(y), workers))
     out = ids[:, 0].astype(np.int64)
-    margin = _TIE_MARGIN * (dist[:, 0] + np.linalg.norm(x, axis=1))
+    margin = _tie_margin(dist[:, 0], x)
     near = np.flatnonzero(dist[:, 1] - dist[:, 0] <= margin)
     if near.size:
         balls = tree.query_ball_point(y[near], dist[near, 0] + 2.0 * margin[near],
@@ -329,7 +325,7 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
         # candidates from the pool's rotated tree: the ball's margin bounds
         # the rounding of the rotation, relative to the centre's norm plus
         # the radius, so every tuple within `radius` is among them
-        margin = _TIE_MARGIN * (radius + np.linalg.norm(centres, axis=1))
+        margin = _tie_margin(radius, centres)
         balls = source.tree().query_ball_point(centres @ source.axes, radius + 2.0 * margin)
         cand = np.unique(np.concatenate([np.asarray(b, dtype=np.int64) for b in balls]))
         # the selection itself: distance to the nearest used tuple on the

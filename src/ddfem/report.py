@@ -26,8 +26,10 @@ class SolveReport:
 
     strains/stresses/assigned/local_penalties are indexed (element, qp);
     u and lam are flat nodal vectors (node-major, dim components each).
-    `termination` says why the outer loop stopped; `converged` is False
-    only for max-iterations exits.  `residual_history` holds one entry
+    `assignment.assignment_loop` builds the report of a data-driven solve,
+    and the solver adds its diagnostics and timings.  `termination` says
+    why the outer loop stopped, and `converged` follows from it: only a
+    max-iterations exit is not converged.  `residual_history` holds one entry
     per penalty row: for FP the weak-equilibrium residual over the free
     multiplier dofs relative to |f_ext| (absolute when there is no
     load), for CS the absolute Newton residual norm of the reduced
@@ -48,10 +50,13 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
     newton_history: list | None = None
     data_iterations: int = 0
-    converged: bool = True
     termination: str = "fixed-point"
     diagnostics: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        return self.termination != "max-iterations"
 
 
 def _write_table(path, name: str, report: SolveReport, config_hash: str,

@@ -84,8 +84,8 @@ class CsConfig(LoopConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.newton_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ValueError("tolerances must be positive and finite")
         if self.load_steps < 1:
             raise ValueError("load_steps must be at least 1")
         if self.newton_maxit < 1:
@@ -94,6 +94,8 @@ class CsConfig(LoopConfig):
             raise ValueError(f"unknown line search '{self.line_search}'")
         if not 0.0 < self.ls_factor < 1.0:
             raise ValueError("ls_factor must lie in (0, 1)")
+        if self.ls_maxsteps < 0:
+            raise ValueError("ls_maxsteps must be at least 0")
 
 
 class NewtonError(RuntimeError):
@@ -428,8 +430,6 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     mu0 = dataset.mu0
     t0 = time.perf_counter()
 
-    quad = mesh.quadrature()
-    d = mesh.dim
     f_ext = bcs.external_force(mesh)
     pattern = JacobianPattern(mesh, bcs)
     check_rigid_modes(mesh, pattern)
@@ -437,31 +437,30 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     zeros = np.zeros(mesh.n_dofs)
     newton_history: list[int] = []
 
-    def solve_pass(ids: np.ndarray, scale: float, start):
+    def solve_pass(c_star: np.ndarray, s_star: np.ndarray, scale: float, start):
         u0, lam0 = (zeros, zeros) if start is None else start
-        c_star = dataset.strains[ids].reshape(mesh.n_elements, quad.nqp, d, d)
-        s_star = dataset.stresses[ids].reshape(mesh.n_elements, quad.nqp, d, d)
         u, lam, iters, norms, kin = newton_solve(
             mesh, bcs, c_star, s_star, mu0, config, u0=u0, lam0=lam0,
             f_ext=f_ext * scale, bc_scale=scale, pattern=pattern, solver=solver)
         newton_history.append(iters)
         c_qp, s_qp = recover_states_cs(mesh, u, lam, s_star, mu0, kin=kin)
-        return c_qp, s_qp, norms[-1], (u, lam)
+        return u, lam, c_qp, s_qp, norms[-1]
 
-    result = assignment_loop(solve_pass, nearest_many, mesh, dataset, config,
+    report = assignment_loop("CS", solve_pass, nearest_many, mesh, dataset, config,
                              config.load_steps)
-    s_qp = result.final.stresses
-    f_qp = gradient_field(mesh, result.final.payload[0]) + np.eye(d)
+    s_qp = report.stresses
+    f_qp = gradient_field(mesh, report.u) + np.eye(mesh.dim)
     eq = (divergence_rhs(mesh, f_qp @ s_qp) - f_ext)[pattern.free_l]
 
     asym = s_qp - np.swapaxes(s_qp, -1, -2)
     s_scale = max(1.0, float(np.abs(s_qp).max()))
     f_norm = float(np.linalg.norm(f_ext))
     eq_rel = float(np.linalg.norm(eq)) / f_norm if f_norm > 0 else float(np.linalg.norm(eq))
-    return result.report(
-        "CS",
-        {"equilibrium_residual": eq_rel,
-         "stress_asymmetry": float(np.linalg.norm(asym) / s_scale),
-         "factorizations": solver.factorizations,
-         "tangent_evaluations": solver.tangent_evaluations},
-        t0, newton_history)
+    report.newton_history = newton_history
+    report.diagnostics = {
+        "equilibrium_residual": eq_rel,
+        "stress_asymmetry": float(np.linalg.norm(asym) / s_scale),
+        "factorizations": solver.factorizations,
+        "tangent_evaluations": solver.tangent_evaluations}
+    report.timings = {"total": time.perf_counter() - t0}
+    return report

@@ -21,7 +21,7 @@ which FP runs as a single load step at the full load: it reassigns the
 nearest tuples, stops on a fixed point, a cycle, penalty stagnation or
 the iteration cap under the contract stated there, and builds the
 SolveReport of the pass it returns.  The linear systems need no warm
-start, so a pass ignores the load fraction and the previous payload.
+start, so a pass ignores the load fraction and the previous fields.
 """
 
 from __future__ import annotations
@@ -63,17 +63,13 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     mu0 = dataset.mu0
     t0 = time.perf_counter()
 
-    quad = mesh.quadrature()
-    d = mesh.dim
     fixed_u, vals_u = bcs.fixed_dofs(mesh)
     fixed_l, vals_l = bcs.lambda_fixed_dofs(mesh)
     f_ext = bcs.external_force(mesh)
     f_ext_norm = float(np.linalg.norm(f_ext))
-    eye = np.eye(d)
+    eye = np.eye(mesh.dim)
 
-    def solve_pass(ids: np.ndarray, scale: float, start):
-        f_star = dataset.strains[ids].reshape(mesh.n_elements, quad.nqp, d, d)
-        p_star = dataset.stresses[ids].reshape(mesh.n_elements, quad.nqp, d, d)
+    def solve_pass(f_star: np.ndarray, p_star: np.ndarray, scale: float, start):
         rhs_u = red_u.rhs(mu0 * divergence_rhs(mesh, f_star - eye), vals_u)
         u = red_u.expand(lu_u.solve(rhs_u), vals_u)
         rhs_l = red_l.rhs(divergence_rhs(mesh, p_star) - f_ext, vals_l)
@@ -83,7 +79,7 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         eq_rel = float(np.linalg.norm(eq[red_l.free]))
         if f_ext_norm > 0.0:
             eq_rel /= f_ext_norm
-        return f_qp, p_qp, eq_rel, (u, lam)
+        return u, lam, f_qp, p_qp, eq_rel
 
     k = stiffness_vector(mesh, mu0)
     red_u = ReducedSystem(k, fixed_u)
@@ -93,12 +89,12 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     else:
         red_l = ReducedSystem(k, fixed_l)
         lu_l = factorize(red_l.k_ff, "scaled Laplacian")
-    result = assignment_loop(solve_pass, nearest_many, mesh, dataset, config)
-    final = result.final
-    f_star = dataset.strains[final.assigned].reshape(final.strains.shape)
-    neglected = mu0 * divergence_rhs(mesh, final.strains - f_star)[red_u.free]
-    return result.report(
-        "FP",
-        {"equilibrium_residual": final.residual,
-         "angular_momentum_defect": angular_momentum_defect(final.strains, final.stresses),
-         "neglected_term": float(np.linalg.norm(neglected))}, t0)
+    report = assignment_loop("FP", solve_pass, nearest_many, mesh, dataset, config)
+    f_star = dataset.strains[report.assigned].reshape(report.strains.shape)
+    neglected = mu0 * divergence_rhs(mesh, report.strains - f_star)[red_u.free]
+    report.diagnostics = {
+        "equilibrium_residual": report.residual_history[-1],
+        "angular_momentum_defect": angular_momentum_defect(report.strains, report.stresses),
+        "neglected_term": float(np.linalg.norm(neglected))}
+    report.timings = {"total": time.perf_counter() - t0}
+    return report

@@ -296,6 +296,15 @@ def test_documented_keys_are_the_accepted_keys():
 
 
 class TestSolveCommand:
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_penalty_tol_must_be_positive_and_finite(self, workspace, capsys, value):
+        tmp_path, mesh_path, data_path = workspace
+        cfg = rod_config(tmp_path, mesh_path, data_path, outdir="tol",
+                         extra_solver=f"penalty_tol = {value}")
+        assert main(["solve", str(cfg), "--threads", "1"]) == 1
+        assert "[solver]: tolerances must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "tol").exists()
+
     def test_converged_solve_writes_outputs(self, workspace, capsys):
         tmp_path, mesh_path, data_path = workspace
         cfg = rod_config(tmp_path, mesh_path, data_path)
@@ -569,6 +578,13 @@ class TestMultilevelCommand:
         cfg = rod_config(tmp_path, mesh_path, data_path, outdir="ml2")
         assert main(["multilevel", str(cfg), "--threads", "1"]) == 1
         assert "multilevel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["-1", "0", "nan"])
+    def test_radius_must_be_positive_and_finite(self, workspace, capsys, radius):
+        cfg = multilevel_config(workspace, "ml_radius", f"radius = {radius}")
+        assert main(["multilevel", str(cfg), "--threads", "1"]) == 1
+        assert "radius must be positive and finite" in capsys.readouterr().err
+        assert not (workspace[0] / "ml_radius").exists()
 
 
 class TestReferenceCommand:

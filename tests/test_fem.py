@@ -67,6 +67,11 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="jacobian"):
             mesh.quadrature()
 
+    @pytest.mark.parametrize("area", [0.0, -1.0, np.inf, np.nan])
+    def test_area_must_be_positive_and_finite(self, area):
+        with pytest.raises(ValueError, match="^area must be positive and finite$"):
+            line_mesh(1.0, 2, area=area)
+
 
 class TestGradientField:
     def test_zero_displacement(self, distorted_quad):

@@ -44,8 +44,7 @@ def golden_report():
         assigned=np.array([[0, 1, 2, 1], [2, 2, 0, 1]]),
         local_penalties=np.array([[X17, 0.0, -0.0, 1e-300], [5e-324, 1.0, 2.5, 1e22]]),
         global_penalty=X17, penalty_history=[1.0, X17, 1e-17],
-        residual_history=[0.5, -0.0], converged=False,
-        termination="max-iterations")
+        residual_history=[0.5, -0.0], termination="max-iterations")
 
 
 def golden_records():

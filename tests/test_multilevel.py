@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import end_load_bcs
+from ddfem import multilevel
 from ddfem.data_gen import Family, GeneratorSpec, generate, piola_stress_1d
 from ddfem.fem import BoundaryConditions
 from ddfem.multilevel import LevelRecord, run_multilevel, write_level_table
@@ -213,6 +214,16 @@ class TestRunMultilevel:
         with pytest.raises(ValueError, match="max_levels"):
             run_multilevel(rod_mesh, end_load_bcs(rod_mesh, 1.0),
                            rubber_set(10), FpConfig(), max_levels=0)
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.inf, np.nan])
+    def test_rejects_a_radius_that_is_not_positive_and_finite(self, rod_mesh, monkeypatch,
+                                                              radius):
+        solves = []
+        monkeypatch.setattr(multilevel, "solve_fp", lambda *args, **kw: solves.append(1))
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            run_multilevel(rod_mesh, end_load_bcs(rod_mesh, 1.0),
+                           rubber_set(10), FpConfig(), radius=radius)
+        assert solves == []
 
 
 class TestLevelTable:

@@ -7,9 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ddfem import phase_space
-from ddfem.phase_space import (DataSet, PairingKind, auto_mu0, global_penalty,
-                               load_dataset, median_nn_spacing, nearest_many,
-                               penalty_many, refine_around, save_dataset)
+from ddfem.phase_space import (DataSet, PairingKind, auto_mu0, load_dataset,
+                               median_nn_spacing, nearest_many, penalty_many,
+                               refine_around, save_dataset)
 
 
 def flat_set(kind, dim, strains, stresses, mu0=1.0):
@@ -349,38 +349,6 @@ class TestPrincipalAxisSearch:
         qe, qs = queries[:, :4], queries[:, 4:]
         assert np.array_equal(nearest_many(qe, qs, ds), oracle_nearest(qe, qs, ds))
         assert np.array_equal(nearest_many(qs, qe, ds), oracle_nearest(qs, qe, ds))
-
-
-class TestGlobalPenalty:
-    def test_exact_assignment_is_zero(self, line_set):
-        ids = np.array([2, 5, 9])
-        total = global_penalty(line_set.strains[ids], line_set.stresses[ids],
-                               np.ones(3), ids, line_set)
-        assert total == 0.0
-
-    def test_single_weighted_state(self):
-        ds = flat_set(PairingKind.FP, 1, [[0.0]], [[0.0]], mu0=1.0)
-        # local penalty 0.5, weight 2
-        total = global_penalty(np.array([[1.0]]), np.array([[0.0]]),
-                               np.array([2.0]), np.array([0]), ds)
-        assert total == 1.0
-
-    def test_matches_loop_oracle(self, rng):
-        ds = flat_set(PairingKind.CS, 2, rng.standard_normal((30, 4)),
-                      rng.standard_normal((30, 4)), mu0=0.9)
-        qe = rng.standard_normal((12, 4))
-        qs = rng.standard_normal((12, 4))
-        w = rng.random(12)
-        ids = rng.integers(0, 30, size=12)
-        expected = sum(
-            w[i] * scalar_metric(qe[i], qs[i], ds.strains[ids[i]], ds.stresses[ids[i]], 0.9)
-            for i in range(12))
-        assert_allclose(global_penalty(qe, qs, w, ids, ds), expected, rtol=1e-13)
-
-    def test_unassigned_state_raises(self, line_set):
-        with pytest.raises(ValueError, match="assigned"):
-            global_penalty(line_set.strains[:2], line_set.stresses[:2],
-                           np.ones(2), np.array([0, -1]), line_set)
 
 
 class TestAutoMu0:

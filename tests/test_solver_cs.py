@@ -323,6 +323,20 @@ class TestSolveCs:
         assert_allclose(report.u[-1], 0.1, atol=0.15 * spacing)
         assert report.diagnostics["equilibrium_residual"] <= 1e-9
 
+    def test_global_penalty_is_the_weighted_sum_of_the_local_ones(self, rod_mesh):
+        c1 = 1.0e6 / 6.0
+        data = generate(GeneratorSpec(Family.NEOHOOKE, c1=c1, n=40,
+                                      stretch_range=(1.0, 3.2), pairing=PairingKind.CS))
+        report = solve_cs(rod_mesh, end_load_bcs(rod_mesh, 3.5 * c1 * rod_mesh.area), data,
+                          CsConfig(load_steps=2))
+        weights = rod_mesh.quadrature().weights
+        assert report.global_penalty > 0.0
+        assert report.global_penalty == np.dot(weights.ravel(),
+                                               report.local_penalties.ravel())
+        assert report.penalty_history[-1] == report.global_penalty
+        assert len(report.newton_history) >= report.data_iterations
+        assert report.timings["total"] > 0.0
+
     def test_load_continuation_matches_the_single_step_answer(self, rod_mesh):
         c1 = 1.0e6 / 6.0
         spec = GeneratorSpec(Family.NEOHOOKE, c1=c1, n=150,
@@ -380,10 +394,21 @@ class TestSolveCs:
         dict(threads=0),
         dict(max_data_iterations=0),
         dict(penalty_tol=0.0),
+        dict(ls_maxsteps=-1),
     ])
     def test_invalid_config_raises(self, kwargs):
         with pytest.raises(ValueError):
             CsConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(newton_tol=np.inf), dict(newton_tol=np.nan), dict(newton_tol=-1e-10),
+        dict(penalty_tol=np.inf), dict(penalty_tol=np.nan)])
+    def test_tolerances_must_be_positive_and_finite(self, kwargs):
+        with pytest.raises(ValueError, match="^tolerances must be positive"):
+            CsConfig(**kwargs)
+
+    def test_zero_line_search_cuts_are_accepted(self):
+        assert CsConfig(line_search="backtracking", ls_maxsteps=0).ls_maxsteps == 0
 
 
 class TestSiUnits:

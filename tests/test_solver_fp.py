@@ -165,6 +165,24 @@ class TestSolveFp:
         assert_allclose(report.u[-1], 0.1, atol=0.1 * spacing)
         assert np.all(np.diff(report.u) > 0.0)
 
+    def test_global_penalty_is_the_weighted_sum_of_the_local_ones(self, rod_mesh):
+        c1 = 1.0e6 / 6.0
+        data = generate(GeneratorSpec(Family.NEOHOOKE, c1=c1, n=40,
+                                      stretch_range=(1.0, 3.2)))
+        report = solve_fp(rod_mesh, end_load_bcs(rod_mesh, 3.5 * c1 * rod_mesh.area), data)
+        weights = rod_mesh.quadrature().weights
+        assert report.global_penalty > 0.0
+        assert report.global_penalty == np.dot(weights.ravel(),
+                                               report.local_penalties.ravel())
+        assert report.penalty_history[-1] == report.global_penalty
+        assert report.diagnostics["equilibrium_residual"] == report.residual_history[-1]
+        assert report.timings["total"] > 0.0
+
+    @pytest.mark.parametrize("penalty_tol", [0.0, -1e-12, np.inf, np.nan])
+    def test_penalty_tol_must_be_positive_and_finite(self, penalty_tol):
+        with pytest.raises(ValueError, match="^tolerances must be positive"):
+            FpConfig(penalty_tol=penalty_tol)
+
     def test_recovered_stresses_balance_the_loads(self, rod_mesh):
         # coarse, inconsistent data: the penalty stays finite but the
         # multiplier construction still balances the recovered stresses
