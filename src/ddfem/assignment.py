@@ -95,8 +95,8 @@ def checked_dataset(mesh: Mesh, dataset: DataSet, kind: PairingKind,
     return dataset if mu0 is None else dataset.with_mu0(mu0)
 
 
-def assignment_loop(formulation: str, solve_pass: Callable, search: Callable,
-                    mesh: Mesh, dataset: DataSet, config: LoopConfig,
+def assignment_loop(solve_pass: Callable, search: Callable, mesh: Mesh,
+                    dataset: DataSet, config: LoopConfig,
                     load_steps: int = 1) -> SolveReport:
     """Run every load step of a solve under the module's termination contract.
 
@@ -110,7 +110,8 @@ def assignment_loop(formulation: str, solve_pass: Callable, search: Callable,
     dataset, workers=config.threads)` on flat per-point states, as
     `phase_space.nearest_many` takes them.  Penalties are weighted by the
     mesh's quadrature weights.  Returns the SolveReport of the returned
-    pass; the caller adds its diagnostics and timings.
+    pass, whose formulation is the dataset's pairing; the caller adds its
+    diagnostics and timings.
     """
     weights = mesh.quadrature().weights
     points, weights = weights.shape, weights.ravel()
@@ -166,8 +167,8 @@ def assignment_loop(formulation: str, solve_pass: Callable, search: Callable,
         # the next step starts from the pass this one returned
         assigned, start = current.assigned, (current.u, current.lam)
     return SolveReport(
-        formulation=formulation, mesh=mesh, mu0=dataset.mu0, u=current.u, lam=current.lam,
-        strains=current.strains, stresses=current.stresses,
+        formulation=dataset.kind.value, mesh=mesh, mu0=dataset.mu0, u=current.u,
+        lam=current.lam, strains=current.strains, stresses=current.stresses,
         assigned=current.assigned.reshape(points),
         local_penalties=current.local_penalties.reshape(points),
         global_penalty=current.penalty, penalty_history=penalties,

@@ -415,7 +415,7 @@ def cmd_validate_dataset(args) -> int:
 
 def cmd_convert_dataset(args) -> int:
     dataset = load_dataset(args.path)
-    converted = convert_pairing(dataset, PairingKind(args.to), mu0=args.mu0)
+    converted = convert_pairing(dataset, PairingKind(args.to))
     save_dataset(converted, args.out)
     print(f"wrote {args.out}: {len(converted)} {converted.kind.value} tuples")
     return 0
@@ -469,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("out")
     p.add_argument("--to", required=True, choices=["FP", "CS", "EPS"])
-    p.add_argument("--mu0", type=float, default=None)
     p.set_defaults(func=cmd_convert_dataset)
     return parser
 

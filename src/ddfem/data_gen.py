@@ -184,7 +184,7 @@ def superpose_linear(library: UnitLoadLibrary, coefficients) -> DataTuple:
         factor = c / library.alpha
         strain_v = strain_v + factor * library.strains[k]
         stress_v = stress_v + factor * library.stresses[k]
-    return DataTuple(voigt_to_tensor(strain_v), voigt_to_tensor(stress_v), 0)
+    return DataTuple(voigt_to_tensor(strain_v), voigt_to_tensor(stress_v))
 
 
 _UNITLOAD_MAGIC = "# dd-unitloads v1"

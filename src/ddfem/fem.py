@@ -62,15 +62,6 @@ _VERTS = {
         [-1.0, -1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]]),
 }
 
-# faces a traction can act on, as local node indices
-FACE_NODES = {
-    ElementType.LINE2: ((0,), (1,)),
-    ElementType.QUAD4: ((0, 1), (1, 2), (2, 3), (3, 0)),
-    ElementType.HEX8: ((0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
-                       (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7)),
-}
-
-
 def shape_functions(etype: ElementType, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """N (nper,) and dN/dxi (nper, dim) at one parent-space point."""
     verts = _VERTS[etype]
@@ -245,17 +236,17 @@ def stiffness_vector(mesh: Mesh, mu0: float = 1.0) -> sp.csr_matrix:
 # -- boundary conditions ----------------------------------------------
 
 
-def _collect_dirichlet(triples, mesh: Mesh, label: str) -> tuple[np.ndarray, np.ndarray]:
+def _collect_dirichlet(triples, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     seen: dict[int, float] = {}
     for node, comp, value in triples:
         node, comp = int(node), int(comp)
         if not 0 <= node < mesh.n_nodes:
-            raise ValueError(f"{label} node {node} outside mesh")
+            raise ValueError(f"dirichlet node {node} outside mesh")
         if not 0 <= comp < mesh.dim:
-            raise ValueError(f"{label} component {comp} outside dimension {mesh.dim}")
+            raise ValueError(f"dirichlet component {comp} outside dimension {mesh.dim}")
         dof = node * mesh.dim + comp
         if dof in seen and seen[dof] != float(value):
-            raise ValueError(f"conflicting {label} values at node {node} component {comp}")
+            raise ValueError(f"conflicting dirichlet values at node {node} component {comp}")
         seen[dof] = float(value)
     if not seen:
         return np.empty(0, dtype=np.int64), np.empty(0)
@@ -265,33 +256,32 @@ def _collect_dirichlet(triples, mesh: Mesh, label: str) -> tuple[np.ndarray, np.
 
 @dataclass
 class BoundaryConditions:
-    """Dead loads and prescribed fields for one solve.
+    """Dead loads and prescribed displacements for one solve.
 
-    dirichlet        : (node, component, value) triples for u.
-    dirichlet_lambda : same shape for the multiplier field; None means
-                       the default of zero wherever u is prescribed.
-    tractions        : (global-node-id tuple naming a face, traction
-                       vector) pairs; LINE2 faces are single nodes and
-                       the traction acts on the bar cross-section.
-    point_loads      : (node, force vector) pairs.
-    body_force       : force per unit reference volume, shape (dim,) or
-                       one row per element.
+    The multiplier lives in the displacements' test space, so it is zero
+    at every prescribed displacement dof and free at every other dof; it
+    has no constraints of its own.
+
+    dirichlet   : (node, component, value) triples for u.
+    tractions   : (global-node-id tuple naming a face, traction vector)
+                  pairs; LINE2 faces are single nodes and the traction
+                  acts on the bar cross-section.
+    point_loads : (node, force vector) pairs.
+    body_force  : force per unit reference volume, shape (dim,) or one
+                  row per element.
     """
 
     dirichlet: list = field(default_factory=list)
-    dirichlet_lambda: list | None = None
     tractions: list = field(default_factory=list)
     point_loads: list = field(default_factory=list)
     body_force: np.ndarray | None = None
 
     def fixed_dofs(self, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
         """Sorted u dof ids and values; duplicate dofs must agree."""
-        return _collect_dirichlet(self.dirichlet, mesh, "dirichlet")
+        return _collect_dirichlet(self.dirichlet, mesh)
 
     def lambda_fixed_dofs(self, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-        """Multiplier constraints; by default u's pattern with value 0."""
-        if self.dirichlet_lambda is not None:
-            return _collect_dirichlet(self.dirichlet_lambda, mesh, "dirichlet_lambda")
+        """Multiplier constraints: u's pattern with value 0."""
         dofs, _ = self.fixed_dofs(mesh)
         return dofs, np.zeros(dofs.size)
 

@@ -63,7 +63,7 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
     stop_delta : float
         Relative support growth below which the loop stops: after level
         ``l`` the loop ends when ``(|S_l| - |S_{l-1}|) / max(1, |S_{l-1}|)``
-        falls below it.
+        falls below it.  Must be finite.
     radius : float, optional
         Refinement radius, positive and finite; None takes twice the
         current level's median nearest-neighbour spacing.
@@ -72,7 +72,7 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
         no quadrature point was assigned to.
     penalty_floor : float
         Global penalty at or below this value ends the loop early; a
-        consistent dataset stops at level 1.
+        consistent dataset stops at level 1.  Must be finite.
 
     Returns
     -------
@@ -86,6 +86,9 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
         raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     if radius is not None and not 0.0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    for name, value in (("stop_delta", stop_delta), ("penalty_floor", penalty_floor)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if initial is None:
         if not isinstance(source, DataSet):
             raise ValueError("initial dataset is required when source is a generator")

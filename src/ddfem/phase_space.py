@@ -72,11 +72,10 @@ class PairingKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class DataTuple:
-    """One strain-stress sample; `uid` is its position in the owning set."""
+    """One strain-stress sample."""
 
     strain: np.ndarray
     stress: np.ndarray
-    uid: int = 0
 
 
 def _asymmetric(t: np.ndarray, tol: float) -> np.ndarray:

@@ -17,7 +17,7 @@ tangent is one closed-form element kernel, `tangent_blocks`, which
 returns the coupled element matrices over [u | lam] dofs as
 batched matmuls over the quadrature points.  A `JacobianPattern`, built
 once per `solve_cs` from the mesh and the boundary conditions, holds the
-prescribed u and lam dofs with their values and maps every element entry
+prescribed dofs (u's values, zero for lam) and maps every element entry
 to its slot in the CSC data of the reduced Jacobian, so assembly is one
 bincount.  Note K_ul = -K_lu^T: the coupled system is not symmetric, but
 its sparsity is, so it is factored by sparse LU with the minimum-degree
@@ -218,27 +218,26 @@ class JacobianPattern:
     """Constrained dofs of one solve and the scatter map from coupled
     element tangents to the free-dof Jacobian.
 
-    `fixed_u`/`vals_u` and `fixed_l`/`vals_l` are the prescribed u and
-    multiplier dofs with their values, collected once.  The reduced
-    Jacobian [[K_uu, K_ul], [K_lu, K_ll]] keeps the rows and columns of
-    the free u dofs (first) and the free multiplier dofs.  Every
-    flattened element-matrix entry gets the CSC data slot it adds into,
-    or the spare slot nnz when it touches a prescribed dof, so assembly
-    is one bincount.  Build it once per mesh and constraint set.
+    `fixed`/`vals` are the prescribed u dofs with their values, collected
+    once; the multiplier is zero at the same dofs, so both blocks share
+    the free dofs `free`.  The reduced Jacobian [[K_uu, K_ul], [K_lu,
+    K_ll]] keeps the rows and columns of the free u dofs (first) and the
+    free multiplier dofs.  Every flattened element-matrix entry gets the
+    CSC data slot it adds into, or the spare slot nnz when it touches a
+    prescribed dof, so assembly is one bincount.  Build it once per mesh
+    and constraint set.
     """
 
     def __init__(self, mesh: Mesh, bcs: BoundaryConditions):
         n, d = mesh.n_dofs, mesh.dim
-        self.fixed_u, self.vals_u = bcs.fixed_dofs(mesh)
-        self.fixed_l, self.vals_l = bcs.lambda_fixed_dofs(mesh)
-        self.free_u = free_u = free_dofs(n, self.fixed_u)
-        self.free_l = free_l = free_dofs(n, self.fixed_l)
-        size = free_u.size + free_l.size
-        position = np.full(2 * n, -1, dtype=np.int64)
-        position[free_u] = np.arange(free_u.size)
-        position[n + free_l] = free_u.size + np.arange(free_l.size)
+        self.fixed, self.vals = bcs.fixed_dofs(mesh)
+        self.free = free = free_dofs(n, self.fixed)
+        size = 2 * free.size
+        # reduced position of each [u | lam] dof, -1 where it is prescribed
+        position = np.full((2, n), -1, dtype=np.int64)
+        position[:, free] = np.arange(size).reshape(2, -1)
         dofs = (mesh.elements[:, :, None] * d + np.arange(d)).reshape(mesh.n_elements, -1)
-        local = position[np.concatenate([dofs, n + dofs], axis=1)]
+        local = np.concatenate(position[:, dofs], axis=1)
         dropped = size * size
         # column-major key, so sorted keys are the CSC order
         key = np.where((local[:, :, None] >= 0) & (local[:, None, :] >= 0),
@@ -263,15 +262,16 @@ def check_rigid_modes(mesh: Mesh, pattern: JacobianPattern) -> None:
     """Raise when the prescribed dofs leave a rigid mode of (u, lam) free.
 
     The d translations and d(d-1)/2 infinitesimal rotations, evaluated at
-    the prescribed u dofs, must have full column rank; without it Newton's
+    the prescribed dofs, must have full column rank; without it Newton's
     chord steps can converge to one of a family of solutions.  Rotations
     are taken about the prescribed nodes' centroid and scaled by their
     extent, which leaves the rank alone.  lam enters the residuals only
     through its gradient: its translations are null modes of the tangent
-    and need a prescribed dof, its rotations are not.
+    and need a prescribed dof, its rotations are not.  lam is zero
+    wherever u is prescribed, so u's translation test covers lam's.
     """
     d = mesh.dim
-    node, comp = np.divmod(pattern.fixed_u, d)
+    node, comp = np.divmod(pattern.fixed, d)
     x = mesh.nodes[node]
     if x.size:
         x = x - x.mean(axis=0)
@@ -286,10 +286,6 @@ def check_rigid_modes(mesh: Mesh, pattern: JacobianPattern) -> None:
         name = modes[int(np.argmax(np.abs(v[:, 0])))][0]
         raise ValueError(f"the prescribed displacements leave a rigid {name} free; "
                          f"prescribe enough displacement components to suppress it")
-    for k in range(d):
-        if not np.any(pattern.fixed_l % d == k):
-            raise ValueError(f"no multiplier dof along {_AXES[k]} is prescribed, which "
-                             f"leaves a translation of the multiplier field free")
 
 
 # A chord step on the kept factor is accepted when it cuts the residual
@@ -335,9 +331,9 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
     `iters` counts the accepted steps, chord and Newton alike, and `kin`
     is the kinematics (F, grad(lam), C, S) of the returned (u, lam).
 
-    (u0, lam0) is the warm start, zero when omitted; its prescribed dofs
-    are overwritten by the Dirichlet values, displacements scaled by
-    `bc_scale`.
+    (u0, lam0) is the warm start, zero when omitted; at its prescribed
+    dofs u is overwritten by the Dirichlet values scaled by `bc_scale`,
+    and lam by 0.
 
     Residuals are reduced to the free dofs; convergence is declared at
     norm <= newton_tol * (1 + |f_ext|).  `pattern` must have been built
@@ -352,29 +348,29 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
         f_ext = bcs.external_force(mesh) * bc_scale
     if pattern is None:
         pattern = JacobianPattern(mesh, bcs)
-    free_u, free_l = pattern.free_u, pattern.free_l
+    free = pattern.free
     if solver is None:
         solver = _TangentSolver()
 
     u = np.zeros(n) if u0 is None else u0.astype(float).copy()
     lam = np.zeros(n) if lam0 is None else lam0.astype(float).copy()
-    u[pattern.fixed_u] = pattern.vals_u * bc_scale
-    lam[pattern.fixed_l] = pattern.vals_l
+    u[pattern.fixed] = pattern.vals * bc_scale
+    lam[pattern.fixed] = 0.0
 
     scale = max(1.0, 1.0 + float(np.linalg.norm(f_ext)))
 
     def evaluate(u_try, lam_try):
         """(u, lam, reduced residual, its norm, kinematics) at (u_try, lam_try)."""
         kin_try = _kinematics(mesh, u_try, lam_try, s_star, mu0)
-        ru = divergence_rhs(mesh, _strain_matching(kin_try, c_star, mu0))[free_u]
-        rl = (divergence_rhs(mesh, _first_piola(kin_try)) - f_ext)[free_l]
+        ru = divergence_rhs(mesh, _strain_matching(kin_try, c_star, mu0))[free]
+        rl = (divergence_rhs(mesh, _first_piola(kin_try)) - f_ext)[free]
         res_try = np.concatenate([ru, rl])
         return u_try, lam_try, res_try, float(np.linalg.norm(res_try)), kin_try
 
     def trial(dx, alpha=1.0):
         u_try, lam_try = u.copy(), lam.copy()
-        u_try[free_u] += alpha * dx[:free_u.size]
-        lam_try[free_l] += alpha * dx[free_u.size:]
+        u_try[free] += alpha * dx[:free.size]
+        lam_try[free] += alpha * dx[free.size:]
         return evaluate(u_try, lam_try)
 
     u, lam, res, norm, kin = evaluate(u, lam)
@@ -446,11 +442,11 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
         c_qp, s_qp = recover_states_cs(mesh, u, lam, s_star, mu0, kin=kin)
         return u, lam, c_qp, s_qp, norms[-1]
 
-    report = assignment_loop("CS", solve_pass, nearest_many, mesh, dataset, config,
+    report = assignment_loop(solve_pass, nearest_many, mesh, dataset, config,
                              config.load_steps)
     s_qp = report.stresses
     f_qp = gradient_field(mesh, report.u) + np.eye(mesh.dim)
-    eq = (divergence_rhs(mesh, f_qp @ s_qp) - f_ext)[pattern.free_l]
+    eq = (divergence_rhs(mesh, f_qp @ s_qp) - f_ext)[pattern.free]
 
     asym = s_qp - np.swapaxes(s_qp, -1, -2)
     s_scale = max(1.0, float(np.abs(s_qp).max()))

@@ -48,8 +48,8 @@ def run(tuple_ids, load_steps, max_data_iterations=100):
     solve_pass = ScriptedPass()
     config = SimpleNamespace(max_data_iterations=max_data_iterations, penalty_tol=1e-12,
                              threads=1)
-    report = assignment_loop("FP", solve_pass, scripted_search(*tuple_ids), MESH, DATA,
-                             config, load_steps)
+    report = assignment_loop(solve_pass, scripted_search(*tuple_ids), MESH, DATA, config,
+                             load_steps)
     return report, solve_pass
 
 
@@ -98,7 +98,7 @@ def test_every_search_gets_the_dataset_and_the_thread_cap():
         return scripted(strains, stresses, dataset, workers)
 
     config = SimpleNamespace(max_data_iterations=100, penalty_tol=1e-12, threads=3)
-    report = assignment_loop("FP", ScriptedPass(), search, MESH, DATA, config)
+    report = assignment_loop(ScriptedPass(), search, MESH, DATA, config)
     # the seed query, then one search after each of the two passes
     assert report.data_iterations == 2 and len(seen) == 3
     assert all(dataset is DATA and workers == 3 for dataset, workers in seen)

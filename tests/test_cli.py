@@ -506,6 +506,16 @@ class TestDatasetCommands:
         assert cs.kind is PairingKind.CS
         np.testing.assert_allclose(cs.strains, fp.strains ** 2, rtol=1e-12)
 
+    def test_convert_mu0_is_not_a_flag(self, workspace, capsys):
+        # a dataset file stores no mu0, so the flag could change no output byte
+        tmp_path, _, data_path = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["convert-dataset", str(data_path), str(tmp_path / "x.data"),
+                  "--to", "CS", "--mu0", "123.0"])
+        assert exc.value.code == 2
+        assert "--mu0" in capsys.readouterr().err
+        assert not (tmp_path / "x.data").exists()
+
     def test_momentum_violation_is_reported_with_its_line(self, tmp_path,
                                                           capsys):
         bad = tmp_path / "bad.data"
@@ -585,6 +595,15 @@ class TestMultilevelCommand:
         assert main(["multilevel", str(cfg), "--threads", "1"]) == 1
         assert "radius must be positive and finite" in capsys.readouterr().err
         assert not (workspace[0] / "ml_radius").exists()
+
+    @pytest.mark.parametrize("key", ["stop_delta", "penalty_floor"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_stopping_values_must_be_finite(self, workspace, capsys, key, value):
+        cfg = multilevel_config(workspace, "ml_stop")
+        cfg.write_text(cfg.read_text().replace(f"{key} = 0.0", f"{key} = {value}"))
+        assert main(["multilevel", str(cfg), "--threads", "1"]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not (workspace[0] / "ml_stop").exists()
 
 
 class TestReferenceCommand:

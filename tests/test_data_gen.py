@@ -314,9 +314,9 @@ class TestIsotropicGrid:
     def probes(self):
         lib = load_unit_loads()
         elong = DataTuple(voigt_to_tensor(lib.strains[0]),
-                          voigt_to_tensor(lib.stresses[0]), 0)
+                          voigt_to_tensor(lib.stresses[0]))
         shear = DataTuple(voigt_to_tensor(lib.strains[3]),
-                          voigt_to_tensor(lib.stresses[3]), 3)
+                          voigt_to_tensor(lib.stresses[3]))
         return elong, shear, lib.alpha
 
     def unit_response(self, probes, slot):

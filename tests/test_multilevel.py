@@ -225,6 +225,18 @@ class TestRunMultilevel:
                            rubber_set(10), FpConfig(), radius=radius)
         assert solves == []
 
+    @pytest.mark.parametrize("key", ["stop_delta", "penalty_floor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_stopping_value_that_is_not_finite(self, rod_mesh, monkeypatch,
+                                                         key, value):
+        # a NaN stop_delta would never stop the loop, a NaN floor never ends it early
+        solves = []
+        monkeypatch.setattr(multilevel, "solve_fp", lambda *args, **kw: solves.append(1))
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            run_multilevel(rod_mesh, end_load_bcs(rod_mesh, 1.0),
+                           rubber_set(10), FpConfig(), **{key: value})
+        assert solves == []
+
 
 class TestLevelTable:
     def test_table_layout_and_values(self, tmp_path):

@@ -577,11 +577,10 @@ def clamped_tip_bcs(mesh, tip):
 
 
 def stretch_bcs(mesh, stretch):
-    """Rollers at x = 0, the x-displacement `stretch` at the far face, and
-    multiplier constraints that differ from u's (every component on the
-    left face, none on the right).  The pinned origin, and in 3D the y
-    component of the left-face corner above it, suppress the rigid modes
-    the rollers leave."""
+    """Rollers at x = 0 and the x-displacement `stretch` at the far face;
+    the multiplier is zero wherever u is prescribed.  The pinned origin,
+    and in 3D the y component of the left-face corner above it, suppress
+    the rigid modes the rollers leave."""
     d = mesh.dim
     left = face_nodes(mesh, 0, 0.0)
     right = face_nodes(mesh, 0, mesh.nodes[:, 0].max())
@@ -592,8 +591,7 @@ def stretch_bcs(mesh, stretch):
         dirichlet=[(n, 0, 0.0) for n in left]
         + [(origin, c, 0.0) for c in range(1, d)]
         + [(above, 1, 0.0)] * (d == 3)
-        + [(n, 0, stretch) for n in right],
-        dirichlet_lambda=[(n, c, 0.0) for n in left for c in range(d)])
+        + [(n, 0, stretch) for n in right])
 
 
 MIXED_MESHES = [
@@ -609,24 +607,21 @@ class TestJacobianPattern:
         mu0 = 1.4
         bcs = stretch_bcs(mesh, 0.03)
         pattern = JacobianPattern(mesh, bcs)
-        fixed_u, vals_u = bcs.fixed_dofs(mesh)
-        fixed_l, vals_l = bcs.lambda_fixed_dofs(mesh)
-        for got, want in zip((pattern.fixed_u, pattern.vals_u, pattern.fixed_l,
-                              pattern.vals_l), (fixed_u, vals_u, fixed_l, vals_l)):
+        fixed, vals = bcs.fixed_dofs(mesh)
+        free = free_dofs(mesh.n_dofs, fixed)
+        for got, want in zip((pattern.fixed, pattern.vals, pattern.free),
+                             (fixed, vals, free)):
             assert np.array_equal(got, want)
-        free_u = free_dofs(mesh.n_dofs, fixed_u)
-        free_l = free_dofs(mesh.n_dofs, fixed_l)
-        assert not np.array_equal(free_u, free_l)
-        assert np.any(vals_u != 0.0)
+        assert np.any(vals != 0.0)
         u, lam, c_star, s_star = random_admissible_state(mesh, rng, mu0)
-        u[fixed_u] = vals_u
-        lam[fixed_l] = 0.0
+        u[fixed] = vals
+        lam[fixed] = 0.0
         k_el = tangent_blocks(mesh, u, lam, c_star, s_star, mu0)
 
         def reduced(k_el):
             k_uu, k_ul, k_lu, k_ll = coupled_blocks(mesh, k_el)
-            return np.block([[k_uu[np.ix_(free_u, free_u)], k_ul[np.ix_(free_u, free_l)]],
-                             [k_lu[np.ix_(free_l, free_u)], k_ll[np.ix_(free_l, free_l)]]])
+            return np.block([[k_uu[np.ix_(free, free)], k_ul[np.ix_(free, free)]],
+                             [k_lu[np.ix_(free, free)], k_ll[np.ix_(free, free)]]])
 
         want = reduced(k_el)
         got = pattern.assemble(k_el)
@@ -650,8 +645,9 @@ class TestJacobianPattern:
         solver = solver_cs._TangentSolver()
         u, lam, iters, history, _ = newton_solve(mesh, bcs, c_star, s_star,
                                                  data.mu0, CsConfig(), solver=solver)
-        fixed_u, vals_u = bcs.fixed_dofs(mesh)
-        assert np.array_equal(u[fixed_u], vals_u)
+        fixed, vals = bcs.fixed_dofs(mesh)
+        assert np.array_equal(u[fixed], vals)
+        assert np.all(lam[fixed] == 0.0)
         assert history[-1] <= 1e-10
         assert iters >= 1 and 1 <= solver.tangent_evaluations <= 8
 
@@ -779,10 +775,7 @@ class TestKeptFactor:
         data = svk_cs_set(mesh.dim, 200, rng)
         c_star, s_star = assigned_stars(mesh, data, 0)
         origin = int(np.flatnonzero(np.all(mesh.nodes == 0.0, axis=1))[0])
-        bcs = BoundaryConditions(
-            dirichlet=[(origin, c, 0.0) for c in range(mesh.dim)],
-            dirichlet_lambda=[(n, c, 0.0) for n in face_nodes(mesh, 0, 0.0)
-                              for c in range(mesh.dim)])
+        bcs = BoundaryConditions(dirichlet=[(origin, c, 0.0) for c in range(mesh.dim)])
         u, lam, iters, _, kin = newton_solve(mesh, bcs, c_star, s_star, data.mu0,
                                              CsConfig())
         jac = JacobianPattern(mesh, bcs).assemble(
@@ -799,10 +792,7 @@ class TestKeptFactor:
         # the fixture above: only the origin's displacement is fixed
         mesh = make_mesh()
         origin = int(np.flatnonzero(np.all(mesh.nodes == 0.0, axis=1))[0])
-        bcs = BoundaryConditions(
-            dirichlet=[(origin, c, 0.0) for c in range(mesh.dim)],
-            dirichlet_lambda=[(n, c, 0.0) for n in face_nodes(mesh, 0, 0.0)
-                              for c in range(mesh.dim)])
+        bcs = BoundaryConditions(dirichlet=[(origin, c, 0.0) for c in range(mesh.dim)])
 
         def newton_solve(*args, **kwargs):
             raise AssertionError("Newton ran on a problem with a free rotation")
@@ -830,13 +820,6 @@ class TestKeptFactor:
         rotation = np.zeros((mesh.n_nodes, d))
         rotation[:, 0], rotation[:, 1] = -y, x
         assert np.abs(jac @ np.r_[np.zeros(n), rotation.ravel()]).max() > 1e-3 * scale
-
-    def test_free_multiplier_translation_raises(self, rng):
-        mesh = rect_mesh(1.0, 0.5, 4, 2)
-        bcs = clamped_tip_bcs(mesh, 0.02)
-        bcs.dirichlet_lambda = [(n, 0, 0.0) for n in face_nodes(mesh, 0, 0.0)]
-        with pytest.raises(ValueError, match="no multiplier dof along y"):
-            solve_cs(mesh, bcs, svk_cs_set(2, 100, rng))
 
     def test_multi_pass_solve_factors_rarely_and_one_factor_at_a_time(
             self, rng, monkeypatch):

@@ -6,8 +6,6 @@ the discrete equilibrium identity, which the tests recompute
 independently from the reported states.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -245,11 +243,7 @@ class TestSolveFp:
         diffs = np.diff(report.penalty_history)
         assert np.all(diffs <= 1e-12 * max(report.penalty_history))
 
-    @pytest.mark.parametrize("dirichlet_lambda, factorizations",
-                             [(None, 1), ([(0, 0, 0.0), (4, 0, 0.0)], 2)],
-                             ids=["shared-pattern", "own-pattern"])
-    def test_one_factorization_per_constraint_pattern(
-            self, rod_mesh, monkeypatch, dirichlet_lambda, factorizations):
+    def test_one_factorization_per_solve(self, rod_mesh, monkeypatch):
         built = []
         factorize = solver_fp.factorize
 
@@ -260,12 +254,11 @@ class TestSolveFp:
         monkeypatch.setattr(solver_fp, "factorize", spy)
         data = fp_set([1.0, 1.4, 1.9, 2.6], [0.0, 0.35e6, 0.8e6, 1.5e6],
                       mu0=0.9e6)
-        bcs = replace(end_load_bcs(rod_mesh, 55.0),
-                      dirichlet_lambda=dirichlet_lambda)
+        bcs = end_load_bcs(rod_mesh, 55.0)
         report = solve_fp(rod_mesh, bcs, data)
         assert report.data_iterations > 1
-        assert len(built) == factorizations
-        assert np.all(report.lam[bcs.lambda_fixed_dofs(rod_mesh)[0]] == 0.0)
+        assert len(built) == 1
+        assert np.all(report.lam[bcs.fixed_dofs(rod_mesh)[0]] == 0.0)
         res = fp_equilibrium_residual(rod_mesh, bcs, report)
         assert res <= 1e-9 * np.linalg.norm(bcs.external_force(rod_mesh))
 
