@@ -16,7 +16,9 @@ nper nodes, with int32 indices.  Then grad(u) is `B u` reshaped to
 `B.T @ x` builds a new matrix object on every call.  A mesh's
 `Quadrature` builds the operator at the first gradient or divergence
 and keeps it for the mesh's lifetime, like its shape gradients and
-weights, so every solve and every residual on one mesh shares one.  A
+weights, so every solve and every residual on one mesh shares one.
+Next to `B` it keeps the FP solver's reduced Laplacian and its LU
+(`fp_system`) for the last mu0 and constraint set solved on the mesh.  A
 stiffness matrix is `B^T (W D) B` for a linear law with (d*d, d*d)
 moduli D (`stiffness`), formed from a B that is dropped after the
 product, so a mesh that is only assembled keeps no operator.
@@ -132,11 +134,14 @@ class Mesh:
 
 
 class Quadrature:
-    """Per-mesh cache of shape values, gradients, scaled weights and the
-    discrete gradient.
+    """Per-mesh cache of shape values, gradients, scaled weights, the
+    discrete gradient and the FP solver's factored Laplacian.
 
     weights already carry det(J), the Gauss weight and the section
     area/thickness, so `sum(weights)` is the mesh volume measure.
+    `fp_system` is None or the `(key, ReducedSystem, LU)` that
+    `solver_fp.solve_fp` built last on this mesh, keyed by mu0 and the
+    prescribed dof ids.
     """
 
     def __init__(self, mesh: Mesh):
@@ -164,6 +169,7 @@ class Quadrature:
         # what B needs of the mesh, but no reference back to it: a dropped
         # mesh is freed at once, with its operator, not by a cycle collection
         self.elements, self.n_dofs = mesh.elements, mesh.n_dofs
+        self.fp_system = None
 
     @functools.cached_property
     def operator(self) -> "GradientOperator":

@@ -3,7 +3,9 @@
 Runs the data-driven solver on a coarse dataset, collects the support
 (the tuples actually assigned to quadrature points), densifies the
 dataset around that support, and re-solves.  Levels continue until the
-support stops growing or ``max_levels`` is reached.
+support stops growing or ``max_levels`` is reached.  Every level solves
+on the same mesh and boundary conditions with the first level's mu0, so
+FP levels share the factored Laplacian the mesh keeps.
 """
 
 from __future__ import annotations

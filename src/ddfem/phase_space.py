@@ -46,6 +46,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import textio
+from .tensors import transposed
 
 _SYM_TOL = 1e-10
 _ANGULAR_TOL = 1e-8
@@ -103,7 +104,7 @@ def _validate(kind: PairingKind, dim: int, strains: np.ndarray,
                        ("stress tensor is not symmetric", _asymmetric(s, _SYM_TOL))]
         else:
             failed.append(("FP pair violates angular momentum balance",
-                           _asymmetric(s @ np.swapaxes(e, 1, 2), _ANGULAR_TOL)))
+                           _asymmetric(s @ transposed(e), _ANGULAR_TOL)))
     first = min(((int(np.argmax(bad)), order, msg)
                  for order, (msg, bad) in enumerate(failed) if bad.any()), default=None)
     if first is not None:

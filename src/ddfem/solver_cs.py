@@ -56,6 +56,7 @@ from .fem import (BoundaryConditions, Mesh, divergence_rhs, factorize,
                   free_dofs, gradient_field)
 from .phase_space import DataSet, PairingKind, nearest_many
 from .report import SolveReport
+from .tensors import transposed
 
 _AXES = "xyz"
 
@@ -111,14 +112,14 @@ def _kinematics(mesh: Mesh, u: np.ndarray, lam: np.ndarray, s_star: np.ndarray,
     """Per-qp F, grad(lam), C = F^T F and S = S* + mu0 F^T grad(lam)."""
     f = gradient_field(mesh, u) + np.eye(mesh.dim)
     lgrad = gradient_field(mesh, lam)
-    ft = np.swapaxes(f, -1, -2)
+    ft = transposed(f)
     return f, lgrad, ft @ f, s_star + mu0 * (ft @ lgrad)
 
 
 def _strain_matching(kin, c_star: np.ndarray, mu0: float) -> np.ndarray:
     """Per-qp integrand 2 mu0 F (C - C*) - grad(lam) S^T of R_u."""
     f, lgrad, c, s = kin
-    return 2.0 * mu0 * (f @ (c - c_star)) - lgrad @ np.swapaxes(s, -1, -2)
+    return 2.0 * mu0 * (f @ (c - c_star)) - lgrad @ transposed(s)
 
 
 def _first_piola(kin) -> np.ndarray:
@@ -183,7 +184,7 @@ def tangent_blocks(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
     if kin is None:
         kin = _kinematics(mesh, u, lam, s_star, mu0)
     f, lgrad, c, s_rec = kin
-    ft, lt = np.swapaxes(f, -1, -2), np.swapaxes(lgrad, -1, -2)
+    ft, lt = transposed(f), transposed(lgrad)
 
     # outer products of F g and grad(lam) g, summed as [X a k, Y b i]
     # over the [u | lam] blocks X, Y and stored with i and k exchanged
@@ -197,7 +198,7 @@ def tangent_blocks(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
     # (F F^T, grad(lam) grad(lam)^T) (x) (g g^T) on the diagonal blocks
     fft, llt = f @ ft, lgrad @ lt
     metrics = np.stack([2.0 * mu0 * fft - mu0 * llt, mu0 * fft], axis=2)
-    ggw = (w[:, :, None, None] * (g @ np.swapaxes(g, -1, -2))).reshape(nel, nqp, nper * nper)
+    ggw = (w[:, :, None, None] * (g @ transposed(g))).reshape(nel, nqp, nper * nper)
     kron = (np.swapaxes(ggw, 1, 2) @ metrics.reshape(nel, nqp, 2 * d * d)).reshape(
         nel, nper, nper, 2, d, d)
     for x in range(2):

@@ -14,8 +14,12 @@ multiplier system's sign pairing is chosen so that the recovered P
 satisfies the discrete weak equilibrium against every multiplier test
 function identically.  The multiplier is zero wherever u is prescribed,
 so both systems eliminate the same dofs (`fem.ReducedSystem`) and are
-solved on one LU per solve, factorized before the first iteration and
-reused in every one.
+solved on one LU.  K depends only on the mesh, mu0 and the prescribed
+dofs, so the mesh keeps the reduced system and its LU
+(`Quadrature.fp_system`, keyed by mu0 and the prescribed dof ids): the
+first solve builds and factors them before its first iteration, and
+every later solve on that mesh with an equal key, such as each level of
+a multilevel run, reuses them.  A solve with another key replaces them.
 One solve of the two systems is one pass of `assignment.assignment_loop`,
 which FP runs as a single load step at the full load: it reassigns the
 nearest tuples, stops on a fixed point, a cycle, penalty stagnation or
@@ -42,7 +46,7 @@ from .tensors import angular_momentum_defect
 @dataclass
 class FpConfig(LoopConfig):
     """Knobs of the alternating scheme: the loop's alone, since both linear
-    systems are solved on one sparse LU per solve."""
+    systems are solved on one sparse LU per mesh, mu0 and constraint set."""
 
     default_passes = 200
 
@@ -81,8 +85,13 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
             eq_rel /= f_ext_norm
         return u, lam, f_qp, p_qp, eq_rel
 
-    red = ReducedSystem(stiffness_vector(mesh, mu0), fixed)
-    lu = factorize(red.k_ff, "scaled Laplacian")
+    quad = mesh.quadrature()
+    key = (mu0, fixed.tobytes())
+    if quad.fp_system is None or quad.fp_system[0] != key:
+        quad.fp_system = None           # hold one factor at a time
+        red = ReducedSystem(stiffness_vector(mesh, mu0), fixed)
+        quad.fp_system = key, red, factorize(red.k_ff, "scaled Laplacian")
+    _, red, lu = quad.fp_system
     report = assignment_loop(solve_pass, nearest_many, mesh, dataset, config)
     f_star = dataset.strains[report.assigned].reshape(report.strains.shape)
     neglected = mu0 * divergence_rhs(mesh, report.strains - f_star)[red.free]

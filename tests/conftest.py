@@ -74,6 +74,32 @@ def count_operator_builds(monkeypatch):
     return builds
 
 
+def count_factorizations(monkeypatch):
+    """List that gains the matrix shape of every `solver_fp.factorize`
+    call from here on."""
+    from ddfem import solver_fp
+
+    calls = []
+    factorize = solver_fp.factorize
+
+    def spy(k_ff, *args, **kwargs):
+        calls.append(k_ff.shape)
+        return factorize(k_ff, *args, **kwargs)
+
+    monkeypatch.setattr(solver_fp, "factorize", spy)
+    return calls
+
+
+def same_report(a, b) -> bool:
+    """Whether two solve reports hold bit-identical results."""
+    arrays = ("u", "lam", "strains", "stresses", "assigned", "local_penalties")
+    return (all(np.array_equal(getattr(a, k), getattr(b, k)) for k in arrays)
+            and (a.global_penalty, a.penalty_history, a.residual_history,
+                 a.data_iterations, a.termination, a.diagnostics)
+            == (b.global_penalty, b.penalty_history, b.residual_history,
+                b.data_iterations, b.termination, b.diagnostics))
+
+
 def random_admissible_state(mesh, rng, mu0, u_scale=0.05, lam_scale=0.04):
     """Random nodal fields plus compatible-ish symmetric data states.
 
@@ -150,5 +176,5 @@ def fp_equilibrium_residual(mesh, bcs, report):
     from ddfem.fem import divergence_rhs, free_dofs
 
     eq = divergence_rhs(mesh, report.stresses) - bcs.external_force(mesh)
-    fixed, _ = bcs.lambda_fixed_dofs(mesh)
+    fixed, _ = bcs.fixed_dofs(mesh)
     return np.linalg.norm(eq[free_dofs(mesh.n_dofs, fixed)])

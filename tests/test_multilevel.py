@@ -1,10 +1,12 @@
 """Tests for the solve / refine / re-solve driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import end_load_bcs
+from conftest import count_factorizations, end_load_bcs, same_report
 from ddfem import multilevel
 from ddfem.data_gen import Family, GeneratorSpec, generate, piola_stress_1d
 from ddfem.fem import BoundaryConditions
@@ -134,6 +136,23 @@ class TestRunMultilevel:
             assert a.penalty == b.penalty
         assert rec_a[1].n_data > rec_a[0].n_support
         assert np.array_equal(rep_a.u, rep_b.u)
+
+    def test_levels_share_one_factorization(self, rod_mesh, graded_bcs, monkeypatch):
+        built = count_factorizations(monkeypatch)
+        source = rubber_set(2000)
+        coarse = rubber_set(20, mu0=source.mu0)
+        kwargs = dict(max_levels=4, stop_delta=0.0, initial=coarse, penalty_floor=0.0)
+        records, report = run_multilevel(rod_mesh, graded_bcs, source, FpConfig(), **kwargs)
+        assert len(records) >= 3
+        assert len(built) == 1
+        # each level on a mesh of its own factors again and gives the same bits
+        monkeypatch.setattr(multilevel, "solve_fp",
+                            lambda mesh, *args, **kw: solve_fp(replace(mesh), *args, **kw))
+        own, own_report = run_multilevel(rod_mesh, graded_bcs, source, FpConfig(), **kwargs)
+        assert len(built) == 1 + len(records)
+        assert [(r.n_data, r.n_support, r.penalty, r.solver_iterations) for r in records] == [
+            (r.n_data, r.n_support, r.penalty, r.solver_iterations) for r in own]
+        assert same_report(report, own_report)
 
     def test_runs_are_deterministic(self, rod_mesh, graded_bcs):
         source = rubber_set(1000)

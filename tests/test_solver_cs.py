@@ -185,6 +185,22 @@ class TestTangents:
             tangent_blocks(mesh, u, lam, c_star, s_star, mu0, kin=kin),
             tangent_blocks(mesh, u, lam, c_star, s_star, mu0))
 
+    def test_contiguous_transposes_give_the_strided_bits(self, rng, monkeypatch):
+        mesh = box_mesh(2.0, 1.0, 1.0, 3, 2, 2)
+        mu0 = 1.7
+        u, lam, c_star, s_star = random_admissible_state(mesh, rng, mu0)
+
+        def outputs():
+            kin = solver_cs._kinematics(mesh, u, lam, s_star, mu0)
+            return (*kin, solver_cs._strain_matching(kin, c_star, mu0),
+                    tangent_blocks(mesh, u, lam, c_star, s_star, mu0))
+
+        contiguous = outputs()
+        # the swapaxes views every batched product took before
+        monkeypatch.setattr(solver_cs, "transposed", lambda a: np.swapaxes(a, -1, -2))
+        strided = outputs()
+        assert all(np.array_equal(a, b) for a, b in zip(contiguous, strided))
+
     def test_block_structure(self, unit_square, rng):
         mu0 = 1.3
         for mesh in (unit_square, box_mesh(1.0, 0.6, 0.5, 2, 1, 1)):

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (count_operator_builds, end_load_bcs, fp_equilibrium_residual,
-                      scripted_search)
+from conftest import (count_factorizations, count_operator_builds, end_load_bcs,
+                      fp_equilibrium_residual, same_report, scripted_search)
 from ddfem import solver_fp
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import (BoundaryConditions, ReducedSystem, divergence_rhs, factorize,
@@ -81,8 +81,9 @@ class TestSingleSystems:
         quad = rod_mesh.quadrature()
         p_star = np.full((rod_mesh.n_elements, quad.nqp, 1, 1),
                          n0 / rod_mesh.area)
+        fixed, _ = bcs.fixed_dofs(rod_mesh)
         lam = laplacian_solve(
-            rod_mesh, 2.0, bcs.lambda_fixed_dofs(rod_mesh),
+            rod_mesh, 2.0, (fixed, np.zeros(fixed.size)),
             divergence_rhs(rod_mesh, p_star) - bcs.external_force(rod_mesh))
         assert_allclose(lam, 0.0, atol=1e-12)
 
@@ -90,8 +91,9 @@ class TestSingleSystems:
         bcs = end_load_bcs(rod_mesh, 0.0)
         quad = rod_mesh.quadrature()
         p_star = np.zeros((rod_mesh.n_elements, quad.nqp, 1, 1))
+        fixed, _ = bcs.fixed_dofs(rod_mesh)
         lam = laplacian_solve(
-            rod_mesh, 2.0, bcs.lambda_fixed_dofs(rod_mesh),
+            rod_mesh, 2.0, (fixed, np.zeros(fixed.size)),
             divergence_rhs(rod_mesh, p_star) - bcs.external_force(rod_mesh))
         assert_allclose(lam, 0.0, atol=1e-18)
 
@@ -244,14 +246,7 @@ class TestSolveFp:
         assert np.all(diffs <= 1e-12 * max(report.penalty_history))
 
     def test_one_factorization_per_solve(self, rod_mesh, monkeypatch):
-        built = []
-        factorize = solver_fp.factorize
-
-        def spy(k_ff, *args, **kwargs):
-            built.append(k_ff.shape)
-            return factorize(k_ff, *args, **kwargs)
-
-        monkeypatch.setattr(solver_fp, "factorize", spy)
+        built = count_factorizations(monkeypatch)
         data = fp_set([1.0, 1.4, 1.9, 2.6], [0.0, 0.35e6, 0.8e6, 1.5e6],
                       mu0=0.9e6)
         bcs = end_load_bcs(rod_mesh, 55.0)
@@ -261,6 +256,46 @@ class TestSolveFp:
         assert np.all(report.lam[bcs.fixed_dofs(rod_mesh)[0]] == 0.0)
         res = fp_equilibrium_residual(rod_mesh, bcs, report)
         assert res <= 1e-9 * np.linalg.norm(bcs.external_force(rod_mesh))
+
+    def test_an_equal_key_reuses_the_kept_factor(self, rod_mesh, monkeypatch):
+        built = count_factorizations(monkeypatch)
+        data = generate(GeneratorSpec(Family.NEOHOOKE, c1=1.0e6 / 6.0, n=60,
+                                      stretch_range=(1.0, 3.2)))
+        solve_fp(rod_mesh, end_load_bcs(rod_mesh, 45.0), data)
+        kept = rod_mesh.quadrature().fp_system
+        # another load, dataset and config with the same mu0 and Dirichlet set
+        other = DataSet(PairingKind.FP, 1, data.strains[::2], data.stresses[::2],
+                        mu0=data.mu0)
+        bcs = end_load_bcs(rod_mesh, 30.0)
+        second = solve_fp(rod_mesh, bcs, other, FpConfig(threads=2))
+        assert len(built) == 1
+        assert rod_mesh.quadrature().fp_system is kept
+        fresh = solve_fp(line_mesh(0.1, 10, area=1.0e-4), bcs, other)
+        assert len(built) == 2
+        assert same_report(second, fresh)
+
+    def test_another_mu0_or_dirichlet_set_replaces_the_kept_factor(
+            self, rod_mesh, monkeypatch):
+        built = count_factorizations(monkeypatch)
+        data = generate(GeneratorSpec(Family.NEOHOOKE, c1=1.0e6 / 6.0, n=60,
+                                      stretch_range=(1.0, 3.2)))
+        load = end_load_bcs(rod_mesh, 45.0)
+        # the tip is prescribed as well: one free dof fewer
+        pulled = BoundaryConditions(dirichlet=[(0, 0, 0.0), (rod_mesh.n_nodes - 1, 0, 0.05)])
+        cases = [(load, None), (load, 2.0 * data.mu0), (pulled, 2.0 * data.mu0),
+                 (load, None)]
+        keys = []
+        for count, (bcs, mu0) in enumerate(cases, start=1):
+            report = solve_fp(rod_mesh, bcs, data, FpConfig(mu0=mu0))
+            assert len(built) == count
+            key, red, _ = rod_mesh.quadrature().fp_system
+            assert key == (report.mu0, bcs.fixed_dofs(rod_mesh)[0].tobytes())
+            assert red.free.size == rod_mesh.n_dofs - len(bcs.dirichlet)
+            keys.append(key)
+            fresh = solve_fp(line_mesh(0.1, 10, area=1.0e-4), bcs, data, FpConfig(mu0=mu0))
+            assert same_report(report, fresh)
+            built.pop()                         # the fresh mesh's factor
+        assert len(set(keys)) == 3 and keys[0] == keys[-1]
 
     def test_thread_count_does_not_change_the_result(self, rod_mesh):
         c1 = 1.0e6 / 6.0

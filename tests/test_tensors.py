@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ddfem.tensors import (angular_momentum_defect, is_symmetric, rotation_2d,
-                           rotation_z, sym, tensor_to_voigt, voigt_to_tensor)
+                           rotation_z, sym, tensor_to_voigt, transposed, voigt_to_tensor)
 
 
 def rotate_pair(strain, stress, q):
@@ -93,6 +93,16 @@ class TestAngularMomentum:
                     for e in range(4) for q in range(5)]
         assert_allclose(angular_momentum_defect(f, p), max(pairwise), rtol=1e-14)
         assert angular_momentum_defect(f[:0], p[:0]) == 0.0
+
+
+class TestTransposed:
+    def test_contiguous_copy_with_the_strided_product_bits(self, rng):
+        f = rng.standard_normal((90, 8, 3, 3))
+        p = rng.standard_normal((90, 8, 3, 3))
+        ft = transposed(f)
+        assert ft.flags.c_contiguous
+        assert np.array_equal(ft, np.swapaxes(f, -1, -2))
+        assert np.array_equal(p @ ft, p @ np.swapaxes(f, -1, -2))
 
 
 class TestVoigt:
