@@ -367,7 +367,12 @@ def save_dataset(dataset: DataSet, path) -> None:
 
 
 def load_dataset(path, mu0: float | None = None) -> DataSet:
-    """Parse a dataset file; errors carry 1-based line numbers."""
+    """Parse a dataset file; errors carry 1-based line numbers.
+
+    The tuples are parsed straight from the file past its header
+    (`textio.TextFile.rows`).  The file's lines are read only when that
+    parse fails or a tuple fails validation, to name the line at fault.
+    """
     src = textio.read(path, _MAGIC)
     kind, dim = src.field("kind", PairingKind), src.field("dim", int)
     if dim not in (1, 2, 3):

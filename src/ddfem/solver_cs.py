@@ -233,23 +233,38 @@ class JacobianPattern:
         n, d = mesh.n_dofs, mesh.dim
         self.fixed, self.vals = bcs.fixed_dofs(mesh)
         self.free = free = free_dofs(n, self.fixed)
-        size = 2 * free.size
-        # reduced position of each [u | lam] dof, -1 where it is prescribed
-        position = np.full((2, n), -1, dtype=np.int64)
-        position[:, free] = np.arange(size).reshape(2, -1)
+        nf = free.size
+        # reduced position of each u (and lam) dof, -1 where it is prescribed
+        position = np.full(n, -1, dtype=np.int64)
+        position[free] = np.arange(nf)
         dofs = (mesh.elements[:, :, None] * d + np.arange(d)).reshape(mesh.n_elements, -1)
-        local = np.concatenate(position[:, dofs], axis=1)
-        dropped = size * size
-        # column-major key, so sorted keys are the CSC order
+        local = position[dofs]
+        dropped = nf * nf
+        # the pattern of one block, which all four share; column-major
+        # key, so sorted keys are the CSC order
         key = np.where((local[:, :, None] >= 0) & (local[:, None, :] >= 0),
-                       local[:, None, :] * size + local[:, :, None], dropped)
-        keys, slot = np.unique(key.ravel(), return_inverse=True)
-        self.nnz = int(np.searchsorted(keys, dropped))
-        keys = keys[:self.nnz]
-        self.slot = slot.astype(np.int32)
-        self.indices = (keys % size).astype(np.int32)
-        self.indptr = np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32)
-        self.size = size
+                       local[:, None, :] * nf + local[:, :, None], dropped)
+        keys, block_slot = np.unique(key.ravel(), return_inverse=True)
+        nnz = int(np.searchsorted(keys, dropped))
+        col, row = np.divmod(keys[:nnz], nf)
+        ptr = np.searchsorted(col, np.arange(nf + 1))
+        # Column c of the reduced Jacobian holds the block's rows of c for
+        # u, then the same rows for lam: block entry k lands at ptr[c] + k
+        # or at ptr[c + 1] + k, and 2 nnz further on in a lam column.
+        # to_slot[row block, column block] maps every block slot, the
+        # spare one included.
+        k = np.arange(nnz)
+        to_slot = np.full((2, 2, nnz + 1), 4 * nnz, dtype=np.int32)
+        to_slot[..., :nnz] = (np.stack([ptr[col] + k, ptr[col + 1] + k])[:, None]
+                              + 2 * nnz * np.arange(2)[:, None])
+        # (row block, column block, element, i, j) to the element
+        # tangent's (element, row block, i, column block, j)
+        self.slot = to_slot[..., block_slot.reshape(key.shape)].transpose(2, 0, 3, 1, 4).ravel()
+        self.indices = np.empty(4 * nnz, dtype=np.int32)
+        self.indices[to_slot[..., :nnz]] = row + nf * np.arange(2)[:, None, None]
+        self.indptr = np.concatenate([2 * ptr[:-1], 2 * nnz + 2 * ptr]).astype(np.int32)
+        self.nnz = 4 * nnz
+        self.size = 2 * nf
 
     def assemble(self, k_el: np.ndarray) -> sp.csc_matrix:
         """Reduced Jacobian from element tangents ordered like tangent_blocks."""

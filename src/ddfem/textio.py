@@ -1,7 +1,15 @@
 """The package's `# dd-<kind> v1` text files: one reader, one row parser, one writer.
 
 Datasets, meshes, unit-load libraries and the emitted tables share the
-convention described under "File formats" in docs/config.md.
+convention described under "File formats" in docs/config.md.  A line
+ends at `\\n`, `\\r\\n` or `\\r`, as in a file opened in text mode.
+
+`read` reads a file up to its header line only.  A block of rows that
+runs from the header to the end of the file, as in a dataset or a
+unit-load library, is parsed by one np.loadtxt call on the open file,
+which holds neither the file's text nor a list of its lines.  The lines
+are read once, on first use: for a mesh's sections, and to name the
+line of a malformed row or of a tuple that fails validation.
 """
 
 from __future__ import annotations
@@ -9,6 +17,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +31,17 @@ def _is_row(raw: str) -> bool:
 
 @dataclass
 class TextFile:
-    """A read file: its name, its lines and its header's fields and line."""
+    """A read file: its name and its header's fields and line."""
 
     name: str
-    lines: list[str]
     header: dict[str, str]
     header_line: int
+
+    @cached_property
+    def lines(self) -> list[str]:
+        """Every line of the file, read on first use."""
+        with open(self.name) as f:
+            return f.read().removesuffix("\n").split("\n")
 
     def error(self, line: int, msg: str) -> ValueError:
         return ValueError(f"{self.name}:{line}: {msg}")
@@ -57,15 +71,25 @@ class TextFile:
     def rows(self, start: int, stop: int | None, width: int, dtype=float) -> np.ndarray:
         """The rows among lines[start:stop] as one (n, width) float or int array.
 
-        One np.loadtxt call parses a block of rows only; a block with
-        blanks or comments is parsed once more without them.  Whatever
-        loadtxt rejects goes through the line loop, which accepts exactly
-        the tokens `numbers` accepts and names the first bad line.
+        A block that runs from the header to the end of the file goes to
+        one np.loadtxt call on the open file, which skips blank lines;
+        any other block to one call on its lines.  A block that call
+        rejects is parsed once more from its rows alone, without blanks
+        and comments, and whatever loadtxt rejects then goes through the
+        line loop, which accepts exactly the tokens `numbers` accepts
+        and names the first bad line.
         """
-        table = _loadtxt(self.lines[start:stop], width, dtype)
+        if start == self.header_line and stop is None:
+            with open(self.name) as f:
+                for _ in range(start):
+                    f.readline()
+                table = _loadtxt(f, width, dtype)
+        else:
+            block = self.lines[start:stop]
+            table = _loadtxt(block, width, dtype, len(block))
         if table is None:
             numbered = self.numbered(start, stop)
-            table = _loadtxt([text for _, text in numbered], width, dtype)
+            table = _loadtxt([text for _, text in numbered], width, dtype, len(numbered))
         if table is None:
             parsed = []
             for ln, text in numbered:
@@ -77,39 +101,39 @@ class TextFile:
         return table
 
 
-def _loadtxt(lines: list[str], width: int, dtype) -> np.ndarray | None:
-    """np.loadtxt of the lines if it reads one `width` row from each.
+def _loadtxt(source, width: int, dtype, n: int | None = None) -> np.ndarray | None:
+    """np.loadtxt of a list of lines or an open file if it reads `n` rows
+    of `width` values (one or more rows when `n` is None).
 
     loadtxt accepts no token that `dtype()` rejects, and its comment
     stripping is off so that a `#` after a value stays an error.
     """
-    if not lines:
-        return None
     try:
         with warnings.catch_warnings():
-            # all-blank lines read as no data, with a warning
+            # all-blank input reads as no data, with a warning
             warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+            table = np.loadtxt(source, dtype=dtype, comments=None, ndmin=2)
     except ValueError:
         return None
-    return table if table.shape == (len(lines), width) else None
+    rows = len(table) if n is None else n
+    return table if rows and table.shape == (rows, width) else None
 
 
 def read(path, magic: str) -> TextFile:
-    """Read a file, check its magic line and parse its header.
+    """Check a file's magic line and parse its header, reading no further.
 
     The header is the first line after the magic line that is neither
     blank nor a comment; without one the error names line 2.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != magic:
-        raise ValueError(f"{path}:1: missing magic line '{magic}'")
-    line = next((ln for ln, raw in enumerate(lines[1:], 2) if _is_row(raw)), None)
-    if line is None:
-        raise ValueError(f"{path}:2: missing header line")
-    header = dict(tok.split("=", 1) for tok in lines[line - 1].split() if "=" in tok)
-    return TextFile(str(path), lines, header, line)
+    with open(path) as f:
+        if f.readline().strip() != magic:
+            raise ValueError(f"{path}:1: missing magic line '{magic}'")
+        for line, raw in enumerate(f, 2):
+            if _is_row(raw):
+                header = dict(tok.split("=", 1) for tok in raw.split() if "=" in tok)
+                return TextFile(str(path), header, line)
+    raise ValueError(f"{path}:2: missing header line")
 
 
 def format_rows(*blocks, sep: str = " ") -> list[str]:
@@ -123,5 +147,6 @@ def format_rows(*blocks, sep: str = " ") -> list[str]:
 
 
 def write(path, lines: list[str]) -> None:
-    """Write the lines, each ended by a newline."""
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the lines, each ended by a newline, one at a time."""
+    with open(path, "w") as f:
+        f.writelines(f"{line}\n" for line in lines)

@@ -519,16 +519,15 @@ class TestDatasetCommands:
     def test_momentum_violation_is_reported_with_its_line(self, tmp_path,
                                                           capsys):
         bad = tmp_path / "bad.data"
-        bad.write_text("\n".join([
-            "# dd-dataset v1",
-            "kind=FP dim=2 units=SI",
-            "1.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0",
-            "1.0 0.0 0.0 1.0 0.0 500.0 0.0 0.0",
-        ]) + "\n")
-        assert main(["validate-dataset", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert ":4:" in err
-        assert "momentum" in err
+        lines = ["# dd-dataset v1",
+                 "kind=FP dim=2 units=SI",
+                 "1.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0",
+                 "1.0 0.0 0.0 1.0 0.0 500.0 0.0 0.0"]
+        for newline in ("\n", "\r\n"):
+            bad.write_bytes("".join(line + newline for line in lines).encode())
+            assert main(["validate-dataset", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {bad}:4: FP pair violates angular momentum balance\n"
 
 
 def multilevel_config(workspace, outdir, extra=""):

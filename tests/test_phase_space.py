@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ddfem import phase_space
+from ddfem import phase_space, textio
 from ddfem.phase_space import (DataSet, PairingKind, auto_mu0, load_dataset,
                                median_nn_spacing, nearest_many, penalty_many,
                                refine_around, save_dataset)
@@ -49,6 +49,27 @@ def line_set():
     """11 FP tuples on a uniform 1D strain grid, zero stress."""
     strains = np.linspace(1.0, 2.0, 11).reshape(-1, 1)
     return flat_set(PairingKind.FP, 1, strains, np.zeros_like(strains), mu0=2.0)
+
+
+def write_lines(path, lines, newline="\n"):
+    """Write the lines, each ended by `newline`, with no newline translation."""
+    path.write_bytes("".join(line + newline for line in lines).encode())
+
+
+def load_error(path) -> str:
+    """The message of the ValueError that load_dataset raises on `path`."""
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    return str(err.value)
+
+
+def fp_rows_2d(n, rng):
+    """n valid 2-D FP tuples as (n, 8) rows: F = I + a symmetric strain and
+    P = F S with a symmetric S, so P F^T is symmetric."""
+    eps = rng.uniform(-0.01, 0.01, (n, 2, 2))
+    s = rng.uniform(-1.0e4, 1.0e4, (n, 2, 2))
+    f = np.eye(2) + eps + eps.transpose(0, 2, 1)
+    return np.hstack([f.reshape(n, 4), (f @ (s + s.transpose(0, 2, 1))).reshape(n, 4)])
 
 
 def penalty_of(strain, stress, ds):
@@ -643,6 +664,33 @@ class TestRefineAround:
         assert out.mu0 == current.mu0
 
 
+def _interleaved(rows, extra, every=7):
+    """The rows with the `extra` lines after rows 3, 3 + every, 3 + 2 every, ..."""
+    return [line for i, row in enumerate(rows)
+            for line in ([row, *extra] if i % every == 3 else [row])]
+
+
+# (lines before the header, block rows, lines after them, line ending)
+# from the formatted rows of a dataset file
+STREAM_LAYOUTS = {
+    "LF": lambda rows: ([], rows, [], "\n"),
+    "CRLF": lambda rows: ([], rows, [], "\r\n"),
+    "CR": lambda rows: ([], rows, [], "\r"),
+    "blanks and comments before the header": lambda rows: (
+        ["", "# a comment", "  \t", "   # indented"], rows, [], "\n"),
+    "blank lines in the block": lambda rows: ([], _interleaved(rows, ["", " \t "]), [], "\n"),
+    "comments in the block": lambda rows: (
+        [], _interleaved(rows, ["# note", "", "  # indented"]), [], "\n"),
+    "CRLF with comments in the block": lambda rows: (
+        ["# before"], _interleaved(rows, ["# note", ""], every=5), [], "\r\n"),
+    "trailing blank lines": lambda rows: ([], rows, ["", "", "   "], "\n"),
+    "blank lines around the block, CRLF": lambda rows: ([], ["", *rows], ["", "\t"], "\r\n"),
+    # a line ends at \n, \r\n or \r only: a form feed is whitespace
+    "form feeds between values": lambda rows: (
+        [], [row.replace(" ", "\f", 1) for row in rows], [], "\n"),
+}
+
+
 class TestDatasetFiles:
     def test_round_trip_is_exact(self, tmp_path, rng):
         raw_e = rng.standard_normal((17, 2, 2))
@@ -677,24 +725,41 @@ class TestDatasetFiles:
 
     def test_wrong_column_count_names_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("# dd-dataset v1\nkind=FP dim=1 units=SI\n"
-                        "# comment shifts the data lines\n1.0 0.0\n2.0\n")
-        with pytest.raises(ValueError, match=r"bad.txt:5"):
-            load_dataset(path)
+        for newline in ("\n", "\r\n"):
+            write_lines(path, ["# dd-dataset v1", "kind=FP dim=1 units=SI",
+                               "# comment shifts the data lines", "1.0 0.0", "2.0"], newline)
+            assert load_error(path) == f"{path}:5: expected 2 components, got 1"
 
     def test_inline_comment_is_rejected_with_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("# dd-dataset v1\nkind=FP dim=1 units=SI\n"
-                        "1.0 0.0\n1.5 0.25 # note\n")
-        with pytest.raises(ValueError, match=r"bad.txt:4: expected 2 components, got 4"):
-            load_dataset(path)
+        for newline in ("\n", "\r\n"):
+            write_lines(path, ["# dd-dataset v1", "kind=FP dim=1 units=SI",
+                               "1.0 0.0", "1.5 0.25 # note"], newline)
+            assert load_error(path) == f"{path}:4: expected 2 components, got 4"
 
     def test_malformed_number_names_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("# dd-dataset v1\nkind=FP dim=1 units=SI\n"
-                        "1.0 0.0\n\n1.5 0.2.5\n")
-        with pytest.raises(ValueError, match=r"bad.txt:5: malformed number"):
-            load_dataset(path)
+        for newline in ("\n", "\r\n"):
+            write_lines(path, ["# dd-dataset v1", "kind=FP dim=1 units=SI",
+                               "1.0 0.0", "", "1.5 0.2.5"], newline)
+            assert load_error(path) == f"{path}:5: malformed number"
+
+    def test_empty_body_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for body in ([], ["", "# no rows", "  "]):
+            for newline in ("\n", "\r\n"):
+                write_lines(path, ["# dd-dataset v1", "kind=FP dim=1 units=SI", *body],
+                            newline)
+                assert load_error(path) == f"{path}: dataset contains no tuples"
+
+    def test_asymmetric_cs_tuple_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for newline in ("\n", "\r\n"):
+            write_lines(path, ["# dd-dataset v1", "kind=CS dim=2 units=SI",
+                               "1.0 0.0 0.0 1.0 0.0 0.0 0.0 0.0", "",
+                               "1.0 0.0 0.0 1.0 0.0 3.0 3.0 0.0",
+                               "1.0 0.5 0.0 1.0 0.0 0.0 0.0 0.0"], newline)
+            assert load_error(path) == f"{path}:6: strain tensor is not symmetric"
 
     def test_every_float_token_is_accepted(self, tmp_path):
         # the batched parse rejects these; the line loop reads them like float()
@@ -709,10 +774,9 @@ class TestDatasetFiles:
         path = tmp_path / "bad.txt"
         rows = ["1.0 0.0 0.0 1.0 0.1 0.0 0.0 0.2",
                 "1.0 0.0 0.0 1.0 0.0 2.0 0.0 0.0"]
-        path.write_text("# dd-dataset v1\nkind=FP dim=2 units=SI\n"
-                        + "\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match=r"bad.txt:4"):
-            load_dataset(path)
+        for newline in ("\n", "\r\n"):
+            write_lines(path, ["# dd-dataset v1", "kind=FP dim=2 units=SI", *rows], newline)
+            assert load_error(path) == f"{path}:4: FP pair violates angular momentum balance"
 
     def test_first_of_several_bad_tuples_names_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -754,3 +818,41 @@ class TestDatasetFiles:
         path = tmp_path / "data.txt"
         save_dataset(line_set, path)
         assert load_dataset(path, mu0=42.0).mu0 == 42.0
+
+    @pytest.mark.parametrize("layout", STREAM_LAYOUTS, ids=list(STREAM_LAYOUTS))
+    def test_streamed_rows_equal_the_whole_file_parse(self, layout, tmp_path, rng):
+        # repr writes every value back to its bits; the special row holds
+        # -0.0, the smallest subnormal and the largest double
+        table = np.vstack([rng.standard_normal((30, 8)) * 10.0 ** rng.integers(-8, 8, (30, 1)),
+                           [-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308,
+                            0.1, 1.0 / 3.0, 1e22, 123456789.12345678]])
+        before, rows, after, newline = STREAM_LAYOUTS[layout](textio.format_rows(table))
+        path = tmp_path / "data.txt"
+        write_lines(path, ["# dd-dataset v1", *before, "kind=FP dim=2 units=SI", *rows,
+                           *after], newline)
+        src = textio.read(path, "# dd-dataset v1")
+        assert src.header_line == 2 + len(before)
+        streamed = src.rows(src.header_line, None, 8)
+        # a comment inside the block sends the parse to the file's lines
+        assert ("lines" in vars(src)) == any(line.lstrip().startswith("#") for line in rows)
+        whole = src.rows(src.header_line, len(src.lines), 8)
+        assert streamed.dtype == whole.dtype == np.float64
+        assert streamed.tobytes() == whole.tobytes() == table.tobytes()
+
+    def test_load_peak_memory_is_a_few_times_the_arrays(self, tmp_path, rng):
+        # the parse holds neither the file's text nor a list of its lines:
+        # the table, the two arrays cut from it and the validation's
+        # temporaries stay below 5x the arrays (7x when the whole file is
+        # read as text and split into lines)
+        path = tmp_path / "data.txt"
+        table = fp_rows_2d(20_000, rng)
+        save_dataset(DataSet(PairingKind.FP, 2, table[:, :4], table[:, 4:]), path)
+        load_dataset(path)
+        tracemalloc.start()
+        try:
+            data = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(np.hstack([data.strains, data.stresses]), table)
+        assert peak < 5 * (data.strains.nbytes + data.stresses.nbytes)

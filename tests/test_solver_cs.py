@@ -616,7 +616,41 @@ MIXED_MESHES = [
 ]
 
 
+def four_block_pattern(mesh, bcs):
+    """(slot, indices, indptr, nnz) of the reduced Jacobian from one
+    np.unique over the keys of all four blocks of every element matrix,
+    each [u | lam] dof numbered on its own."""
+    n, d = mesh.n_dofs, mesh.dim
+    free = free_dofs(n, bcs.fixed_dofs(mesh)[0])
+    size = 2 * free.size
+    position = np.full((2, n), -1, dtype=np.int64)
+    position[:, free] = np.arange(size).reshape(2, -1)
+    dofs = (mesh.elements[:, :, None] * d + np.arange(d)).reshape(mesh.n_elements, -1)
+    local = np.concatenate(position[:, dofs], axis=1)
+    dropped = size * size
+    key = np.where((local[:, :, None] >= 0) & (local[:, None, :] >= 0),
+                   local[:, None, :] * size + local[:, :, None], dropped)
+    keys, slot = np.unique(key.ravel(), return_inverse=True)
+    nnz = int(np.searchsorted(keys, dropped))
+    keys = keys[:nnz]
+    return (slot.astype(np.int32), (keys % size).astype(np.int32),
+            np.searchsorted(keys // size, np.arange(size + 1)).astype(np.int32), nnz)
+
+
 class TestJacobianPattern:
+    @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
+    def test_pattern_equals_the_four_block_construction(self, make_mesh):
+        mesh = make_mesh()
+        for bcs in (stretch_bcs(mesh, 0.03), clamped_tip_bcs(mesh, 0.1)):
+            pattern = JacobianPattern(mesh, bcs)
+            slot, indices, indptr, nnz = four_block_pattern(mesh, bcs)
+            assert pattern.nnz == nnz
+            assert pattern.size == 2 * pattern.free.size
+            for got, want in zip((pattern.slot, pattern.indices, pattern.indptr),
+                                 (slot, indices, indptr)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("make_mesh", MIXED_MESHES, ids=["QUAD4", "HEX8"])
     def test_scatter_matches_the_sliced_full_blocks(self, make_mesh, rng):
         mesh = make_mesh()
