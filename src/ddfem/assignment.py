@@ -85,14 +85,14 @@ class Pass:
 
 def checked_dataset(mesh: Mesh, dataset: DataSet, kind: PairingKind,
                     mu0: float | None) -> DataSet:
-    """Reject a dataset of the wrong pairing or dimension; apply a mu0 override."""
+    """Reject a dataset of the wrong pairing or dimension; apply a mu0 override it lacks."""
     if dataset.kind is not kind:
         raise ValueError(f"solver expects the {kind.value} pairing, got "
                          f"{dataset.kind.value}")
     if dataset.dim != mesh.dim:
         raise ValueError(f"dataset dimension {dataset.dim} does not match mesh "
                          f"dimension {mesh.dim}")
-    return dataset if mu0 is None else dataset.with_mu0(mu0)
+    return dataset if mu0 is None or mu0 == dataset.mu0 else dataset.with_mu0(mu0)
 
 
 def assignment_loop(solve_pass: Callable, search: Callable, mesh: Mesh,

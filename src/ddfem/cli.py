@@ -24,7 +24,7 @@ import numpy as np
 
 from .data_gen import Family, GeneratorSpec, convert_pairing, generate
 from .fem import BoundaryConditions, Mesh, gradient_field, load_mesh
-from .multilevel import run_multilevel, write_level_table
+from .multilevel import MultilevelOptions, run_multilevel, write_level_table
 from .phase_space import PairingKind, load_dataset, save_dataset
 from .reference import LinearElasticLaw, solve_linear_elastic
 from .report import SolveReport, emit_report
@@ -35,16 +35,11 @@ from .tensors import sym
 _COMP_NAMES = {"x": 0, "y": 1, "z": 2}
 
 
-@dataclass
-class MultilevelOptions:
-    """[multilevel] section: refinement source and stopping rule."""
+@dataclass(frozen=True, kw_only=True)
+class MultilevelSection(MultilevelOptions):
+    """[multilevel] section: the run's settings and the refinement pool's file."""
 
     source: str
-    max_levels: int = 5
-    stop_delta: float = 0.02
-    keep_all: bool = False
-    radius: float | None = None
-    penalty_floor: float = 1e-16
 
 
 @dataclass
@@ -66,7 +61,7 @@ class RunConfig:
     emit_vtk: bool = False
     emit_level_table: bool = True
     solver: object = None       # FpConfig or CsConfig
-    multilevel: MultilevelOptions | None = None
+    multilevel: MultilevelSection | None = None
     reference: LinearElasticLaw | None = None
 
 
@@ -209,7 +204,7 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
 
     The keys, defaults and value types of [run], [solver], [generator],
     [multilevel] and [reference] are the fields of RunConfig, the
-    solver config, GeneratorSpec, MultilevelOptions and LinearElasticLaw.
+    solver config, GeneratorSpec, MultilevelSection and LinearElasticLaw.
     """
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
@@ -250,8 +245,8 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
 
     multilevel = reference = None
     if cp.has_section("multilevel"):
-        multilevel = _build("multilevel", MultilevelOptions,
-                            _read_section(cp, "multilevel", MultilevelOptions))
+        multilevel = _build("multilevel", MultilevelSection,
+                            _read_section(cp, "multilevel", MultilevelSection))
     if cp.has_section("reference"):
         reference = _build("reference", LinearElasticLaw,
                            _read_section(cp, "reference", LinearElasticLaw))
@@ -348,13 +343,8 @@ def cmd_multilevel(args) -> int:
         raise ValueError("config: the multilevel subcommand needs a "
                          "[multilevel] section")
     mesh, initial, bcs, solver_cfg = _prepare(cfg, args.threads)
-    ml = cfg.multilevel
-    source = load_dataset(ml.source)
-    records, report = run_multilevel(
-        mesh, bcs, source, solver_cfg,
-        max_levels=ml.max_levels, stop_delta=ml.stop_delta, initial=initial,
-        radius=ml.radius, keep_all=ml.keep_all,
-        penalty_floor=ml.penalty_floor)
+    records, report = run_multilevel(mesh, bcs, load_dataset(cfg.multilevel.source),
+                                     solver_cfg, cfg.multilevel, initial)
     paths = _emit(report, cfg, chash)
     if cfg.emit_level_table:
         table = Path(cfg.output) / "levels.tsv"

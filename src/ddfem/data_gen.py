@@ -46,6 +46,9 @@ class GeneratorSpec:
     log_spacing: bool = False
 
     def __post_init__(self):
+        for name in ("c1", "c3", "stretch_range"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         lo, hi = self.stretch_range
         if lo <= 0.0:
             raise ValueError("stretches must be positive")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -250,10 +251,12 @@ def _collect_dirichlet(triples, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"dirichlet node {node} outside mesh")
         if not 0 <= comp < mesh.dim:
             raise ValueError(f"dirichlet component {comp} outside dimension {mesh.dim}")
-        dof = node * mesh.dim + comp
-        if dof in seen and seen[dof] != float(value):
+        dof, value = node * mesh.dim + comp, float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"dirichlet value at node {node} component {comp} is not finite")
+        if dof in seen and seen[dof] != value:
             raise ValueError(f"conflicting dirichlet values at node {node} component {comp}")
-        seen[dof] = float(value)
+        seen[dof] = value
     if not seen:
         return np.empty(0, dtype=np.int64), np.empty(0)
     dofs = np.array(sorted(seen), dtype=np.int64)
@@ -292,10 +295,10 @@ class BoundaryConditions:
         return dofs, np.zeros(dofs.size)
 
     def external_force(self, mesh: Mesh) -> np.ndarray:
-        """Dead-load vector on displacement dofs."""
+        """Dead-load vector on displacement dofs; a non-finite load raises."""
         f = np.zeros((mesh.n_nodes, mesh.dim))
         if self.body_force is not None:
-            b = np.asarray(self.body_force, dtype=float)
+            b = _finite_load(self.body_force, "body force")
             quad = mesh.quadrature()
             if b.ndim == 1:
                 contrib = np.einsum("eq,qa,i->eai", quad.weights, quad.n,
@@ -306,12 +309,21 @@ class BoundaryConditions:
             np.add.at(f, mesh.elements, contrib)
         for face, traction in self.tractions:
             face = tuple(int(n) for n in np.atleast_1d(face))
-            t = np.asarray(traction, dtype=float).reshape(mesh.dim)
+            t = _finite_load(traction, f"traction on face {face}").reshape(mesh.dim)
             for node, share in _face_shares(mesh, face):
                 f[node] += share * t
         for node, force in self.point_loads:
-            f[int(node)] += np.asarray(force, dtype=float).reshape(mesh.dim)
+            node = int(node)
+            f[node] += _finite_load(force, f"point load on node {node}").reshape(mesh.dim)
         return f.ravel()
+
+
+def _finite_load(value, name: str) -> np.ndarray:
+    """`value` as a float array; raises naming the load when it is not finite."""
+    value = np.asarray(value, dtype=float)
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} is not finite")
+    return value
 
 
 def _face_shares(mesh: Mesh, face: tuple[int, ...]):

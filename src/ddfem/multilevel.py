@@ -2,10 +2,11 @@
 
 Runs the data-driven solver on a coarse dataset, collects the support
 (the tuples actually assigned to quadrature points), densifies the
-dataset around that support, and re-solves.  Levels continue until the
-support stops growing or ``max_levels`` is reached.  Every level solves
-on the same mesh and boundary conditions with the first level's mu0, so
-FP levels share the factored Laplacian the mesh keeps.
+dataset around that support, and re-solves, as `MultilevelOptions` sets.
+Every level solves on one mesh and boundary conditions in one metric,
+the solver config's mu0 or else the level-1 dataset's: the pool, its
+spacing, the refinement and each solve measure in it, and FP levels
+share the factored Laplacian the mesh keeps.
 """
 
 from __future__ import annotations
@@ -35,19 +36,44 @@ class LevelRecord:
     wall_time: float
 
 
-def _solve(mesh, bcs, dataset, config):
+@dataclass(frozen=True)
+class MultilevelOptions:
+    """Refinement and stopping settings of :func:`run_multilevel`, checked here.
+
+    The loop ends after max_levels levels, once the support grows by less
+    than stop_delta relative to the level before, or once the global
+    penalty is at most penalty_floor.  keep_all keeps the previous level's
+    unused tuples; a radius of None takes twice the level's median
+    nearest-neighbour spacing.
+    """
+
+    max_levels: int = 5
+    stop_delta: float = 0.02
+    keep_all: bool = False
+    radius: float | None = None
+    penalty_floor: float = 1e-16
+
+    def __post_init__(self):
+        if self.max_levels < 1:
+            raise ValueError(f"max_levels must be >= 1, got {self.max_levels}")
+        if self.radius is not None and not 0.0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        for name in ("stop_delta", "penalty_floor"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
+
+def _solver(config):
     if isinstance(config, FpConfig):
-        return solve_fp(mesh, bcs, dataset, config=config)
+        return solve_fp
     if isinstance(config, CsConfig):
-        return solve_cs(mesh, bcs, dataset, config=config)
+        return solve_cs
     raise TypeError(f"config must be FpConfig or CsConfig, got {type(config).__name__}")
 
 
 def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
-                   max_levels: int = 5, stop_delta: float = 0.02,
-                   initial: DataSet | None = None, radius: float | None = None,
-                   keep_all: bool = False,
-                   penalty_floor: float = 1e-16) -> tuple[list[LevelRecord], SolveReport]:
+                   options: MultilevelOptions | None = None,
+                   initial: DataSet | None = None) -> tuple[list[LevelRecord], SolveReport]:
     """Iterated solve / refine loop over progressively denser datasets.
 
     Parameters
@@ -58,23 +84,12 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
         the refinement radius, and returns an iterable of
         ``(strain, stress)`` pairs, each of d*d values in any shape.
     config : FpConfig or CsConfig
-        Picks the solver formulation for every level.
+        Picks the solver formulation and, when it sets mu0, every level's metric.
+    options : MultilevelOptions, optional
+        Refinement and stopping settings; None takes the defaults.
     initial : DataSet, optional
         Level-1 dataset.  Defaults to ``source`` itself when the source is
         a plain DataSet; required for a generator source.
-    stop_delta : float
-        Relative support growth below which the loop stops: after level
-        ``l`` the loop ends when ``(|S_l| - |S_{l-1}|) / max(1, |S_{l-1}|)``
-        falls below it.  Must be finite.
-    radius : float, optional
-        Refinement radius, positive and finite; None takes twice the
-        current level's median nearest-neighbour spacing.
-    keep_all : bool
-        Keep every tuple of the previous level instead of pruning the ones
-        no quadrature point was assigned to.
-    penalty_floor : float
-        Global penalty at or below this value ends the loop early; a
-        consistent dataset stops at level 1.  Must be finite.
 
     Returns
     -------
@@ -84,30 +99,23 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
         loop; the records so far are returned with that level's report,
         whose ``converged`` is False.
     """
-    if max_levels < 1:
-        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
-    if radius is not None and not 0.0 < radius < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    for name, value in (("stop_delta", stop_delta), ("penalty_floor", penalty_floor)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if initial is None:
-        if not isinstance(source, DataSet):
-            raise ValueError("initial dataset is required when source is a generator")
-        dataset = source
-    else:
-        dataset = initial
+    options = options or MultilevelOptions()
+    solve = _solver(config)
+    if initial is None and not isinstance(source, DataSet):
+        raise ValueError("initial dataset is required when source is a generator")
+    dataset = source if initial is None else initial
+    if config.mu0 is not None and config.mu0 != dataset.mu0:
+        dataset = dataset.with_mu0(config.mu0)
     if isinstance(source, DataSet) and source.mu0 != dataset.mu0:
         # every level keeps the first level's mu0: convert the pool once
         # so that refine_around reuses its tree
         source = source.with_mu0(dataset.mu0)
 
     records: list[LevelRecord] = []
-    report = None
     prev_support = None
-    for level in range(1, max_levels + 1):
+    for level in range(1, options.max_levels + 1):
         t0 = time.perf_counter()
-        report = _solve(mesh, bcs, dataset, config)
+        report = solve(mesh, bcs, dataset, config=config)
         wall = time.perf_counter() - t0
         support = np.unique(report.assigned)
         records.append(LevelRecord(
@@ -120,16 +128,16 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
         ))
         if not report.converged:
             break
-        if report.global_penalty <= penalty_floor:
+        if report.global_penalty <= options.penalty_floor:
             break
         if prev_support is not None:
             growth = (support.size - prev_support) / max(1, prev_support)
-            if growth < stop_delta:
+            if growth < options.stop_delta:
                 break
-        if level == max_levels:
+        if level == options.max_levels:
             break
         dataset = refine_around(source, support, dataset,
-                                radius=radius, keep_all=keep_all)
+                                radius=options.radius, keep_all=options.keep_all)
         prev_support = support.size
     return records, report
 

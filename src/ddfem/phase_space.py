@@ -232,6 +232,14 @@ def _batch_workers(n_queries: int, workers: int) -> int:
     return max(1, min(workers, n_queries // _QUERIES_PER_WORKER))
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Raise naming the first state, a row of `values`, with a non-finite entry."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+        raise ValueError(f"state {first}: {what} not finite")
+
+
 def nearest_many(strains: np.ndarray, stresses: np.ndarray, dataset: DataSet,
                  workers: int = 1) -> np.ndarray:
     """Exact nearest tuple ids for a batch of states; ties go to the lowest id.
@@ -246,15 +254,20 @@ def nearest_many(strains: np.ndarray, stresses: np.ndarray, dataset: DataSet,
     `workers` caps the query workers; a batch gets one worker per
     _QUERIES_PER_WORKER queries, so a batch below that runs on the
     calling thread.  Each query is independent, so results do not
-    depend on the count.
+    depend on the count.  A state whose scaled coordinates or distance to
+    the nearest tuple are not finite (a NaN, or one so far out that the
+    distance overflows) has no nearest tuple and raises ValueError.
     """
     dd = dataset.dim ** 2
     qe = np.ascontiguousarray(strains, dtype=float).reshape(-1, dd)
     qs = np.ascontiguousarray(stresses, dtype=float).reshape(-1, dd)
     tree = dataset.tree()
-    x = _scaled(qe, qs, dataset.mu0)
-    y = x @ dataset.axes
+    with np.errstate(invalid="ignore", over="ignore"):
+        x = _scaled(qe, qs, dataset.mu0)
+        y = x @ dataset.axes
+    _check_finite(y, "scaled coordinates are")
     dist, ids = tree.query(y, k=2, workers=_batch_workers(len(y), workers))
+    _check_finite(dist[:, 0], "distance to the nearest tuple is")
     out = ids[:, 0].astype(np.int64)
     margin = _tie_margin(dist[:, 0], x)
     near = np.flatnonzero(dist[:, 1] - dist[:, 0] <= margin)

@@ -26,6 +26,9 @@ class LinearElasticLaw:
     nu: float
 
     def __post_init__(self):
+        for name in ("e_mod", "nu"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.e_mod <= 0.0:
             raise ValueError("Young's modulus must be positive")
         if not -1.0 < self.nu < 0.5:

@@ -33,6 +33,25 @@ def unit_square():
     return mesh
 
 
+# one non-finite value in each kind of BoundaryConditions entry, on the
+# rod mesh with its left end fixed, and the message that names it
+NON_FINITE_BCS = [
+    pytest.param(dict(dirichlet=[(0, 0, 0.0), (10, 0, np.nan)]),
+                 "dirichlet value at node 10 component 0 is not finite", id="dirichlet"),
+    pytest.param(dict(tractions=[((10,), [np.inf])]),
+                 "traction on face (10,) is not finite", id="traction"),
+    pytest.param(dict(point_loads=[(10, [-np.inf])]),
+                 "point load on node 10 is not finite", id="point-load"),
+    pytest.param(dict(body_force=np.array([np.nan])), "body force is not finite",
+                 id="body-force"),
+]
+
+
+def non_finite_bcs(entry):
+    """BoundaryConditions fixing the rod's left end, plus `entry`."""
+    return BoundaryConditions(**{"dirichlet": [(0, 0, 0.0)], **entry})
+
+
 def end_load_bcs(mesh, force):
     """Fix the left end of a rod, pull the last node with `force` [N]."""
     return BoundaryConditions(

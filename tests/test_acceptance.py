@@ -24,7 +24,7 @@ from ddfem.data_gen import (Family, GeneratorSpec, augment_rotations_2d,
                             generate, load_unit_loads, piola_stress_1d,
                             superpose_linear)
 from ddfem.fem import BoundaryConditions, line_mesh, rect_mesh, save_mesh
-from ddfem.multilevel import run_multilevel
+from ddfem.multilevel import MultilevelOptions, run_multilevel
 from ddfem.phase_space import (DataSet, PairingKind, refine_around,
                                save_dataset)
 from ddfem.reference import LinearElasticLaw, solve_linear_elastic
@@ -299,8 +299,8 @@ def test_10_multilevel_support_and_penalty_contracts(rod_mesh):
             dataset = refined
 
     records, _ = run_multilevel(rod_mesh, bcs, source, FpConfig(),
-                                max_levels=3, stop_delta=0.0,
-                                penalty_floor=0.0, initial=coarse)
+                                MultilevelOptions(max_levels=3, stop_delta=0.0,
+                                                  penalty_floor=0.0), initial=coarse)
     ok = (all(s <= n_qp for s in supports)
           and contained
           and penalties[-1] <= penalties[0]

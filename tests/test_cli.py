@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ddfem import cli, multilevel
-from ddfem.cli import MultilevelOptions, RunConfig, main, parse_config
+from ddfem.cli import MultilevelSection, RunConfig, main, parse_config
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import line_mesh, save_mesh
 from ddfem.phase_space import PairingKind, load_dataset, save_dataset
@@ -104,7 +104,7 @@ nu = 0.3333
             dirichlet=(("left", 0, 0.0),), traction=(("right", (1000.0,)),),
             body_force=(50.0,),
             solver=FpConfig(mu0=1.5e6, max_data_iterations=77),
-            multilevel=MultilevelOptions(source=str(data_path), max_levels=3),
+            multilevel=MultilevelSection(source=str(data_path), max_levels=3),
             reference=LinearElasticLaw(e_mod=1e6, nu=0.3333))
 
     def test_round_trip_with_generator(self, workspace):
@@ -228,6 +228,26 @@ pairing = CS
             parse_config(text)
         assert str(err.value) == f"config [generator] {key}: cannot parse 'x' as {what}"
 
+    @pytest.mark.parametrize("line, message", [
+        ("c1 = nan", "c1 must be finite, got nan"),
+        ("c3 = inf", "c3 must be finite, got inf"),
+        ("stretch_max = inf", "stretch_range must be finite, got (1.0, inf)"),
+        ("stretch_min = nan", "stretch_range must be finite, got (nan, 3.2)")])
+    def test_generator_values_must_be_finite(self, line, message):
+        text = ("[run]\nformulation = FP\nmesh = m\noutput = o\n[generator]\n"
+                f"family = yeoh\n{line}\n" + ("" if line.startswith("c1") else "c1 = 1.0\n"))
+        with pytest.raises(ValueError) as err:
+            parse_config(text)
+        assert str(err.value) == f"config [generator]: {message}"
+
+    @pytest.mark.parametrize("e_mod", ["nan", "inf"])
+    def test_reference_modulus_must_be_finite(self, e_mod):
+        text = ("[run]\nformulation = FP\nmesh = m\noutput = o\ndataset = d\n"
+                f"[reference]\ne_mod = {e_mod}\nnu = 0.3\n")
+        with pytest.raises(ValueError) as err:
+            parse_config(text)
+        assert str(err.value) == f"config [reference]: e_mod must be finite, got {e_mod}"
+
     def test_reference_parse_error_carries_one_prefix(self):
         text = ("[run]\nformulation = FP\nmesh = m\noutput = o\ndataset = d\n"
                 "[reference]\ne_mod = x\nnu = 0.3\n")
@@ -289,7 +309,7 @@ def test_documented_keys_are_the_accepted_keys():
         "solver.FP": set(cli._keys(FpConfig)),
         "solver.CS": set(cli._keys(CsConfig)),
         "generator": set(cli._keys(GeneratorSpec)) | set(cli._GEN_MAPPED),
-        "multilevel": set(cli._keys(MultilevelOptions)),
+        "multilevel": set(cli._keys(MultilevelSection)),
         "reference": set(cli._keys(LinearElasticLaw)),
     }
     assert documented_keys() == accepted
@@ -403,6 +423,38 @@ dirichlet.clamp = x=0
         assert "not found in mesh" in err
         assert "left" in err  # the available sets are listed
 
+    @pytest.mark.parametrize("formulation", ["FP", "CS"])
+    @pytest.mark.parametrize("line, bc, message", [
+        ("traction.right = .*", "traction.right = nan", "traction on face (10,) is not finite"),
+        ("traction.right = .*", "traction.right = inf", "traction on face (10,) is not finite"),
+        ("dirichlet.left = .*", "dirichlet.left = x=nan",
+         "dirichlet value at node 0 component 0 is not finite"),
+        ("dirichlet.left = .*", "dirichlet.left = x=0\nbody_force = nan",
+         "body force is not finite")])
+    def test_non_finite_boundary_values_are_input_errors(self, workspace, capsys,
+                                                         formulation, line, bc, message):
+        tmp_path, mesh_path, data_path = workspace
+        if formulation == "CS":
+            data_path = tmp_path / "rubber_cs.data"
+            save_dataset(generate(GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=200,
+                                                pairing=PairingKind.CS)), data_path)
+        cfg = rod_config(tmp_path, mesh_path, data_path, outdir="nonfinite")
+        text = cfg.read_text().replace("formulation = FP", f"formulation = {formulation}")
+        cfg.write_text(re.sub(line, bc, text))
+        assert main(["solve", str(cfg), "--threads", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "nonfinite").exists()
+
+    def test_a_state_beyond_every_tuple_is_an_input_error(self, workspace, capsys):
+        # the recovered stresses are finite, but their distance to the data overflows
+        tmp_path, mesh_path, data_path = workspace
+        cfg = rod_config(tmp_path, mesh_path, data_path, outdir="far", traction=1e300)
+        assert main(["solve", str(cfg), "--threads", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: state 0: distance to the nearest tuple is not finite"
+        assert "Traceback" not in err
+        assert not (tmp_path / "far").exists()
+
     def test_missing_config_file_is_an_input_error(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.ini")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -489,6 +541,16 @@ class TestDatasetCommands:
         assert data.kind is PairingKind.FP
         assert main(["validate-dataset", str(out)]) == 0
         assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, message", [
+        (["--c1", "nan"], "c1 must be finite, got nan"),
+        (["--c1", "1.0", "--c3", "inf"], "c3 must be finite, got inf"),
+        (["--c1", "1.0", "--range", "1:inf"], "stretch_range must be finite, got (1.0, inf)")])
+    def test_generate_names_a_non_finite_value(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x.data"
+        assert main(["generate", "--family", "yeoh", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_generate_rejects_a_bad_range(self, tmp_path, capsys):
         code = main(["generate", "--family", "neohooke", "--c1", "1.0",
@@ -587,6 +649,24 @@ class TestMultilevelCommand:
         cfg = rod_config(tmp_path, mesh_path, data_path, outdir="ml2")
         assert main(["multilevel", str(cfg), "--threads", "1"]) == 1
         assert "multilevel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("max_levels = 3", "max_levels = 0", "max_levels must be >= 1, got 0"),
+        ("penalty_floor = 0.0", "penalty_floor = 0.0\nradius = -1",
+         "radius must be positive and finite, got -1.0"),
+        ("stop_delta = 0.0", "stop_delta = nan", "stop_delta must be finite, got nan")],
+        ids=["max_levels", "radius", "stop_delta"])
+    def test_a_bad_setting_fails_before_any_file_is_read(self, workspace, capsys,
+                                                         monkeypatch, old, new, message):
+        cfg = multilevel_config(workspace, "ml_early")
+        cfg.write_text(cfg.read_text().replace(old, new))
+        reads = []
+        for name in ("load_mesh", "load_dataset"):
+            monkeypatch.setattr(cli, name, lambda *args, **kw: reads.append(args))
+        assert main(["multilevel", str(cfg), "--threads", "1"]) == 1
+        assert capsys.readouterr().err == f"error: config [multilevel]: {message}\n"
+        assert reads == []
+        assert not (workspace[0] / "ml_early").exists()
 
     @pytest.mark.parametrize("radius", ["-1", "0", "nan"])
     def test_radius_must_be_positive_and_finite(self, workspace, capsys, radius):

@@ -80,6 +80,21 @@ class TestGeneratorSpec:
             GeneratorSpec(**base)
 
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(c1=np.nan), "c1 must be finite, got nan"),
+        (dict(c1=np.inf), "c1 must be finite, got inf"),
+        (dict(c3=np.nan), "c3 must be finite, got nan"),
+        (dict(stretch_range=(1.0, np.inf)), "stretch_range must be finite, got (1.0, inf)"),
+        (dict(stretch_range=(np.nan, 2.0)), "stretch_range must be finite, got (nan, 2.0)")])
+    def test_non_finite_values_are_named(self, kwargs, message):
+        # generate() does not validate its tuples, so a NaN here would reach the data
+        base = dict(family=Family.YEOH, c1=C1_RUBBER)
+        base.update(kwargs)
+        with pytest.raises(ValueError) as err:
+            GeneratorSpec(**base)
+        assert str(err.value) == message
+
+
 class TestGenerators1D:
     def test_neohooke_fp_tuples(self):
         spec = GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=3,

@@ -10,7 +10,7 @@ from conftest import count_factorizations, end_load_bcs, same_report
 from ddfem import multilevel
 from ddfem.data_gen import Family, GeneratorSpec, generate, piola_stress_1d
 from ddfem.fem import BoundaryConditions
-from ddfem.multilevel import LevelRecord, run_multilevel, write_level_table
+from ddfem.multilevel import LevelRecord, MultilevelOptions, run_multilevel, write_level_table
 from ddfem.phase_space import DataSet, PairingKind, refine_around
 from ddfem.solver_cs import CsConfig
 from ddfem.solver_fp import FpConfig, solve_fp
@@ -22,6 +22,12 @@ def rubber_set(n, mu0=None):
     spec = GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=n,
                          stretch_range=(1.0, 3.2))
     return generate(spec, mu0=mu0)
+
+
+def refining(max_levels, **kwargs):
+    """Options that stop at `max_levels` only: no growth or penalty stop."""
+    return MultilevelOptions(max_levels=max_levels, stop_delta=0.0, penalty_floor=0.0,
+                             **kwargs)
 
 
 @pytest.fixture
@@ -38,7 +44,7 @@ class TestRunMultilevel:
         data = rubber_set(100)
         bcs = end_load_bcs(rod_mesh, 40.0)
         records, report = run_multilevel(rod_mesh, bcs, data, FpConfig(),
-                                         max_levels=1)
+                                         MultilevelOptions(max_levels=1))
         direct = solve_fp(rod_mesh, bcs, data)
         assert len(records) == 1
         assert records[0].level == 1
@@ -55,7 +61,7 @@ class TestRunMultilevel:
                        validate=False)
         bcs = end_load_bcs(rod_mesh, p_exact * rod_mesh.area)
         records, report = run_multilevel(rod_mesh, bcs, data, FpConfig(),
-                                         max_levels=5)
+                                         MultilevelOptions(max_levels=5))
         assert len(records) == 1
         assert report.converged
         assert records[0].penalty <= 1e-16
@@ -65,9 +71,7 @@ class TestRunMultilevel:
         source = rubber_set(2000)
         coarse = rubber_set(20, mu0=source.mu0)
         records, report = run_multilevel(rod_mesh, graded_bcs, source,
-                                         FpConfig(), max_levels=3,
-                                         stop_delta=0.0, initial=coarse,
-                                         penalty_floor=0.0)
+                                         FpConfig(), refining(3), initial=coarse)
         n_qp = rod_mesh.quadrature().weights.size
         assert report.converged
         assert all(r.n_support <= n_qp for r in records)
@@ -78,8 +82,7 @@ class TestRunMultilevel:
         source = rubber_set(2000)
         coarse = rubber_set(20, mu0=source.mu0)
         records, _ = run_multilevel(rod_mesh, graded_bcs, source, FpConfig(),
-                                    max_levels=3, stop_delta=0.0,
-                                    initial=coarse, penalty_floor=0.0)
+                                    refining(3), initial=coarse)
         assert len(records) >= 2
         assert records[-1].penalty <= records[0].penalty
 
@@ -95,8 +98,7 @@ class TestRunMultilevel:
         present = {row.tobytes() for row in level2_data.strains}
         assert used_rows <= present
         records, _ = run_multilevel(rod_mesh, graded_bcs, source, FpConfig(),
-                                    max_levels=2, stop_delta=0.0,
-                                    initial=coarse, penalty_floor=0.0)
+                                    refining(2), initial=coarse)
         assert records[0].n_support == support.size
         assert records[1].n_data == len(level2_data)
 
@@ -105,9 +107,7 @@ class TestRunMultilevel:
         source = rubber_set(800)
         coarse = rubber_set(20, mu0=source.mu0)
         records, _ = run_multilevel(rod_mesh, graded_bcs, source, FpConfig(),
-                                    max_levels=2, stop_delta=0.0,
-                                    initial=coarse, keep_all=True,
-                                    penalty_floor=0.0)
+                                    refining(2, keep_all=True), initial=coarse)
         assert len(records) == 2
         assert records[1].n_data >= records[0].n_data
 
@@ -116,8 +116,7 @@ class TestRunMultilevel:
         source = rubber_set(2000)
         coarse = rubber_set(20)
         assert coarse.mu0 != source.mu0
-        kwargs = dict(max_levels=3, stop_delta=0.0, initial=coarse,
-                      penalty_floor=0.0)
+        kwargs = dict(options=refining(3), initial=coarse)
         conversions = []
         with_mu0 = DataSet.with_mu0
         monkeypatch.setattr(DataSet, "with_mu0",
@@ -137,11 +136,35 @@ class TestRunMultilevel:
         assert rec_a[1].n_data > rec_a[0].n_support
         assert np.array_equal(rep_a.u, rep_b.u)
 
+    def test_a_solver_mu0_is_the_metric_of_every_level(self, rod_mesh, graded_bcs,
+                                                         monkeypatch):
+        # FpConfig(mu0=X) measures the pool, the spacing and the refinement
+        # in X, as it does with both datasets already stored at X
+        source = rubber_set(2000)
+        coarse = rubber_set(20)
+        x = 5.0 * coarse.mu0
+        conversions = []
+        with_mu0 = DataSet.with_mu0
+        monkeypatch.setattr(DataSet, "with_mu0",
+                            lambda ds, mu0: conversions.append(ds) or with_mu0(ds, mu0))
+        rec_a, rep_a = run_multilevel(rod_mesh, graded_bcs, source, FpConfig(mu0=x),
+                                      refining(4), initial=coarse)
+        # the level-1 dataset and the pool once each; no level converts again
+        assert conversions == [coarse, source]
+        rec_b, rep_b = run_multilevel(rod_mesh, graded_bcs, source.with_mu0(x), FpConfig(),
+                                      refining(4), initial=coarse.with_mu0(x))
+        assert len(rec_a) >= 2
+        assert rec_a[1].n_data > rec_a[0].n_support
+        assert ([replace(r, wall_time=0.0) for r in rec_a]
+                == [replace(r, wall_time=0.0) for r in rec_b])
+        assert rep_a.mu0 == rep_b.mu0 == x
+        assert np.array_equal(rep_a.u, rep_b.u)
+
     def test_levels_share_one_factorization(self, rod_mesh, graded_bcs, monkeypatch):
         built = count_factorizations(monkeypatch)
         source = rubber_set(2000)
         coarse = rubber_set(20, mu0=source.mu0)
-        kwargs = dict(max_levels=4, stop_delta=0.0, initial=coarse, penalty_floor=0.0)
+        kwargs = dict(options=refining(4), initial=coarse)
         records, report = run_multilevel(rod_mesh, graded_bcs, source, FpConfig(), **kwargs)
         assert len(records) >= 3
         assert len(built) == 1
@@ -157,8 +180,7 @@ class TestRunMultilevel:
     def test_runs_are_deterministic(self, rod_mesh, graded_bcs):
         source = rubber_set(1000)
         coarse = rubber_set(25, mu0=source.mu0)
-        kwargs = dict(max_levels=3, stop_delta=0.0, initial=coarse,
-                      penalty_floor=0.0)
+        kwargs = dict(options=refining(3), initial=coarse)
         rec_a, rep_a = run_multilevel(rod_mesh, graded_bcs, source,
                                       FpConfig(), **kwargs)
         rec_b, rep_b = run_multilevel(rod_mesh, graded_bcs, source,
@@ -195,9 +217,7 @@ class TestRunMultilevel:
             return pairs
 
         records, report = run_multilevel(rod_mesh, graded_bcs, src,
-                                         FpConfig(), max_levels=2,
-                                         stop_delta=0.0, initial=coarse,
-                                         penalty_floor=0.0)
+                                         FpConfig(), refining(2), initial=coarse)
         assert len(calls) >= 1
         assert len(records) == 2
         assert records[1].n_data > records[0].n_support
@@ -208,7 +228,7 @@ class TestRunMultilevel:
         bcs = end_load_bcs(rod_mesh, 40.0)
         config = FpConfig(max_data_iterations=1)
         records, report = run_multilevel(rod_mesh, bcs, data, config,
-                                         max_levels=4)
+                                         MultilevelOptions(max_levels=4))
         assert len(records) == 1
         assert not report.converged
 
@@ -220,7 +240,7 @@ class TestRunMultilevel:
         data = generate(spec)
         bcs = end_load_bcs(rod_mesh, 40.0)
         records, report = run_multilevel(rod_mesh, bcs, data, CsConfig(),
-                                         max_levels=1)
+                                         MultilevelOptions(max_levels=1))
         assert report.formulation == "CS"
         assert len(records) == 1
 
@@ -229,32 +249,22 @@ class TestRunMultilevel:
             run_multilevel(rod_mesh, end_load_bcs(rod_mesh, 1.0),
                            rubber_set(10), config={"solver": "fp"})
 
-    def test_rejects_zero_levels(self, rod_mesh):
-        with pytest.raises(ValueError, match="max_levels"):
-            run_multilevel(rod_mesh, end_load_bcs(rod_mesh, 1.0),
-                           rubber_set(10), FpConfig(), max_levels=0)
+    def test_rejects_zero_levels(self):
+        with pytest.raises(ValueError, match="^max_levels must be >= 1, got 0$"):
+            MultilevelOptions(max_levels=0)
 
     @pytest.mark.parametrize("radius", [-1.0, 0.0, np.inf, np.nan])
-    def test_rejects_a_radius_that_is_not_positive_and_finite(self, rod_mesh, monkeypatch,
-                                                              radius):
-        solves = []
-        monkeypatch.setattr(multilevel, "solve_fp", lambda *args, **kw: solves.append(1))
-        with pytest.raises(ValueError, match="radius must be positive and finite"):
-            run_multilevel(rod_mesh, end_load_bcs(rod_mesh, 1.0),
-                           rubber_set(10), FpConfig(), radius=radius)
-        assert solves == []
+    def test_rejects_a_radius_that_is_not_positive_and_finite(self, radius):
+        with pytest.raises(ValueError,
+                           match=f"^radius must be positive and finite, got {radius}$"):
+            MultilevelOptions(radius=radius)
 
     @pytest.mark.parametrize("key", ["stop_delta", "penalty_floor"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_rejects_a_stopping_value_that_is_not_finite(self, rod_mesh, monkeypatch,
-                                                         key, value):
+    def test_rejects_a_stopping_value_that_is_not_finite(self, key, value):
         # a NaN stop_delta would never stop the loop, a NaN floor never ends it early
-        solves = []
-        monkeypatch.setattr(multilevel, "solve_fp", lambda *args, **kw: solves.append(1))
-        with pytest.raises(ValueError, match=f"{key} must be finite"):
-            run_multilevel(rod_mesh, end_load_bcs(rod_mesh, 1.0),
-                           rubber_set(10), FpConfig(), **{key: value})
-        assert solves == []
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
+            MultilevelOptions(**{key: value})
 
 
 class TestLevelTable:
@@ -282,7 +292,7 @@ class TestLevelTable:
     def test_written_penalties_round_trip_exactly(self, tmp_path, rod_mesh):
         data = rubber_set(60)
         records, _ = run_multilevel(rod_mesh, end_load_bcs(rod_mesh, 40.0),
-                                    data, FpConfig(), max_levels=1)
+                                    data, FpConfig(), MultilevelOptions(max_levels=1))
         path = tmp_path / "levels.tsv"
         write_level_table(records, path)
         value = path.read_text().splitlines()[2].split("\t")[3]

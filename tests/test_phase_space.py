@@ -1,5 +1,6 @@
 """Metric, assignment, calibration, refinement, and dataset file IO."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,18 @@ class TestNearest:
         ds = flat_set(PairingKind.FP, 1, [[1.7]], [[0.3]])
         assert nearest_one([1.0], [0.0], ds) == 0
         assert nearest_many(np.ones((3, 1)), np.zeros((3, 1)), ds).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("stress, message", [
+        (1e300, "state 1: distance to the nearest tuple is not finite"),
+        (np.nan, "state 1: scaled coordinates are not finite"),
+        (-np.inf, "state 1: scaled coordinates are not finite")])
+    def test_a_state_without_a_finite_distance_raises(self, stress, message):
+        # 1e300 is finite, but its squared distance to every tuple overflows
+        ds = flat_set(PairingKind.FP, 1, np.linspace(1.0, 2.0, 5)[:, None],
+                      np.linspace(0.0, 1.0e6, 5)[:, None])
+        assert nearest_many(ds.strains[1:3], ds.stresses[1:3], ds).tolist() == [1, 2]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nearest_many(np.array([1.25, 1.5]), np.array([2.5e5, stress]), ds)
 
     def test_exact_hit(self, line_set, rng):
         assert nearest_one(line_set.strains[4], line_set.stresses[4], line_set) == 4

@@ -60,6 +60,13 @@ class TestLinearElasticLaw:
             LinearElasticLaw(e_mod=e_mod, nu=nu)
 
 
+    @pytest.mark.parametrize("e_mod", [np.nan, np.inf])
+    def test_non_finite_modulus_is_named(self, e_mod):
+        with pytest.raises(ValueError) as err:
+            LinearElasticLaw(e_mod=e_mod, nu=0.3)
+        assert str(err.value) == f"e_mod must be finite, got {e_mod}"
+
+
 class TestElasticStiffness:
     def test_rod_matrix_is_ea_over_h_tridiagonal(self):
         from ddfem.fem import line_mesh

@@ -5,6 +5,7 @@ every tangent block is compared with a central finite-difference Jacobian
 of the residuals themselves.
 """
 
+import re
 import weakref
 from dataclasses import replace
 
@@ -14,9 +15,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
-from conftest import (count_operator_builds, coupled_blocks, end_load_bcs,
-                      fd_tangent_blocks, random_admissible_state, relative_frobenius,
-                      scripted_search)
+from conftest import (NON_FINITE_BCS, count_operator_builds, coupled_blocks, end_load_bcs,
+                      fd_tangent_blocks, non_finite_bcs, random_admissible_state,
+                      relative_frobenius, scripted_search)
 from ddfem import fem, solver_cs
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import (BoundaryConditions, box_mesh, free_dofs, gradient_field,
@@ -268,6 +269,16 @@ class TestNewton:
 
 
 class TestSolveCs:
+    @pytest.mark.parametrize("entry, message", NON_FINITE_BCS)
+    def test_non_finite_boundary_values_raise_before_the_first_search(
+            self, rod_mesh, monkeypatch, entry, message):
+        # an input error, not a Newton residual that is not finite
+        searches = []
+        monkeypatch.setattr(solver_cs, "nearest_many", lambda *a, **kw: searches.append(a))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_cs(rod_mesh, non_finite_bcs(entry), cs_set([1.0, 1.5], [0.0, 1.0e5], 1.0e5))
+        assert searches == []
+
     def test_rest_state_converges_without_newton_steps(self, rod_mesh):
         data = cs_set([1.0, 1.4, 0.7], [0.0, 2.0e5, -1.5e5], mu0=4.0e5)
         report = solve_cs(rod_mesh, end_load_bcs(rod_mesh, 0.0), data)

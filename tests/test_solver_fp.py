@@ -6,12 +6,15 @@ the discrete equilibrium identity, which the tests recompute
 independently from the reported states.
 """
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import (count_factorizations, count_operator_builds, end_load_bcs,
-                      fp_equilibrium_residual, same_report, scripted_search)
+from conftest import (NON_FINITE_BCS, count_factorizations, count_operator_builds,
+                      end_load_bcs, fp_equilibrium_residual, non_finite_bcs, same_report,
+                      scripted_search)
 from ddfem import solver_fp
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import (BoundaryConditions, ReducedSystem, divergence_rhs, factorize,
@@ -118,6 +121,15 @@ class TestSingleSystems:
 
 
 class TestSolveFp:
+    @pytest.mark.parametrize("entry, message", NON_FINITE_BCS)
+    def test_non_finite_boundary_values_raise_before_the_first_search(
+            self, rod_mesh, monkeypatch, entry, message):
+        searches = []
+        monkeypatch.setattr(solver_fp, "nearest_many", lambda *a, **kw: searches.append(a))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_fp(rod_mesh, non_finite_bcs(entry), fp_set([1.0, 1.5], [0.0, 1.0e5]))
+        assert searches == []
+
     def test_consistent_data_fixed_point_in_two_iterations(self, rod_mesh):
         # the equilibrium state (1.25, 0.3 MPa) is in the set, so the
         # second pass reproduces its own assignment exactly
