@@ -7,6 +7,10 @@ factor).  The augmentation routines grow small homogenized-response
 libraries into full datasets: in-plane rotations, linear superposition of
 unit-load responses, and the cubic-symmetry permutation trick that
 rebuilds all six unit responses from one elongation and one shear state.
+Every dataset made here checks its tuples when it is built, as a loaded
+one does (`phase_space.DataSet`): a generated, augmented or converted
+tuple that is not finite, not symmetric in a symmetric pairing, or out of
+angular momentum balance in FP raises naming that tuple.
 """
 
 from __future__ import annotations
@@ -90,24 +94,25 @@ def generate(spec: GeneratorSpec, mu0: float | None = None) -> DataSet:
 
     FP tuples are (lam, P(lam)) with P from `piola_stress_1d`; CS tuples
     are (lam^2, P(lam) / lam), except LINEAR, whose CS pair is the
-    published (lam^2, c1 lam^2).
+    published (lam^2, c1 lam^2).  A stress that overflows is left to the
+    DataSet's tuple check, which raises naming the first such tuple.
     """
     lam = spec.stretches()
-    if spec.pairing is PairingKind.FP:
-        strain = lam
-        stress = piola_stress_1d(spec.family, lam, spec.c1, spec.c3)
-    elif spec.pairing is PairingKind.CS:
-        strain = lam ** 2
-        if spec.family is Family.LINEAR:
-            # the published linear pair (C, S) = (lam^2, c1 lam^2) is NOT
-            # the push-forward of the (F, P) pair; both are kept verbatim
-            stress = spec.c1 * lam ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.pairing is PairingKind.FP:
+            strain = lam
+            stress = piola_stress_1d(spec.family, lam, spec.c1, spec.c3)
+        elif spec.pairing is PairingKind.CS:
+            strain = lam ** 2
+            if spec.family is Family.LINEAR:
+                # the published linear pair (C, S) = (lam^2, c1 lam^2) is NOT
+                # the push-forward of the (F, P) pair; both are kept verbatim
+                stress = spec.c1 * lam ** 2
+            else:
+                stress = piola_stress_1d(spec.family, lam, spec.c1, spec.c3) / lam
         else:
-            stress = piola_stress_1d(spec.family, lam, spec.c1, spec.c3) / lam
-    else:
-        raise ValueError("1D generators emit FP or CS pairings only")
-    return DataSet(spec.pairing, 1, strain.reshape(-1, 1), stress.reshape(-1, 1),
-                   mu0=mu0, validate=False)
+            raise ValueError("1D generators emit FP or CS pairings only")
+    return DataSet(spec.pairing, 1, strain.reshape(-1, 1), stress.reshape(-1, 1), mu0=mu0)
 
 
 # -- augmentation --------------------------------------------------------
@@ -130,8 +135,7 @@ def augment_rotations_2d(base: DataSet, n_angles: int, mu0: float | None = None)
     strains, stresses = _rotated_copies(base.strains, base.stresses, rotation_2d,
                                         n_angles)
     # rotations leave both RMS norms alone, so the scale carries over
-    return DataSet(base.kind, 2, strains, stresses,
-                   mu0=base.mu0 if mu0 is None else mu0, validate=False)
+    return DataSet(base.kind, 2, strains, stresses, mu0=base.mu0 if mu0 is None else mu0)
 
 
 def _rotated_copies(strains: np.ndarray, stresses: np.ndarray, rotation,
@@ -269,7 +273,7 @@ def isotropic_grid_from_two_states(elong: DataTuple, shear: DataTuple,
         stresses.append(voigt_to_tensor(sigma).reshape(9))
     strains, stresses = _rotated_copies(np.array(strains), np.array(stresses),
                                         rotation_z, n_angles)
-    return DataSet(PairingKind.EPS_SIGMA, 3, strains, stresses, mu0=mu0, validate=False)
+    return DataSet(PairingKind.EPS_SIGMA, 3, strains, stresses, mu0=mu0)
 
 
 # -- pairing conversion ----------------------------------------------------
@@ -297,12 +301,13 @@ def convert_pairing(dataset: DataSet, target: PairingKind,
     part of the original F is irrecoverable.  The small-strain pairing is
     identified through C = 2 eps + I with the stress carried over.  The
     metric scale is recalibrated on the converted values unless given.
+    Converting to the dataset's own pairing returns its tuples, arrays
+    shared, under `mu0` or the dataset's scale (`DataSet.with_mu0`).
     """
     d = dataset.dim
     n = len(dataset)
     if target is dataset.kind:
-        return DataSet(dataset.kind, d, dataset.strains, dataset.stresses,
-                       mu0=dataset.mu0 if mu0 is None else mu0, validate=False)
+        return dataset.with_mu0(dataset.mu0 if mu0 is None else mu0)
 
     eye = np.eye(d)
     e = dataset.strains.reshape(n, d, d)
@@ -314,7 +319,6 @@ def convert_pairing(dataset: DataSet, target: PairingKind,
         c, s = np.swapaxes(e, 1, 2) @ e, np.linalg.solve(e, s)
     else:
         c = 2.0 * e + eye if dataset.kind is PairingKind.EPS_SIGMA else e
-        s = s.copy()
 
     if target is PairingKind.CS:
         strains, stresses = c, s
@@ -324,4 +328,4 @@ def convert_pairing(dataset: DataSet, target: PairingKind,
         f = _spd_sqrt(0.5 * (c + np.swapaxes(c, 1, 2)))
         strains, stresses = f, f @ s
     strains, stresses = strains.reshape(n, -1), stresses.reshape(n, -1)
-    return DataSet(target, d, strains, stresses, mu0=mu0, validate=False)
+    return DataSet(target, d, strains, stresses, mu0=mu0)

@@ -10,7 +10,10 @@ distance between a local state and a tuple with the weighted metric
 
 where |.| is the Frobenius norm and mu0 a positive modulus-like scale.
 Tensors are stored as full row-major d*d component vectors even for the
-symmetric pairings.
+symmetric pairings.  A `DataSet` checks its tuples once, when it is
+built, however it was made: loaded, generated, converted or refined.
+It keeps the arrays it was given without copying them, so treat those
+arrays as read-only.
 
 Nearest-tuple search, nearest-neighbour spacing and pool refinement run
 on one exact index.  Each tuple is embedded as
@@ -39,6 +42,7 @@ the pool's tree once.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 
@@ -86,60 +90,75 @@ def _asymmetric(t: np.ndarray, tol: float) -> np.ndarray:
     return skew > tol * np.maximum(1.0, size)
 
 
+# rows per block of the tuple checks and of auto_mu0's sums, so that
+# their temporaries stay a few block-sized arrays at any dataset size
+_BLOCK = 2048
+
+
 def _validate(kind: PairingKind, dim: int, strains: np.ndarray,
               stresses: np.ndarray) -> None:
     """Raise for the lowest-numbered invalid tuple, naming its first failed check.
 
     Checks in order: finite components; then a symmetric strain and a
     symmetric stress for CS/EPS, or angular momentum balance (relative
-    asymmetry of P F^T) for FP.
+    asymmetry of P F^T) for FP.  A 1x1 tensor is symmetric, so in 1D only
+    the first check can fail.  Runs on blocks of _BLOCK tuples in order,
+    so the first block with an invalid tuple holds the lowest.
     """
-    e = strains.reshape(-1, dim, dim)
-    s = stresses.reshape(-1, dim, dim)
     with np.errstate(invalid="ignore", over="ignore"):
-        failed = [("non-finite component",
-                   ~(np.isfinite(strains).all(axis=1) & np.isfinite(stresses).all(axis=1)))]
-        if kind.symmetric:
-            failed += [("strain tensor is not symmetric", _asymmetric(e, _SYM_TOL)),
-                       ("stress tensor is not symmetric", _asymmetric(s, _SYM_TOL))]
-        else:
-            failed.append(("FP pair violates angular momentum balance",
-                           _asymmetric(s @ transposed(e), _ANGULAR_TOL)))
-    first = min(((int(np.argmax(bad)), order, msg)
-                 for order, (msg, bad) in enumerate(failed) if bad.any()), default=None)
-    if first is not None:
-        raise ValueError(f"tuple {first[0]}: {first[2]}")
+        for lo in range(0, len(strains), _BLOCK):
+            e, s = strains[lo:lo + _BLOCK], stresses[lo:lo + _BLOCK]
+            failed = [("non-finite component",
+                       ~(np.isfinite(e).all(axis=1) & np.isfinite(s).all(axis=1)))]
+            if dim > 1:
+                e, s = e.reshape(-1, dim, dim), s.reshape(-1, dim, dim)
+                if kind.symmetric:
+                    failed += [("strain tensor is not symmetric", _asymmetric(e, _SYM_TOL)),
+                               ("stress tensor is not symmetric", _asymmetric(s, _SYM_TOL))]
+                else:
+                    failed.append(("FP pair violates angular momentum balance",
+                                   _asymmetric(s @ transposed(e), _ANGULAR_TOL)))
+            first = min(((int(np.argmax(bad)), order, msg)
+                         for order, (msg, bad) in enumerate(failed) if bad.any()), default=None)
+            if first is not None:
+                raise ValueError(f"tuple {lo + first[0]}: {first[2]}")
+
+
+def _checked_mu0(mu0) -> float:
+    """mu0 as a float; raise unless it is positive and finite."""
+    if not (mu0 > 0.0 and np.isfinite(mu0)):
+        raise ValueError(f"mu0 must be positive and finite, got {mu0}")
+    return float(mu0)
 
 
 class DataSet:
     """Immutable collection of data tuples with a frozen metric scale.
 
     The tuples live in two (n, d*d) arrays so that searches vectorize.
-    Treat instances as read-only: the search tree is built on first use
-    and cached on the instance.
+    They are the caller's float arrays, not copies (only arrays of
+    another dtype are converted), so `load_dataset`'s two blocks are
+    column views of its one parsed table.  The tuples are checked once,
+    here.  Treat instances and the arrays they were built from as
+    read-only: the search tree is built on first use and cached on the
+    instance.
     """
 
     def __init__(self, kind: PairingKind, dim: int, strains, stresses,
-                 mu0: float | None = None, validate: bool = True):
+                 mu0: float | None = None):
         if dim not in (1, 2, 3):
             raise ValueError(f"unsupported dimension {dim}")
-        strains = np.ascontiguousarray(strains, dtype=float).reshape(-1, dim * dim)
-        stresses = np.ascontiguousarray(stresses, dtype=float).reshape(-1, dim * dim)
+        strains = np.asarray(strains, dtype=float).reshape(-1, dim * dim)
+        stresses = np.asarray(stresses, dtype=float).reshape(-1, dim * dim)
         if strains.shape != stresses.shape:
             raise ValueError("strain/stress arrays disagree in length")
         if strains.shape[0] == 0:
             raise ValueError("dataset must contain at least one tuple")
+        _validate(kind, dim, strains, stresses)
         self.kind = kind
         self.dim = dim
         self.strains = strains
         self.stresses = stresses
-        if validate:
-            _validate(kind, dim, strains, stresses)
-        if mu0 is None:
-            mu0 = auto_mu0(self)
-        if not (mu0 > 0.0 and np.isfinite(mu0)):
-            raise ValueError(f"mu0 must be positive and finite, got {mu0}")
-        self.mu0 = float(mu0)
+        self.mu0 = _checked_mu0(auto_mu0(self) if mu0 is None else mu0)
         self._tree: cKDTree | None = None
         # set by tree(): the orthogonal (k, k) matrix that takes scaled
         # tuples and queries onto the tree's axes
@@ -167,9 +186,26 @@ class DataSet:
         return self._tree
 
     def with_mu0(self, mu0: float) -> "DataSet":
-        """Same tuples under a different metric scale."""
-        return DataSet(self.kind, self.dim, self.strains, self.stresses,
-                       mu0=mu0, validate=False)
+        """The same tuples, sharing this set's arrays, under another metric scale.
+
+        A metric scale cannot make a tuple invalid, so they are not
+        checked again; the new set builds its own search tree.
+        """
+        other = copy.copy(self)
+        other.mu0 = _checked_mu0(mu0)
+        other._tree = other.axes = None
+        return other
+
+
+def _mean_square(rows: np.ndarray, ref: np.ndarray | float = 0.0) -> np.float64:
+    """Mean over the rows of |row - ref|^2, the same float as
+    `np.mean(np.sum(d * d, axis=1))` for d = rows - ref, without d: the
+    per-row sums are taken on blocks of _BLOCK rows."""
+    sums = np.empty(len(rows))
+    for lo in range(0, len(rows), _BLOCK):
+        d = rows[lo:lo + _BLOCK] - ref
+        np.sum(d * d, axis=1, out=sums[lo:lo + len(d)])
+    return np.mean(sums)
 
 
 def auto_mu0(dataset: DataSet) -> float:
@@ -179,12 +215,10 @@ def auto_mu0(dataset: DataSet) -> float:
     zero-deformation reference.  Degenerate clouds (all strains at the
     reference, or vanishing stresses) cannot be calibrated and raise.
     """
-    strains, stresses = dataset.strains, dataset.stresses
     ref = dataset.kind.strain_reference(dataset.dim).reshape(-1)
-    dev = strains - ref
-    rms_strain = np.sqrt(np.mean(np.sum(dev * dev, axis=1)))
-    rms_stress = np.sqrt(np.mean(np.sum(stresses * stresses, axis=1)))
-    scale = max(1.0, float(np.sqrt(np.mean(np.sum(strains * strains, axis=1)))))
+    rms_strain = np.sqrt(_mean_square(dataset.strains, ref))
+    rms_stress = np.sqrt(_mean_square(dataset.stresses))
+    scale = max(1.0, float(np.sqrt(_mean_square(dataset.strains))))
     if rms_strain <= 100.0 * np.finfo(float).eps * scale:
         raise ValueError("cannot calibrate mu0: all strains sit at the reference state")
     if rms_stress <= 0.0:
@@ -197,12 +231,16 @@ def auto_mu0(dataset: DataSet) -> float:
 
 def penalty_many(strains: np.ndarray, stresses: np.ndarray,
                  assigned: np.ndarray, dataset: DataSet) -> np.ndarray:
-    """Vectorized local penalties for states against their assigned tuples."""
+    """Vectorized local penalties for states against their assigned tuples.
+
+    A state too far from its tuple for floats has an infinite penalty.
+    """
     dd = dataset.dim ** 2
     e = strains.reshape(-1, dd) - dataset.strains[assigned]
     s = stresses.reshape(-1, dd) - dataset.stresses[assigned]
     mu0 = dataset.mu0
-    return 0.5 * mu0 * np.sum(e * e, axis=1) + 0.5 / mu0 * np.sum(s * s, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * mu0 * np.sum(e * e, axis=1) + 0.5 / mu0 * np.sum(s * s, axis=1)
 
 
 def _scaled(strains: np.ndarray, stresses: np.ndarray, mu0: float) -> np.ndarray:
@@ -308,7 +346,10 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
     DataSet and the radius, and returns an iterable of (strain, stress)
     pairs, each of d*d values in any shape.  Unused tuples of `current`
     are dropped unless `keep_all` is set.  The metric scale mu0 carries
-    over unchanged so penalties stay comparable across levels.
+    over unchanged so penalties stay comparable across levels.  The new
+    dataset checks its tuples like any other, so a generated pair that is
+    not finite, or not symmetric in a symmetric pairing, raises naming its
+    tuple in the new dataset.
 
     A pool is searched on its own tree in the current mu0; a pool under
     another mu0 is converted first, so a caller refining repeatedly from
@@ -350,7 +391,7 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
         stresses.append(source.stresses[near])
     else:
         centers = DataSet(current.kind, current.dim, current.strains[assigned],
-                          current.stresses[assigned], mu0=current.mu0, validate=False)
+                          current.stresses[assigned], mu0=current.mu0)
         pairs = list(source(centers, radius))
         if pairs:
             dd = current.dim ** 2
@@ -364,8 +405,7 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
     _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))),
                          return_index=True)
     keep = np.sort(first)
-    return DataSet(current.kind, current.dim, all_e[keep], all_s[keep],
-                   mu0=current.mu0, validate=False)
+    return DataSet(current.kind, current.dim, all_e[keep], all_s[keep], mu0=current.mu0)
 
 
 # -- file format -------------------------------------------------------
@@ -382,9 +422,11 @@ def save_dataset(dataset: DataSet, path) -> None:
 def load_dataset(path, mu0: float | None = None) -> DataSet:
     """Parse a dataset file; errors carry 1-based line numbers.
 
-    The tuples are parsed straight from the file past its header
-    (`textio.TextFile.rows`).  The file's lines are read only when that
-    parse fails or a tuple fails validation, to name the line at fault.
+    The tuples are parsed straight from the file past its header into
+    one (n, 2 d*d) table (`textio.TextFile.rows`), whose column blocks
+    are the dataset's strains and stresses.  The file's lines are read
+    only when that parse fails or a tuple fails validation, to name the
+    line at fault.
     """
     src = textio.read(path, _MAGIC)
     kind, dim = src.field("kind", PairingKind), src.field("dim", int)

@@ -435,7 +435,10 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     """Newton inside the assignment loop, which runs the load steps.
 
     Raises ValueError before the first Newton step when the prescribed
-    dofs leave a rigid mode free (`check_rigid_modes`).
+    dofs leave a rigid mode free (`check_rigid_modes`), or when the
+    residual is not finite there, at the first load step's fields: an
+    input error, where a non-finite residual after a step is a
+    divergence (NewtonError).
     """
     config = config or CsConfig()
     dataset = checked_dataset(mesh, dataset, PairingKind.CS, config.mu0)
@@ -451,9 +454,21 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
 
     def solve_pass(c_star: np.ndarray, s_star: np.ndarray, scale: float, start):
         u0, lam0 = (zeros, zeros) if start is None else start
-        u, lam, iters, norms, kin = newton_solve(
-            mesh, bcs, c_star, s_star, mu0, config, u0=u0, lam0=lam0,
-            f_ext=f_ext * scale, bc_scale=scale, pattern=pattern, solver=solver)
+        try:
+            # an overflow shows as a non-finite residual norm, which
+            # newton_solve rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                u, lam, iters, norms, kin = newton_solve(
+                    mesh, bcs, c_star, s_star, mu0, config, u0=u0, lam0=lam0,
+                    f_ext=f_ext * scale, bc_scale=scale, pattern=pattern, solver=solver)
+        except NewtonError as err:
+            # before any step of the first pass, Newton stands at the
+            # load-free fields: only the loads can have made it non-finite
+            if start is None and not np.isfinite(err.history[0]):
+                raise ValueError(f"Newton residual is not finite at the start of the "
+                                 f"solve, load scale {scale:g}: the loads or "
+                                 f"prescribed displacements are too large") from None
+            raise
         newton_history.append(iters)
         c_qp, s_qp = recover_states_cs(mesh, u, lam, s_star, mu0, kin=kin)
         return u, lam, c_qp, s_qp, norms[-1]

@@ -70,19 +70,23 @@ def solve_fp(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     fixed, vals = bcs.fixed_dofs(mesh)
     zeros = np.zeros(fixed.size)
     f_ext = bcs.external_force(mesh)
-    f_ext_norm = float(np.linalg.norm(f_ext))
+    with np.errstate(over="ignore"):
+        f_ext_norm = float(np.linalg.norm(f_ext))
     eye = np.eye(mesh.dim)
 
     def solve_pass(f_star: np.ndarray, p_star: np.ndarray, scale: float, start):
-        rhs_u = red.rhs(mu0 * divergence_rhs(mesh, f_star - eye), vals)
-        u = red.expand(lu.solve(rhs_u), vals)
-        rhs_l = red.rhs(divergence_rhs(mesh, p_star) - f_ext, zeros)
-        lam = red.expand(lu.solve(rhs_l), zeros)
-        f_qp, p_qp = recover_states(mesh, u, lam, p_star, mu0)
-        eq = divergence_rhs(mesh, p_qp) - f_ext
-        eq_rel = float(np.linalg.norm(eq[red.free]))
-        if f_ext_norm > 0.0:
-            eq_rel /= f_ext_norm
+        # a load too large for floats overflows here; the search that
+        # follows names the first state it made non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs_u = red.rhs(mu0 * divergence_rhs(mesh, f_star - eye), vals)
+            u = red.expand(lu.solve(rhs_u), vals)
+            rhs_l = red.rhs(divergence_rhs(mesh, p_star) - f_ext, zeros)
+            lam = red.expand(lu.solve(rhs_l), zeros)
+            f_qp, p_qp = recover_states(mesh, u, lam, p_star, mu0)
+            eq = divergence_rhs(mesh, p_qp) - f_ext
+            eq_rel = float(np.linalg.norm(eq[red.free]))
+            if f_ext_norm > 0.0:
+                eq_rel /= f_ext_norm
         return u, lam, f_qp, p_qp, eq_rel
 
     quad = mesh.quadrature()

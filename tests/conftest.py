@@ -1,7 +1,22 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from ddfem import phase_space
 from ddfem.fem import BoundaryConditions, line_mesh, rect_mesh
+
+
+@contextlib.contextmanager
+def unchecked_tuples():
+    """Build DataSets without their tuple checks inside the block.
+
+    For tests of search and refinement geometry, which place raw points
+    in phase space (random rows, say) that need not be valid tuples.
+    """
+    with mock.patch.object(phase_space, "_validate"):
+        yield
 
 
 @pytest.fixture

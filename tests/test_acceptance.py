@@ -176,7 +176,7 @@ def nondimensional_rod():
     data = DataSet(PairingKind.FP, 1,
                    np.array([[1.0], [1.25], [1.6], [0.8]]),
                    np.array([[0.0], [0.3], [0.9], [-0.25]]),
-                   mu0=1.0, validate=False)
+                   mu0=1.0)
     return rod, data, 0.3
 
 
@@ -208,7 +208,7 @@ def test_07_consistent_data_is_a_fixed_point_of_both_formulations():
     cs_data = DataSet(PairingKind.CS, 1,
                       np.array([[1.0], [1.5625], [2.2], [0.82]]),
                       np.array([[0.0], [0.24], [0.6], [-0.2]]),
-                      mu0=0.4, validate=False)
+                      mu0=0.4)
     rep_cs = solve_cs(rod, end_load_bcs(rod, 1.25 * 0.24), cs_data,
                       CsConfig(newton_tol=1e-12))
     ok = (rep_fp.converged and rep_cs.converged

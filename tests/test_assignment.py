@@ -13,7 +13,7 @@ from ddfem.phase_space import DataSet, PairingKind
 # Every pass recovers the state (F, P) = (1, 0), so the penalty of tuple k
 # grows with its strain offset: tuple 0 is the best, then 1, 2 and 3.
 DATA = DataSet(PairingKind.FP, 1, np.array([[1.0], [1.1], [1.2], [1.3]]),
-               np.zeros((4, 1)), mu0=1.0, validate=False)
+               np.zeros((4, 1)), mu0=1.0)
 MESH = line_mesh(1.0, 2)
 POINTS = MESH.quadrature().weights.shape
 

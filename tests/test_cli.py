@@ -68,6 +68,16 @@ mu0 = auto
     return path
 
 
+def cs_rod_config(tmp_path, mesh_path, outdir, traction=LOAD_FOR_DOUBLE):
+    """A CS solve of the workspace rod against 200 rubber tuples."""
+    data_path = tmp_path / "rubber_cs.data"
+    save_dataset(generate(GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=200,
+                                        pairing=PairingKind.CS)), data_path)
+    cfg = rod_config(tmp_path, mesh_path, data_path, outdir=outdir, traction=traction)
+    cfg.write_text(cfg.read_text().replace("formulation = FP", "formulation = CS"))
+    return cfg
+
+
 class TestConfigParsing:
     def test_round_trip_with_dataset_and_extras(self, workspace):
         tmp_path, mesh_path, data_path = workspace
@@ -435,16 +445,15 @@ dirichlet.clamp = x=0
                                                          formulation, line, bc, message):
         tmp_path, mesh_path, data_path = workspace
         if formulation == "CS":
-            data_path = tmp_path / "rubber_cs.data"
-            save_dataset(generate(GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=200,
-                                                pairing=PairingKind.CS)), data_path)
-        cfg = rod_config(tmp_path, mesh_path, data_path, outdir="nonfinite")
-        text = cfg.read_text().replace("formulation = FP", f"formulation = {formulation}")
-        cfg.write_text(re.sub(line, bc, text))
+            cfg = cs_rod_config(tmp_path, mesh_path, outdir="nonfinite")
+        else:
+            cfg = rod_config(tmp_path, mesh_path, data_path, outdir="nonfinite")
+        cfg.write_text(re.sub(line, bc, cfg.read_text()))
         assert main(["solve", str(cfg), "--threads", "1"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "nonfinite").exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_a_state_beyond_every_tuple_is_an_input_error(self, workspace, capsys):
         # the recovered stresses are finite, but their distance to the data overflows
         tmp_path, mesh_path, data_path = workspace
@@ -452,8 +461,29 @@ dirichlet.clamp = x=0
         assert main(["solve", str(cfg), "--threads", "1"]) == 1
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == "error: state 0: distance to the nearest tuple is not finite"
+        assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "far").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_load_that_overflows_the_cs_start_is_an_input_error(self, workspace, capsys):
+        # the residual at the load-free start overflows before any Newton step
+        tmp_path, mesh_path, _ = workspace
+        cfg = cs_rod_config(tmp_path, mesh_path, outdir="far", traction=1e300)
+        assert main(["solve", str(cfg), "--threads", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: Newton residual is not finite at the start of the solve, "
+                       "load scale 1: the loads or prescribed displacements are too large\n")
+        assert not (tmp_path / "far").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_cs_solve_diverging_after_a_step_exits_two(self, workspace, capsys):
+        # a finite start residual: the blow-up comes from a Newton step
+        tmp_path, mesh_path, _ = workspace
+        cfg = cs_rod_config(tmp_path, mesh_path, outdir="diverged", traction=1e20)
+        assert main(["solve", str(cfg), "--threads", "1"]) == 2
+        assert capsys.readouterr().err == "NONCONVERGED: Newton iteration diverged\n"
+        assert not (tmp_path / "diverged").exists()
 
     def test_missing_config_file_is_an_input_error(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.ini")]) == 1
@@ -550,6 +580,14 @@ class TestDatasetCommands:
         out = tmp_path / "x.data"
         assert main(["generate", "--family", "yeoh", *args, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_generate_names_the_first_tuple_that_overflows(self, tmp_path, capsys):
+        out = tmp_path / "x.data"
+        assert main(["generate", "--family", "neohooke", "--c1", "1e308", "--n", "5",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: tuple 1: non-finite component\n"
         assert not out.exists()
 
     def test_generate_rejects_a_bad_range(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import unchecked_tuples
 from ddfem.data_gen import (Family, GeneratorSpec, UnitLoadLibrary,
                             augment_rotations_2d, convert_pairing,
                             generate, isotropic_grid_from_two_states,
@@ -87,7 +88,8 @@ class TestGeneratorSpec:
         (dict(stretch_range=(1.0, np.inf)), "stretch_range must be finite, got (1.0, inf)"),
         (dict(stretch_range=(np.nan, 2.0)), "stretch_range must be finite, got (nan, 2.0)")])
     def test_non_finite_values_are_named(self, kwargs, message):
-        # generate() does not validate its tuples, so a NaN here would reach the data
+        # caught here, a bad value is named by its field; generate() would
+        # only name the first non-finite tuple it made from it
         base = dict(family=Family.YEOH, c1=C1_RUBBER)
         base.update(kwargs)
         with pytest.raises(ValueError) as err:
@@ -96,6 +98,14 @@ class TestGeneratorSpec:
 
 
 class TestGenerators1D:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pairing", [PairingKind.FP, PairingKind.CS])
+    def test_a_stress_that_overflows_names_its_tuple(self, pairing):
+        # stretch 1 has zero stress; every larger one overflows at this c1
+        spec = GeneratorSpec(Family.NEOHOOKE, c1=1e308, n=5, pairing=pairing)
+        with pytest.raises(ValueError, match="^tuple 1: non-finite component$"):
+            generate(spec, mu0=1.0)
+
     def test_neohooke_fp_tuples(self):
         spec = GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=3,
                              stretch_range=(1.0, 2.0))
@@ -156,7 +166,7 @@ def small_symmetric_set(rng, n=12):
     e = 0.5 * (e + np.swapaxes(e, 1, 2))
     s = 0.5 * (s + np.swapaxes(s, 1, 2))
     return DataSet(PairingKind.EPS_SIGMA, 2, e.reshape(n, 4), s.reshape(n, 4),
-                   mu0=5.0e5, validate=False)
+                   mu0=5.0e5)
 
 
 class TestRotationAugmentation:
@@ -212,13 +222,14 @@ class TestRotationAugmentation:
 
     def test_fp_pairing_rejected(self, rng):
         e = rng.normal(size=(3, 4))
-        ds = DataSet(PairingKind.FP, 2, e, e, mu0=1.0, validate=False)
+        ds = DataSet(PairingKind.FP, 2, e, e, mu0=1.0)
         with pytest.raises(ValueError, match="symmetric"):
             augment_rotations_2d(ds, 2)
 
     def test_wrong_dimension_rejected(self, rng):
         e = rng.normal(size=(3, 9))
-        ds = DataSet(PairingKind.EPS_SIGMA, 3, e, e, mu0=1.0, validate=False)
+        with unchecked_tuples():
+            ds = DataSet(PairingKind.EPS_SIGMA, 3, e, e, mu0=1.0)
         with pytest.raises(ValueError, match="2D"):
             augment_rotations_2d(ds, 2)
 
@@ -443,15 +454,14 @@ class TestIsotropicGrid:
 class TestPairingConversion:
     def test_uniaxial_fp_to_cs(self):
         ds = DataSet(PairingKind.FP, 1, np.array([[1.2]]), np.array([[0.6]]),
-                     mu0=1.0, validate=False)
+                     mu0=1.0)
         cs = convert_pairing(ds, PairingKind.CS)
         assert_allclose(cs.strains, [[1.44]], rtol=1e-15)
         assert_allclose(cs.stresses, [[0.5]], rtol=1e-15)
 
     def test_reference_state_is_a_fixed_point(self):
         eye = np.eye(2).reshape(1, 4)
-        ds = DataSet(PairingKind.FP, 2, eye, np.zeros((1, 4)), mu0=1.0,
-                     validate=False)
+        ds = DataSet(PairingKind.FP, 2, eye, np.zeros((1, 4)), mu0=1.0)
         cs = convert_pairing(ds, PairingKind.CS, mu0=1.0)
         assert np.array_equal(cs.strains, eye)
         assert np.array_equal(cs.stresses, np.zeros((1, 4)))
@@ -459,8 +469,7 @@ class TestPairingConversion:
     def test_small_strain_identified_through_the_metric(self):
         eps = np.diag([0.02, 0.0, 0.0]).reshape(1, 9)
         sig = np.diag([100.0, 20.0, 20.0]).reshape(1, 9)
-        ds = DataSet(PairingKind.EPS_SIGMA, 3, eps, sig, mu0=1.0,
-                     validate=False)
+        ds = DataSet(PairingKind.EPS_SIGMA, 3, eps, sig, mu0=1.0)
         cs = convert_pairing(ds, PairingKind.CS)
         assert_allclose(cs.strains[0].reshape(3, 3), np.diag([1.04, 1.0, 1.0]),
                         rtol=1e-15)
@@ -472,12 +481,13 @@ class TestPairingConversion:
     def test_symmetric_gradient_round_trips_through_cs(self, rng):
         n = 8
         f = np.empty((n, 2, 2))
-        p = rng.normal(scale=2.0e4, size=(n, 2, 2))
+        s = rng.normal(scale=2.0e4, size=(n, 2, 2))
         for i in range(n):
             a = rng.normal(scale=0.05, size=(2, 2))
             f[i] = np.eye(2) + 0.5 * (a + a.T)  # SPD for small a
+        p = f @ (0.5 * (s + np.swapaxes(s, 1, 2)))     # balanced: P F^T symmetric
         ds = DataSet(PairingKind.FP, 2, f.reshape(n, 4), p.reshape(n, 4),
-                     mu0=3.0e5, validate=False)
+                     mu0=3.0e5)
         back = convert_pairing(convert_pairing(ds, PairingKind.CS),
                                PairingKind.FP)
         assert_allclose(back.strains, ds.strains, rtol=1e-12, atol=1e-14)
@@ -489,9 +499,9 @@ class TestPairingConversion:
         u_mat = np.array([[1.1, 0.04], [0.04, 0.95]])
         q = rotation_2d(0.7)
         f = q @ u_mat
-        p = q @ np.array([[3.0e4, 1.0e3], [2.0e3, 2.5e4]])
+        p = f @ np.array([[3.0e4, 1.5e3], [1.5e3, 2.5e4]])    # P = F S, S symmetric
         ds = DataSet(PairingKind.FP, 2, f.reshape(1, 4), p.reshape(1, 4),
-                     mu0=1.0e5, validate=False)
+                     mu0=1.0e5)
         cs = convert_pairing(ds, PairingKind.CS)
         back = convert_pairing(cs, PairingKind.FP)
         assert_allclose(back.strains[0].reshape(2, 2), u_mat, rtol=1e-12)
@@ -501,29 +511,35 @@ class TestPairingConversion:
 
     def test_singular_gradient_raises(self):
         f = np.array([[1.0, 0.0, 0.0, 0.0]])
-        ds = DataSet(PairingKind.FP, 2, f, np.zeros((1, 4)), mu0=1.0,
-                     validate=False)
+        ds = DataSet(PairingKind.FP, 2, f, np.zeros((1, 4)), mu0=1.0)
         with pytest.raises(ValueError, match="singular"):
             convert_pairing(ds, PairingKind.CS)
 
     def test_the_lowest_failing_tuple_is_named(self):
         eye = [1.0, 0.0, 0.0, 1.0]
         f = np.array([eye, [1.0, 0.0, 0.0, 0.0], eye, [0.0] * 4])
-        ds = DataSet(PairingKind.FP, 2, f, np.zeros((4, 4)), mu0=1.0,
-                     validate=False)
+        ds = DataSet(PairingKind.FP, 2, f, np.zeros((4, 4)), mu0=1.0)
         with pytest.raises(ValueError,
                            match="^tuple 1: deformation gradient is singular$"):
             convert_pairing(ds, PairingKind.CS)
         c = np.array([eye, eye, [1.0, 0.0, 0.0, -0.5], [0.0, 1.0, 1.0, 0.0]])
-        ds = DataSet(PairingKind.CS, 2, c, np.zeros((4, 4)), mu0=1.0,
-                     validate=False)
+        ds = DataSet(PairingKind.CS, 2, c, np.zeros((4, 4)), mu0=1.0)
         with pytest.raises(ValueError,
                            match="^tuple 2: strain tensor is not positive definite$"):
             convert_pairing(ds, PairingKind.FP)
 
+    def test_converted_tuples_are_checked(self):
+        # P F^T balances within its tolerance, but with F this close to
+        # singular S = F^-1 P keeps a skew part far above the CS tolerance
+        f = np.diag([1.0, 1.0e-6])
+        p = f @ np.array([[1.0, 1.0e-3], [-1.0e-3, 1.0]])
+        ds = DataSet(PairingKind.FP, 2, f.reshape(1, 4), p.reshape(1, 4), mu0=1.0)
+        with pytest.raises(ValueError, match="^tuple 0: stress tensor is not symmetric$"):
+            convert_pairing(ds, PairingKind.CS)
+
     def test_same_kind_copies_and_honors_mu0(self):
         ds = DataSet(PairingKind.FP, 1, np.array([[1.1]]), np.array([[2.0]]),
-                     mu0=4.0, validate=False)
+                     mu0=4.0)
         out = convert_pairing(ds, PairingKind.FP, mu0=9.0)
         assert np.array_equal(out.strains, ds.strains)
         assert out.mu0 == 9.0

@@ -58,7 +58,7 @@ def golden_dataset():
     strains = np.array([[1.0, X17, X17, 2.0], [-0.0, 0.0, 0.0, 1.5],
                         [1.0 / 3.0, 1e-300, 1e-300, 7.0]])
     return DataSet(PairingKind.CS, 2, strains, 1.0e6 * strains[:, ::-1],
-                   mu0=2.5, validate=False)
+                   mu0=2.5)
 
 
 def golden_library():

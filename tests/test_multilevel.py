@@ -57,8 +57,7 @@ class TestRunMultilevel:
         p_exact = 0.3e6
         data = DataSet(PairingKind.FP, 1,
                        np.array([[1.0], [1.25], [1.6]]),
-                       np.array([[0.0], [p_exact], [0.9e6]]), mu0=1.0e6,
-                       validate=False)
+                       np.array([[0.0], [p_exact], [0.9e6]]), mu0=1.0e6)
         bcs = end_load_bcs(rod_mesh, p_exact * rod_mesh.area)
         records, report = run_multilevel(rod_mesh, bcs, data, FpConfig(),
                                          MultilevelOptions(max_levels=5))

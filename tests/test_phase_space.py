@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import unchecked_tuples
 from ddfem import phase_space, textio
 from ddfem.phase_space import (DataSet, PairingKind, auto_mu0, load_dataset,
                                median_nn_spacing, nearest_many, penalty_many,
@@ -14,9 +15,10 @@ from ddfem.phase_space import (DataSet, PairingKind, auto_mu0, load_dataset,
 
 
 def flat_set(kind, dim, strains, stresses, mu0=1.0):
-    """Raw dataset from flattened rows, skipping tuple validation."""
-    return DataSet(kind, dim, np.asarray(strains, dtype=float),
-                   np.asarray(stresses, dtype=float), mu0=mu0, validate=False)
+    """Raw dataset from flattened rows, which need not be valid tuples."""
+    with unchecked_tuples():
+        return DataSet(kind, dim, np.asarray(strains, dtype=float),
+                       np.asarray(stresses, dtype=float), mu0=mu0)
 
 
 def direct_metric(strain, stress, ds):
@@ -49,7 +51,7 @@ def nearest_one(strain, stress, ds):
 def line_set():
     """11 FP tuples on a uniform 1D strain grid, zero stress."""
     strains = np.linspace(1.0, 2.0, 11).reshape(-1, 1)
-    return flat_set(PairingKind.FP, 1, strains, np.zeros_like(strains), mu0=2.0)
+    return DataSet(PairingKind.FP, 1, strains, np.zeros_like(strains), mu0=2.0)
 
 
 def write_lines(path, lines, newline="\n"):
@@ -84,7 +86,7 @@ def penalty_of(strain, stress, ds):
 
 class TestLocalPenalty:
     def test_coincident_state(self):
-        ds = flat_set(PairingKind.FP, 1, [[1.1]], [[3.0]], mu0=5.0)
+        ds = DataSet(PairingKind.FP, 1, [[1.1]], [[3.0]], mu0=5.0)
         assert penalty_of([[1.1]], [[3.0]], ds) == 0.0
 
     def test_pure_stress_offset(self):
@@ -94,7 +96,7 @@ class TestLocalPenalty:
         assert penalty_of(np.zeros((2, 2)), stress, ds) == 1.0
 
     def test_mu0_moves_the_two_terms_oppositely(self):
-        ds1 = flat_set(PairingKind.FP, 1, [[0.0]], [[0.0]], mu0=1.0)
+        ds1 = DataSet(PairingKind.FP, 1, [[0.0]], [[0.0]], mu0=1.0)
         ds2 = ds1.with_mu0(2.0)
         strain_only = penalty_of([2.0], [0.0], ds1)
         stress_only = penalty_of([0.0], [2.0], ds1)
@@ -104,7 +106,7 @@ class TestLocalPenalty:
 
 class TestNearest:
     def test_singleton(self):
-        ds = flat_set(PairingKind.FP, 1, [[1.7]], [[0.3]])
+        ds = DataSet(PairingKind.FP, 1, [[1.7]], [[0.3]], mu0=1.0)
         assert nearest_one([1.0], [0.0], ds) == 0
         assert nearest_many(np.ones((3, 1)), np.zeros((3, 1)), ds).tolist() == [0, 0, 0]
 
@@ -114,8 +116,8 @@ class TestNearest:
         (-np.inf, "state 1: scaled coordinates are not finite")])
     def test_a_state_without_a_finite_distance_raises(self, stress, message):
         # 1e300 is finite, but its squared distance to every tuple overflows
-        ds = flat_set(PairingKind.FP, 1, np.linspace(1.0, 2.0, 5)[:, None],
-                      np.linspace(0.0, 1.0e6, 5)[:, None])
+        ds = DataSet(PairingKind.FP, 1, np.linspace(1.0, 2.0, 5)[:, None],
+                     np.linspace(0.0, 1.0e6, 5)[:, None], mu0=1.0)
         assert nearest_many(ds.strains[1:3], ds.stresses[1:3], ds).tolist() == [1, 2]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             nearest_many(np.array([1.25, 1.5]), np.array([2.5e5, stress]), ds)
@@ -131,13 +133,13 @@ class TestNearest:
     def test_tie_breaks_to_lowest_id(self):
         strains = np.array([[10.0], [20.0], [30.0], [1.0],
                             [40.0], [50.0], [60.0], [3.0]])
-        ds = flat_set(PairingKind.FP, 1, strains, np.zeros((8, 1)))
+        ds = DataSet(PairingKind.FP, 1, strains, np.zeros((8, 1)), mu0=1.0)
         # ids 3 and 7 sit symmetrically about the query
         assert nearest_one([2.0], [0.0], ds) == 3
 
     def test_tie_with_unsorted_ids(self):
         strains = np.array([[10.0], [1.0], [5.0], [3.0]])
-        ds = flat_set(PairingKind.FP, 1, strains, np.zeros((4, 1)))
+        ds = DataSet(PairingKind.FP, 1, strains, np.zeros((4, 1)), mu0=1.0)
         # ids 1 and 3 are equidistant from the query; lowest id wins
         assert nearest_one([2.0], [0.0], ds) == 1
 
@@ -170,7 +172,7 @@ class TestNearest:
         g = np.arange(12, dtype=float)
         e1, e2 = np.meshgrid(g, g, indexing="ij")
         strains = np.column_stack([e1.ravel(), e2.ravel()])
-        ds = flat_set(PairingKind.FP, 1, strains[:, :1], strains[:, 1:], mu0=1.0)
+        ds = DataSet(PairingKind.FP, 1, strains[:, :1], strains[:, 1:], mu0=1.0)
         h = np.arange(11) + 0.5
         q1, q2 = np.meshgrid(h, g, indexing="ij")
         qe, qs = q1.reshape(-1, 1), q2.reshape(-1, 1)
@@ -245,9 +247,9 @@ class TestNearest:
         qe = rng.standard_normal((20, 1))
         qs = rng.standard_normal((20, 1))
         s = 1.0e6
-        a = nearest_many(qe, qs, flat_set(PairingKind.FP, 1, strains, stresses, mu0=2.0))
+        a = nearest_many(qe, qs, DataSet(PairingKind.FP, 1, strains, stresses, mu0=2.0))
         b = nearest_many(qe, s * qs,
-                         flat_set(PairingKind.FP, 1, strains, s * stresses, mu0=2.0 * s))
+                         DataSet(PairingKind.FP, 1, strains, s * stresses, mu0=2.0 * s))
         assert np.array_equal(a, b)
 
     def test_tree_is_cached_per_dataset(self, line_set):
@@ -396,17 +398,30 @@ class TestAutoMu0:
         ds = flat_set(PairingKind.CS, dim, strains, stresses)
         assert_allclose(auto_mu0(ds), 2.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blockwise_sums_equal_the_one_shot_formula_bit_for_bit(self, dim, rng):
+        block, dd = phase_space._BLOCK, dim * dim
+        for n in (block - 1, block, block + 1, 3 * block, 3 * block + 17):
+            # magnitudes over six decades, so that the summation order shows
+            table = rng.standard_normal((n, 2 * dd)) * 10.0 ** rng.integers(-3, 3, (n, 1))
+            strains, stresses = table[:, :dd], table[:, dd:]
+            ds = flat_set(PairingKind.FP, dim, strains, stresses)
+            dev = strains - PairingKind.FP.strain_reference(dim).reshape(-1)
+            want = float(np.sqrt(np.mean(np.sum(stresses * stresses, axis=1)))
+                         / np.sqrt(np.mean(np.sum(dev * dev, axis=1))))
+            assert auto_mu0(ds).hex() == want.hex()
+
     def test_singleton_rod_tuple(self):
-        ds = flat_set(PairingKind.FP, 1, [[2.0]], [[3.0]])
+        ds = DataSet(PairingKind.FP, 1, [[2.0]], [[3.0]], mu0=1.0)
         assert auto_mu0(ds) == 3.0
 
     def test_all_strains_at_reference_raise(self):
-        ds = flat_set(PairingKind.FP, 1, [[1.0], [1.0]], [[1.0], [2.0]])
+        ds = DataSet(PairingKind.FP, 1, [[1.0], [1.0]], [[1.0], [2.0]], mu0=1.0)
         with pytest.raises(ValueError, match="reference"):
             auto_mu0(ds)
 
     def test_zero_stress_raises(self):
-        ds = flat_set(PairingKind.FP, 1, [[1.5], [2.0]], [[0.0], [0.0]])
+        ds = DataSet(PairingKind.FP, 1, [[1.5], [2.0]], [[0.0], [0.0]], mu0=1.0)
         with pytest.raises(ValueError, match="stress"):
             auto_mu0(ds)
 
@@ -470,8 +485,8 @@ class TestDataSetValidation:
                     return f"tuple {i}: FP pair violates angular momentum balance"
             return None
 
-        for _ in range(30):
-            n = 40
+        block = phase_space._BLOCK
+        for n in [40] * 27 + [block + 1, 2 * block, 2 * block + 40]:
             f = np.eye(3) + 0.2 * rng.normal(size=(n, 3, 3))
             sym = rng.normal(size=(n, 3, 3))
             sym = sym + np.swapaxes(sym, 1, 2)
@@ -493,6 +508,36 @@ class TestDataSetValidation:
                     DataSet(kind, 3, e, s, mu0=1.0)
                 assert str(excinfo.value) == want
 
+    def test_a_bad_tuple_in_a_later_block_is_named_by_its_global_index(self):
+        block = phase_space._BLOCK
+        n = 2 * block + 100
+        e = np.tile(np.eye(2).reshape(1, 4), (n, 1))
+        s = np.zeros((n, 4))
+        s[block + 37, 1] = 1.0         # asymmetric stress, in the second block
+        e[n - 1, 0] = np.nan           # and a defect in the third
+        with pytest.raises(ValueError,
+                           match=f"^tuple {block + 37}: stress tensor is not symmetric$"):
+            DataSet(PairingKind.CS, 2, e, s, mu0=1.0)
+        s[block + 37, 1] = 0.0
+        with pytest.raises(ValueError, match=f"^tuple {n - 1}: non-finite component$"):
+            DataSet(PairingKind.CS, 2, e, s, mu0=1.0)
+
+    def test_with_mu0_shares_the_arrays_and_checks_no_tuple(self, line_set, monkeypatch):
+        checked = []
+        validate = phase_space._validate
+        monkeypatch.setattr(phase_space, "_validate",
+                            lambda *args: checked.append(args) or validate(*args))
+        other = line_set.with_mu0(7.0)
+        assert checked == []
+        assert np.shares_memory(other.strains, line_set.strains)
+        assert np.shares_memory(other.stresses, line_set.stresses)
+        assert other.mu0 == 7.0 and line_set.mu0 == 2.0
+
+    @pytest.mark.parametrize("mu0", [0.0, -1.0, np.nan, np.inf])
+    def test_with_mu0_rejects_a_scale_that_is_not_positive_and_finite(self, line_set, mu0):
+        with pytest.raises(ValueError, match=f"^mu0 must be positive and finite, got {mu0}$"):
+            line_set.with_mu0(mu0)
+
     def test_with_mu0_copies(self, line_set):
         other = line_set.with_mu0(7.0)
         assert other.mu0 == 7.0 and line_set.mu0 == 2.0
@@ -508,8 +553,8 @@ class TestRefineAround:
         assert sorted(out.strains[:, 0].tolist()) == [1.4, 1.5, 1.6]
 
     def test_assigned_always_kept(self, line_set, rng):
-        source = flat_set(PairingKind.FP, 1, rng.uniform(1.0, 2.0, (50, 1)),
-                          np.zeros((50, 1)), mu0=line_set.mu0)
+        source = DataSet(PairingKind.FP, 1, rng.uniform(1.0, 2.0, (50, 1)),
+                         np.zeros((50, 1)), mu0=line_set.mu0)
         out = refine_around(source, np.array([0, 10]), line_set, radius=0.01)
         for i in (0, 10):
             assert np.any(np.all(out.strains == line_set.strains[i], axis=1))
@@ -531,6 +576,25 @@ class TestRefineAround:
         out = refine_around(gen, np.array([2, 4]), line_set, radius=0.05)
         assert len(out) == 4
         assert out.mu0 == line_set.mu0
+
+    def test_a_non_finite_generated_pair_is_named_by_its_tuple(self, line_set):
+        def gen(centers, radius):
+            return [(np.array([1.21]), np.array([0.0])), (np.array([np.nan]), np.array([0.0]))]
+
+        # tuples 0 and 1 are the used ones, 2 and 3 the generated pairs
+        with pytest.raises(ValueError, match="^tuple 3: non-finite component$"):
+            refine_around(gen, np.array([2, 4]), line_set, radius=0.05)
+
+    def test_an_asymmetric_generated_cs_pair_is_named_by_its_tuple(self):
+        eye = np.eye(2)
+        current = DataSet(PairingKind.CS, 2, [eye, 1.1 * eye, 1.2 * eye],
+                          [0.0 * eye, 0.1 * eye, 0.2 * eye], mu0=1.0)
+
+        def gen(centers, radius):
+            return [(1.05 * eye, 0.05 * eye), ([[1.0, 0.3], [0.0, 1.0]], 0.0 * eye)]
+
+        with pytest.raises(ValueError, match="^tuple 3: strain tensor is not symmetric$"):
+            refine_around(gen, np.array([0, 2]), current, radius=0.1)
 
     def test_duplicates_collapse(self, line_set):
         out = refine_around(line_set, np.arange(len(line_set)), line_set,
@@ -566,7 +630,8 @@ class TestRefineAround:
         def gen(centers, radius):
             return list(zip(pool_e, pool_s))
 
-        out = refine_around(gen, support, current, radius=1.0)
+        with unchecked_tuples():
+            out = refine_around(gen, support, current, radius=1.0)
         rows = np.vstack([np.hstack([current.strains[support], current.stresses[support]]),
                           np.hstack([pool_e, pool_s])])
         seen, keep = set(), []
@@ -593,8 +658,8 @@ class TestRefineAround:
         assert_allclose(median_nn_spacing(ds), np.median(np.sqrt(mins)), rtol=1e-12)
 
     def test_spacing_sees_duplicates(self):
-        ds = flat_set(PairingKind.FP, 1, [[1.0], [1.5], [1.5], [2.0], [3.0]],
-                      np.zeros((5, 1)))
+        ds = DataSet(PairingKind.FP, 1, [[1.0], [1.5], [1.5], [2.0], [3.0]],
+                     np.zeros((5, 1)), mu0=1.0)
         # nearest-other distances 0.5, 0, 0, 0.5, 1 (in strain units)
         assert_allclose(median_nn_spacing(ds), np.sqrt(0.5) * 0.5, rtol=1e-12)
 
@@ -605,7 +670,8 @@ class TestRefineAround:
                         rng.standard_normal((500, 4)), mu0=3.0)
         support = np.array([3, 9, 17, 30])
         radius = 1.2
-        out = refine_around(pool, support, current, radius=radius)
+        with unchecked_tuples():
+            out = refine_around(pool, support, current, radius=radius)
         # distances in the current level's scaling, not the pool's
         centers = flat_set(PairingKind.CS, 2, current.strains[support],
                            current.stresses[support], mu0=current.mu0)
@@ -653,7 +719,8 @@ class TestRefineAround:
         pool_rows = pool_rows[rng.permutation(len(pool_rows))]
         # the pool's own mu0 differs: the selection uses the current one
         pool = flat_set(PairingKind.CS, 2, pool_rows[:, :4], pool_rows[:, 4:], mu0=5.0)
-        out = refine_around(pool, support, current, radius=radius)
+        with unchecked_tuples():
+            out = refine_around(pool, support, current, radius=radius)
 
         centers = flat_set(PairingKind.CS, 2, current.strains[support],
                            current.stresses[support], mu0=current.mu0)
@@ -710,7 +777,7 @@ class TestDatasetFiles:
         raw_s = rng.standard_normal((17, 2, 2))
         sym_e = (0.5 * (raw_e + raw_e.transpose(0, 2, 1))).reshape(17, 4)
         sym_s = (0.5 * (raw_s + raw_s.transpose(0, 2, 1))).reshape(17, 4)
-        ds = flat_set(PairingKind.CS, 2, sym_e, sym_s)
+        ds = DataSet(PairingKind.CS, 2, sym_e, sym_s, mu0=1.0)
         path = tmp_path / "data.txt"
         save_dataset(ds, path)
         back = load_dataset(path)
@@ -852,11 +919,23 @@ class TestDatasetFiles:
         assert streamed.dtype == whole.dtype == np.float64
         assert streamed.tobytes() == whole.tobytes() == table.tobytes()
 
+    def test_loaded_strains_and_stresses_are_views_of_one_table(self, tmp_path, rng):
+        path = tmp_path / "data.txt"
+        table = fp_rows_2d(50, rng)
+        save_dataset(DataSet(PairingKind.FP, 2, table[:, :4], table[:, 4:]), path)
+        data = load_dataset(path)
+        base = data.strains.base
+        assert base is not None and data.stresses.base is base
+        assert base.nbytes == data.strains.nbytes + data.stresses.nbytes
+        assert np.shares_memory(data.strains, base) and np.shares_memory(data.stresses, base)
+
     def test_load_peak_memory_is_a_few_times_the_arrays(self, tmp_path, rng):
-        # the parse holds neither the file's text nor a list of its lines:
-        # the table, the two arrays cut from it and the validation's
-        # temporaries stay below 5x the arrays (7x when the whole file is
-        # read as text and split into lines)
+        # the parse holds neither the file's text nor a list of its lines,
+        # the strains and stresses are column views of the parsed table, and
+        # the tuple checks and mu0's sums run on blocks of rows: the peak
+        # stays below 2x the arrays (about 3x with contiguous copies of the
+        # two blocks and whole-array checks, 7x when the whole file is read
+        # as text and split into lines)
         path = tmp_path / "data.txt"
         table = fp_rows_2d(20_000, rng)
         save_dataset(DataSet(PairingKind.FP, 2, table[:, :4], table[:, 4:]), path)
@@ -868,4 +947,4 @@ class TestDatasetFiles:
         finally:
             tracemalloc.stop()
         assert np.array_equal(np.hstack([data.strains, data.stresses]), table)
-        assert peak < 5 * (data.strains.nbytes + data.stresses.nbytes)
+        assert peak < 2 * (data.strains.nbytes + data.stresses.nbytes)

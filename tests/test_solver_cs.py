@@ -32,8 +32,7 @@ from ddfem.solver_cs import (CsConfig, JacobianPattern, NewtonError,
 def cs_set(strains, stresses, mu0):
     strains = np.asarray(strains, dtype=float).reshape(-1, 1)
     stresses = np.asarray(stresses, dtype=float).reshape(-1, 1)
-    return DataSet(PairingKind.CS, 1, strains, stresses, mu0=mu0,
-                   validate=False)
+    return DataSet(PairingKind.CS, 1, strains, stresses, mu0=mu0)
 
 
 def qp_field(mesh, tensor):
@@ -408,7 +407,7 @@ class TestSolveCs:
 
     def test_wrong_pairing_is_rejected(self, rod_mesh):
         data = DataSet(PairingKind.FP, 1, np.array([[1.0]]),
-                       np.array([[0.0]]), mu0=1.0, validate=False)
+                       np.array([[0.0]]), mu0=1.0)
         with pytest.raises(ValueError, match="CS"):
             solve_cs(rod_mesh, end_load_bcs(rod_mesh, 1.0), data)
 

@@ -26,8 +26,7 @@ from ddfem.solver_fp import FpConfig, recover_states, solve_fp
 def fp_set(strains, stresses, mu0=1.0):
     strains = np.asarray(strains, dtype=float).reshape(-1, 1)
     stresses = np.asarray(stresses, dtype=float).reshape(-1, 1)
-    return DataSet(PairingKind.FP, 1, strains, stresses, mu0=mu0,
-                   validate=False)
+    return DataSet(PairingKind.FP, 1, strains, stresses, mu0=mu0)
 
 
 def laplacian_solve(mesh, mu0, constraints, rhs):
@@ -329,7 +328,7 @@ class TestSolveFp:
 
     def test_wrong_pairing_is_rejected(self, rod_mesh):
         data = DataSet(PairingKind.CS, 1, np.array([[1.0]]),
-                       np.array([[0.0]]), mu0=1.0, validate=False)
+                       np.array([[0.0]]), mu0=1.0)
         with pytest.raises(ValueError, match="FP"):
             solve_fp(rod_mesh, end_load_bcs(rod_mesh, 1.0), data)
 
