@@ -2,8 +2,9 @@
 
 Configs are INI files (see docs/config.md).  Exit codes: 0 for a
 converged solve with outputs written, 2 for a nonconverged solve
-(outputs are still written and flagged NONCONVERGED in their headers),
-1 for any input error, reported with a file and line number where one
+(outputs flagged NONCONVERGED in their headers when the data loop hit
+its pass cap; nothing written when a CS Newton solve fails), 1 for
+any input error, reported with a file and line number where one
 exists.  The thread count is a command-line flag rather than a config
 key so that the config hash echoed in output headers is identical for
 every thread count; outputs are bit-identical regardless.

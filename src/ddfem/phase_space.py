@@ -33,11 +33,13 @@ unrotated row's norm, as the embedded coordinates do.  The tree
 proposes candidates; the answer is settled by the metric computed from
 direct differences, with ties going to the lowest id.
 
-A refinement pool is searched through the same index: the pool's own
-tree, built once for its mu0, proposes the pool tuples near each
-support tuple, and only those candidates are measured against the
-support.  A multilevel run keeps one mu0 on every level, so it builds
-the pool's tree once.
+A refinement pool is searched through the same index, in one join of
+the pool's own tree, built once for its mu0, with a small tree of the
+used tuples rotated into its frame.  The join settles every pool tuple
+whose rotated distance to a used tuple is clear of the radius by more
+than the rounding margin; only the few in the band around the radius
+are measured, on unrotated coordinates.  A multilevel run keeps one
+mu0 on every level, so it builds the pool's tree once.
 """
 
 from __future__ import annotations
@@ -353,10 +355,13 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
 
     A pool is searched on its own tree in the current mu0; a pool under
     another mu0 is converted first, so a caller refining repeatedly from
-    one pool converts it once and reuses its tree.  The tree proposes the
-    pool tuples within `radius` plus a rounding margin of a used tuple,
-    and each candidate is kept when its distance to the nearest used
-    tuple, measured on unrotated scaled coordinates, is at most `radius`.
+    one pool converts it once and reuses its tree.  One join of that tree
+    with the used tuples, rotated into its frame, finds every pair within
+    `radius` plus a margin m that bounds the rounding of the rotation.
+    A pool tuple with a pair within `radius - m` is kept, one without a
+    pair is not, and one whose pairs all lie in the band between is kept
+    when its distance to the nearest used tuple, measured on unrotated
+    scaled coordinates, is at most `radius`.
     """
     assigned = np.unique(np.asarray(assigned, dtype=np.int64))
     if assigned.size == 0:
@@ -376,17 +381,25 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
         if source.mu0 != mu0:
             source = source.with_mu0(mu0)
         centres = _scaled(current.strains[assigned], current.stresses[assigned], mu0)
-        # candidates from the pool's rotated tree: the ball's margin bounds
-        # the rounding of the rotation, relative to the centre's norm plus
-        # the radius, so every tuple within `radius` is among them
-        margin = _tie_margin(radius, centres)
-        balls = source.tree().query_ball_point(centres @ source.axes, radius + 2.0 * margin)
-        cand = np.unique(np.concatenate([np.asarray(b, dtype=np.int64) for b in balls]))
-        # the selection itself: distance to the nearest used tuple on the
-        # unrotated scaled coordinates
-        support = cKDTree(centres)
-        d, _ = support.query(_scaled(source.strains[cand], source.stresses[cand], mu0), k=1)
-        near = cand[d <= radius]
+        # one join of the pool's tree with the used tuples rotated into its
+        # frame.  m bounds the rounding of the rotation at every centre, so
+        # a pair within radius - m is within `radius`, and a tuple without
+        # a pair within radius + m is not
+        m = 2.0 * float(np.max(_tie_margin(radius, centres)))
+        pairs = source.tree().sparse_distance_matrix(
+            cKDTree(centres @ source.axes), radius + m, output_type="ndarray")
+        inside = pairs["v"] <= radius - m
+        keep = np.zeros(len(source), dtype=bool)
+        keep[pairs["i"][inside]] = True
+        # a tuple with pairs only in the band is measured: its distance to
+        # the nearest used tuple on the unrotated scaled coordinates
+        band = np.unique(pairs["i"][~inside])
+        band = band[~keep[band]]
+        if band.size:
+            d, _ = cKDTree(centres).query(
+                _scaled(source.strains[band], source.stresses[band], mu0), k=1)
+            keep[band[d <= radius]] = True
+        near = np.flatnonzero(keep)
         strains.append(source.strains[near])
         stresses.append(source.stresses[near])
     else:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial import cKDTree
 
 from conftest import unchecked_tuples
 from ddfem import phase_space, textio
@@ -300,6 +301,36 @@ class WorkerSpy:
     def query_ball_point(self, x, r, workers=1):
         self.calls.append(("query_ball_point", workers))
         return self.tree.query_ball_point(x, r, workers=workers)
+
+
+def logged_trees(monkeypatch):
+    """Have phase_space build its k-d trees as a subclass that logs its calls.
+
+    Returns the log: ("build", rows), ("join", rows of the tree joined on,
+    pairs found), ("query", rows) and ("query_ball_point", rows).
+    """
+    log = []
+
+    class LoggedTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            super().__init__(data, *args, **kwargs)
+            log.append(("build", len(data)))
+
+        def sparse_distance_matrix(self, other, max_distance, *args, **kwargs):
+            pairs = super().sparse_distance_matrix(other, max_distance, *args, **kwargs)
+            log.append(("join", self.n, len(pairs)))
+            return pairs
+
+        def query(self, x, *args, **kwargs):
+            log.append(("query", len(x)))
+            return super().query(x, *args, **kwargs)
+
+        def query_ball_point(self, x, *args, **kwargs):
+            log.append(("query_ball_point", len(x)))
+            return super().query_ball_point(x, *args, **kwargs)
+
+    monkeypatch.setattr(phase_space, "cKDTree", LoggedTree)
+    return log
 
 
 def random_rotation(rng, k):
@@ -663,25 +694,59 @@ class TestRefineAround:
         # nearest-other distances 0.5, 0, 0, 0.5, 1 (in strain units)
         assert_allclose(median_nn_spacing(ds), np.sqrt(0.5) * 0.5, rtol=1e-12)
 
-    def test_pool_selection_matches_direct_oracle(self, rng):
-        current = flat_set(PairingKind.CS, 2, rng.standard_normal((40, 4)),
-                           rng.standard_normal((40, 4)), mu0=0.8)
-        pool = flat_set(PairingKind.CS, 2, rng.standard_normal((500, 4)),
-                        rng.standard_normal((500, 4)), mu0=3.0)
+    @pytest.mark.parametrize("reach", ["some", "none"])
+    @pytest.mark.parametrize("kind, dim", [(PairingKind.FP, 1), (PairingKind.FP, 2),
+                                           (PairingKind.CS, 2), (PairingKind.CS, 3)],
+                             ids=["FP-1D", "FP-2D", "CS-2D", "CS-3D"])
+    def test_pool_selection_matches_direct_oracle(self, kind, dim, reach, rng, monkeypatch):
+        dd = dim * dim
+        current = flat_set(kind, dim, rng.standard_normal((40, dd)),
+                           rng.standard_normal((40, dd)), mu0=0.8)
+        pool = flat_set(kind, dim, rng.standard_normal((500, dd)),
+                        rng.standard_normal((500, dd)), mu0=3.0)
         support = np.array([3, 9, 17, 30])
-        radius = 1.2
-        with unchecked_tuples():
-            out = refine_around(pool, support, current, radius=radius)
         # distances in the current level's scaling, not the pool's
-        centers = flat_set(PairingKind.CS, 2, current.strains[support],
+        centers = flat_set(kind, dim, current.strains[support],
                            current.stresses[support], mu0=current.mu0)
         d = np.sqrt([direct_metric(e, s, centers).min()
                      for e, s in zip(pool.strains, pool.stresses)])
-        expected = np.vstack([current.strains[support], pool.strains[d <= radius]])
-        assert 0 < np.count_nonzero(d <= radius) < len(pool)
-        assert np.array_equal(out.strains, expected)
+        # midway between the 100th and 101st nearest pool tuples, or
+        # short of the nearest, so that the join finds no pair at all
+        near = np.sort(d)
+        radius = 0.5 * (near[99] + near[100]) if reach == "some" else 0.5 * near[0]
+        log = logged_trees(monkeypatch)
+        with unchecked_tuples():
+            out = refine_around(pool, support, current, radius=radius)
+        selected = d <= radius
+        assert np.count_nonzero(selected) == (100 if reach == "some" else 0)
+        assert np.array_equal(out.strains, np.vstack([current.strains[support],
+                                                      pool.strains[selected]]))
+        assert np.array_equal(out.stresses, np.vstack([current.stresses[support],
+                                                       pool.stresses[selected]]))
+        joins = [call for call in log if call[0] == "join"]
+        assert len(joins) == 1 and joins[0][1] == len(pool)
+        assert (joins[0][2] == 0) == (reach == "none")
 
-    def test_pool_selection_at_the_radius(self, rng):
+    def test_one_join_on_the_pool_tree_and_no_ball_query(self, rng, monkeypatch):
+        """A pool under the current mu0 is joined on its own cached tree;
+        with no pool tuple near the radius, no support tree is built."""
+        log = logged_trees(monkeypatch)
+        current = flat_set(PairingKind.FP, 2, rng.standard_normal((40, 4)),
+                           rng.standard_normal((40, 4)), mu0=0.8)
+        pool = flat_set(PairingKind.FP, 2, rng.standard_normal((2000, 4)),
+                        rng.standard_normal((2000, 4)), mu0=0.8)
+        tree = pool.tree()
+        support = np.array([1, 5, 8, 13, 21, 34])
+        with unchecked_tuples():
+            out = refine_around(pool, support, current, radius=1.0)
+        assert pool.tree() is tree
+        assert log[0] == ("build", len(pool))
+        assert log[1] == ("build", support.size)
+        assert log[2][:2] == ("join", len(pool)) and log[2][2] > 0
+        assert len(log) == 3
+        assert support.size < len(out) < support.size + len(pool)
+
+    def test_pool_selection_at_the_radius(self, rng, monkeypatch):
         """Pool tuples at exactly `radius`, one ulp inside and one outside.
 
         With mu0 = 2 the scaled coordinates are the strain and half the
@@ -719,6 +784,7 @@ class TestRefineAround:
         pool_rows = pool_rows[rng.permutation(len(pool_rows))]
         # the pool's own mu0 differs: the selection uses the current one
         pool = flat_set(PairingKind.CS, 2, pool_rows[:, :4], pool_rows[:, 4:], mu0=5.0)
+        log = logged_trees(monkeypatch)
         with unchecked_tuples():
             out = refine_around(pool, support, current, radius=radius)
 
@@ -742,6 +808,11 @@ class TestRefineAround:
         assert len(keep) < len(rows)
         assert np.array_equal(np.hstack([out.strains, out.stresses]), rows[keep])
         assert out.mu0 == current.mu0
+        # the join leaves the tuples next to the radius, and only those, to
+        # the measurement on unrotated coordinates
+        band = np.count_nonzero(np.abs(d - radius) <= 1e-12)
+        assert band >= 3 * n_edge
+        assert [call for call in log if call[0] == "query"] == [("query", band)]
 
 
 def _interleaved(rows, extra, every=7):
