@@ -40,13 +40,26 @@ whose rotated distance to a used tuple is clear of the radius by more
 than the rounding margin; only the few in the band around the radius
 are measured, on unrotated coordinates.  A multilevel run keeps one
 mu0 on every level, so it builds the pool's tree once.
+
+A dataset file is parsed from its text once per content: `load_dataset`
+keeps the parsed table in a `__ddcache__` directory next to the file,
+keyed by the SHA-256 of the file's bytes, and a later load of the same
+bytes reads that table instead.  Either way the DataSet is built and
+checked from the table in the same way, so the result does not depend
+on whether a copy was there.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import enum
+import hashlib
+import os
+import re
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -432,15 +445,90 @@ def save_dataset(dataset: DataSet, path) -> None:
                         *textio.format_rows(dataset.strains, dataset.stresses)])
 
 
+# A kept table's digest is the SHA-256 of _CACHE_TAG and the file's bytes.
+# Change the tag when the parse or the stored layout changes, so that no
+# table kept by an older version matches.
+_CACHE_DIR = "__ddcache__"
+_CACHE_TAG = b"ddfem dataset table v1\n"
+_HASH_BLOCK = 1 << 16
+
+
+def _cache_entry(path: Path) -> tuple[Path, tuple[int, int]]:
+    """Where the table of the file's current bytes is kept, and the file's
+    (size, mtime) as it was hashed.
+
+    The file is hashed in blocks of _HASH_BLOCK bytes, so that the key
+    costs no memory on the scale of the file.
+    """
+    digest = hashlib.sha256(_CACHE_TAG)
+    block = bytearray(_HASH_BLOCK)
+    with open(path, "rb") as f:
+        while n := f.readinto(block):
+            digest.update(memoryview(block)[:n])
+        stat = os.fstat(f.fileno())
+    entry = path.parent / _CACHE_DIR / f"{path.name}.{digest.hexdigest()}.npy"
+    return entry, (stat.st_size, stat.st_mtime_ns)
+
+
+def _read_cached(entry: Path, width: int) -> np.ndarray | None:
+    """The (n, width) float table kept at `entry`, or None when there is
+    none or it cannot be read as one."""
+    try:
+        table = np.load(entry, allow_pickle=False)
+    except (OSError, ValueError, EOFError, MemoryError):
+        # missing, cut short, or a header that is not a table's
+        return None
+    if table.ndim != 2 or table.dtype != np.float64 or table.shape[1] != width:
+        return None
+    return table
+
+
+def _store_cached(entry: Path, name: str, table: np.ndarray, mode: int) -> None:
+    """Keep `table` at `entry` with permission bits `mode`, and delete the
+    older copies for file `name`.
+
+    The table is written to a temporary file in the same directory and
+    renamed into place, so no reader sees half a copy.  Storing is best
+    effort: an OSError (a read-only directory, say) leaves it out.
+    """
+    older = re.compile(re.escape(name) + r"\.[0-9a-f]{64}\.npy")
+    with contextlib.suppress(OSError):
+        entry.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
+        try:
+            os.fchmod(fd, mode)
+            with os.fdopen(fd, "wb") as f:
+                np.save(f, table, allow_pickle=False)
+            os.replace(tmp, entry)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        with os.scandir(entry.parent) as others:
+            for other in others:
+                if other.name != entry.name and older.fullmatch(other.name):
+                    os.remove(other.path)
+
+
 def load_dataset(path, mu0: float | None = None) -> DataSet:
-    """Parse a dataset file; errors carry 1-based line numbers.
+    """Read a dataset file; errors carry 1-based line numbers.
 
     The tuples are parsed straight from the file past its header into
     one (n, 2 d*d) table (`textio.TextFile.rows`), whose column blocks
     are the dataset's strains and stresses.  The file's lines are read
     only when that parse fails or a tuple fails validation, to name the
     line at fault.
+
+    A table that passed validation is kept next to the file, as
+    `__ddcache__/<file name>.<digest>.npy`, where the digest is the
+    SHA-256 of the file's bytes; the copies of the file's earlier bytes
+    are deleted.  A later load of the same bytes reads that copy instead
+    of parsing the text, and builds and checks the DataSet from it in the
+    same way.  A copy that is missing, unreadable, of the wrong shape, or
+    whose tuples fail, sends the load to the text, which names the fault
+    as above.  A copy is stored only when the file did not change while
+    it was parsed, and not at all when the directory is not writable.
     """
+    path = Path(path)
     src = textio.read(path, _MAGIC)
     kind, dim = src.field("kind", PairingKind), src.field("dim", int)
     if dim not in (1, 2, 3):
@@ -448,11 +536,17 @@ def load_dataset(path, mu0: float | None = None) -> DataSet:
     if src.field("units") != "SI":
         raise src.error(src.header_line, f"unsupported units '{src.header['units']}'")
     dd = dim * dim
+    entry, stamp = _cache_entry(path)
+    table = _read_cached(entry, 2 * dd)
+    if table is not None:
+        # a kept table that fails goes to the text below, which names the line
+        with contextlib.suppress(ValueError):
+            return DataSet(kind, dim, table[:, :dd], table[:, dd:], mu0=mu0)
     table = src.rows(src.header_line, None, 2 * dd)
     if not len(table):
         raise ValueError(f"{src.name}: dataset contains no tuples")
     try:
-        return DataSet(kind, dim, table[:, :dd], table[:, dd:], mu0=mu0)
+        data = DataSet(kind, dim, table[:, :dd], table[:, dd:], mu0=mu0)
     except ValueError as err:
         # re-raise tuple-level complaints with the file position
         msg = str(err)
@@ -460,3 +554,8 @@ def load_dataset(path, mu0: float | None = None) -> DataSet:
             raise
         row = int(msg.split()[1].rstrip(":"))
         raise src.error(src.numbered(src.header_line)[row][0], msg.split(": ", 1)[1]) from None
+    stat = os.stat(path)
+    if (stat.st_size, stat.st_mtime_ns) == stamp:
+        # readable by whoever can read the file, as mkstemp's 0600 is not
+        _store_cached(entry, path.name, table, stat.st_mode & 0o666)
+    return data

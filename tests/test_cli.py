@@ -6,13 +6,14 @@ stderr, and the emitted files.
 
 import hashlib
 import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddfem import cli, multilevel
+from ddfem import cli, multilevel, textio
 from ddfem.cli import MultilevelSection, RunConfig, main, parse_config
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import line_mesh, save_mesh
@@ -414,6 +415,32 @@ class TestSolveCommand:
         assert snapshot() == first
         main(["solve", str(cfg), "--threads", "4"])
         assert snapshot() == first
+
+    def test_outputs_are_the_same_bytes_from_the_kept_table(self, workspace, monkeypatch):
+        # the first run keeps the dataset's parsed table, the second reads
+        # it, and the third parses the text again once the cache is deleted
+        tmp_path, mesh_path, data_path = workspace
+        cfg = rod_config(tmp_path, mesh_path, data_path)
+        out, cache = tmp_path / "out", tmp_path / "__ddcache__"
+        parsed, rows = [], textio.TextFile.rows
+
+        def logged_rows(src, *args):
+            parsed.append(Path(src.name).name)
+            return rows(src, *args)
+
+        monkeypatch.setattr(textio.TextFile, "rows", logged_rows)
+
+        def run():
+            parsed.clear()
+            assert main(["solve", str(cfg)]) == 0
+            return data_path.name in parsed, {p.relative_to(out): p.read_bytes()
+                                              for p in sorted(out.rglob("*")) if p.is_file()}
+
+        parsed_first, first = run()
+        assert parsed_first and len(first) >= 3 and len(list(cache.iterdir())) == 1
+        assert run() == (False, first)
+        shutil.rmtree(cache)
+        assert run() == (True, first)
 
     def test_missing_nodeset_is_reported(self, workspace, capsys):
         tmp_path, mesh_path, data_path = workspace

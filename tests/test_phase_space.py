@@ -1,6 +1,10 @@
 """Metric, assignment, calibration, refinement, and dataset file IO."""
 
+import io
+import os
 import re
+import shutil
+import stat
 import tracemalloc
 
 import numpy as np
@@ -67,13 +71,37 @@ def load_error(path) -> str:
     return str(err.value)
 
 
+def valid_rows(kind, dim, n, rng):
+    """n valid tuples as (n, 2 dim^2) rows.  Stress S and strain E are
+    symmetric; the strain is E for EPS and I + E for CS and FP, and the FP
+    stress is P = F S, so P F^T is symmetric."""
+    eps = rng.uniform(-0.01, 0.01, (n, dim, dim))
+    s = rng.uniform(-1.0e4, 1.0e4, (n, dim, dim))
+    strain = eps + eps.transpose(0, 2, 1)
+    stress = s + s.transpose(0, 2, 1)
+    if kind is not PairingKind.EPS_SIGMA:
+        strain = np.eye(dim) + strain
+    if kind is PairingKind.FP:
+        stress = strain @ stress
+    return np.hstack([strain.reshape(n, -1), stress.reshape(n, -1)])
+
+
 def fp_rows_2d(n, rng):
-    """n valid 2-D FP tuples as (n, 8) rows: F = I + a symmetric strain and
-    P = F S with a symmetric S, so P F^T is symmetric."""
-    eps = rng.uniform(-0.01, 0.01, (n, 2, 2))
-    s = rng.uniform(-1.0e4, 1.0e4, (n, 2, 2))
-    f = np.eye(2) + eps + eps.transpose(0, 2, 1)
-    return np.hstack([f.reshape(n, 4), (f @ (s + s.transpose(0, 2, 1))).reshape(n, 4)])
+    """n valid 2-D FP tuples as (n, 8) rows."""
+    return valid_rows(PairingKind.FP, 2, n, rng)
+
+
+def cached_tables(path):
+    """The names in the table cache next to dataset file `path`."""
+    cache = path.parent / "__ddcache__"
+    return sorted(p.name for p in cache.iterdir()) if cache.is_dir() else []
+
+
+def spy_loadtxt(monkeypatch):
+    """A list that gets one entry per np.loadtxt call from here on."""
+    calls, real = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
 
 
 def penalty_of(strain, stress, ds):
@@ -843,18 +871,27 @@ STREAM_LAYOUTS = {
 
 
 class TestDatasetFiles:
-    def test_round_trip_is_exact(self, tmp_path, rng):
-        raw_e = rng.standard_normal((17, 2, 2))
-        raw_s = rng.standard_normal((17, 2, 2))
-        sym_e = (0.5 * (raw_e + raw_e.transpose(0, 2, 1))).reshape(17, 4)
-        sym_s = (0.5 * (raw_s + raw_s.transpose(0, 2, 1))).reshape(17, 4)
-        ds = DataSet(PairingKind.CS, 2, sym_e, sym_s, mu0=1.0)
+    @pytest.mark.parametrize("kind, dim", [(PairingKind.FP, 1), (PairingKind.FP, 2),
+                                           (PairingKind.CS, 2), (PairingKind.CS, 3),
+                                           (PairingKind.EPS_SIGMA, 2)],
+                             ids=["FP-1D", "FP-2D", "CS-2D", "CS-3D", "EPS-2D"])
+    def test_round_trip_is_exact(self, kind, dim, tmp_path, rng, monkeypatch):
+        table = valid_rows(kind, dim, 17, rng)
+        ds = DataSet(kind, dim, table[:, :dim * dim], table[:, dim * dim:], mu0=1.0)
         path = tmp_path / "data.txt"
         save_dataset(ds, path)
         back = load_dataset(path)
-        assert back.kind is PairingKind.CS and back.dim == 2
+        assert back.kind is kind and back.dim == dim
         assert np.array_equal(back.strains, ds.strains)
         assert np.array_equal(back.stresses, ds.stresses)
+        # the second load reads the table kept by the first and parses no text
+        assert len(cached_tables(path)) == 1
+        parses = spy_loadtxt(monkeypatch)
+        again = load_dataset(path)
+        assert parses == []
+        assert again.kind is kind and again.dim == dim and again.mu0 == back.mu0
+        for warm, cold in ((again.strains, back.strains), (again.stresses, back.stresses)):
+            assert np.array_equal(warm, cold) and warm.dtype == cold.dtype
 
     def test_comments_and_blanks_allowed(self, tmp_path):
         path = tmp_path / "data.txt"
@@ -994,23 +1031,29 @@ class TestDatasetFiles:
         path = tmp_path / "data.txt"
         table = fp_rows_2d(50, rng)
         save_dataset(DataSet(PairingKind.FP, 2, table[:, :4], table[:, 4:]), path)
-        data = load_dataset(path)
-        base = data.strains.base
-        assert base is not None and data.stresses.base is base
-        assert base.nbytes == data.strains.nbytes + data.stresses.nbytes
-        assert np.shares_memory(data.strains, base) and np.shares_memory(data.stresses, base)
+        # the first load parses the text, the second reads the kept table
+        for data in (load_dataset(path), load_dataset(path)):
+            base = data.strains.base
+            assert base is not None and data.stresses.base is base
+            assert base.nbytes == data.strains.nbytes + data.stresses.nbytes
+            assert np.shares_memory(data.strains, base)
+            assert np.shares_memory(data.stresses, base)
 
-    def test_load_peak_memory_is_a_few_times_the_arrays(self, tmp_path, rng):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_load_peak_memory_is_a_few_times_the_arrays(self, warm, tmp_path, rng):
         # the parse holds neither the file's text nor a list of its lines,
-        # the strains and stresses are column views of the parsed table, and
-        # the tuple checks and mu0's sums run on blocks of rows: the peak
-        # stays below 2x the arrays (about 3x with contiguous copies of the
-        # two blocks and whole-array checks, 7x when the whole file is read
-        # as text and split into lines)
+        # the file is hashed in blocks, a kept table is read as one array,
+        # the strains and stresses are column views of the table, and the
+        # tuple checks and mu0's sums run on blocks of rows: the peak stays
+        # below 2x the arrays (about 3x with contiguous copies of the two
+        # blocks and whole-array checks, 7x when the whole file is read as
+        # text and split into lines)
         path = tmp_path / "data.txt"
         table = fp_rows_2d(20_000, rng)
         save_dataset(DataSet(PairingKind.FP, 2, table[:, :4], table[:, 4:]), path)
         load_dataset(path)
+        if not warm:
+            shutil.rmtree(tmp_path / "__ddcache__")
         tracemalloc.start()
         try:
             data = load_dataset(path)
@@ -1019,3 +1062,107 @@ class TestDatasetFiles:
             tracemalloc.stop()
         assert np.array_equal(np.hstack([data.strains, data.stresses]), table)
         assert peak < 2 * (data.strains.nbytes + data.stresses.nbytes)
+        assert len(cached_tables(path)) == 1
+
+
+HEAD_FP_1D = "# dd-dataset v1\nkind=FP dim=1 units=SI\n"
+
+
+def _npy_header(shape) -> bytes:
+    """The .npy header of a C-ordered float64 array of this shape."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return out.getvalue()
+
+
+class TestDatasetCache:
+    """The table `load_dataset` keeps next to a dataset file."""
+
+    def test_new_bytes_of_the_same_length_and_mtime_are_read_anew(self, tmp_path):
+        path, other = tmp_path / "data.txt", tmp_path / "data.txt.old"
+        other.write_text(HEAD_FP_1D + "1.5 0.5\n")
+        other.chmod(0o640)
+        path.write_text(HEAD_FP_1D + "1.5 0.25\n2.0 0.5\n")
+        load_dataset(other)
+        assert load_dataset(path).stresses.tolist() == [[0.25], [0.5]]
+        kept = cached_tables(path)
+        before = path.stat()
+        path.write_text(HEAD_FP_1D + "1.5 0.75\n2.0 0.5\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        assert load_dataset(path).stresses.tolist() == [[0.75], [0.5]]
+        # the table of the old bytes is replaced; another file's stays.
+        # Each has its file's permission bits.
+        now = cached_tables(path)
+        assert len(now) == len(kept) == 2 and now != kept
+        assert {name for name in now if name.startswith("data.txt.old.")} == \
+            {name for name in kept if name.startswith("data.txt.old.")}
+        for name in now:
+            source = other if name.startswith("data.txt.old.") else path
+            mode = (tmp_path / "__ddcache__" / name).stat().st_mode
+            assert stat.S_IMODE(mode) == stat.S_IMODE(source.stat().st_mode)
+
+    CORRUPT = {
+        "truncated": lambda entry, table: entry.write_bytes(entry.read_bytes()[:-20]),
+        "empty": lambda entry, table: entry.write_bytes(b""),
+        "not a table": lambda entry, table: entry.write_bytes(b"# dd-dataset v1\n"),
+        "wrong width": lambda entry, table: np.save(entry, table[:, :-1]),
+        "one dimension": lambda entry, table: np.save(entry, table.ravel()),
+        "single precision": lambda entry, table: np.save(entry, table.astype(np.float32)),
+        "no rows": lambda entry, table: np.save(entry, table[:0]),
+        "a non-finite value": lambda entry, table: np.save(entry, np.where(table == table[3, 5],
+                                                                          np.nan, table)),
+        "object array": lambda entry, table: np.save(entry, table.astype(object)),
+        "a header claiming 10^12 rows": lambda entry, table: entry.write_bytes(
+            _npy_header((10**12, 8)) + table.tobytes()),
+    }
+
+    @pytest.mark.parametrize("corrupt", CORRUPT, ids=list(CORRUPT))
+    def test_a_bad_copy_is_ignored_and_replaced(self, corrupt, tmp_path, rng):
+        path = tmp_path / "data.txt"
+        table = fp_rows_2d(40, rng)
+        save_dataset(DataSet(PairingKind.FP, 2, table[:, :4], table[:, 4:]), path)
+        first = load_dataset(path)
+        [name] = cached_tables(path)
+        entry = tmp_path / "__ddcache__" / name
+        self.CORRUPT[corrupt](entry, table)
+        data = load_dataset(path)
+        assert np.array_equal(np.hstack([data.strains, data.stresses]), table)
+        assert data.mu0 == first.mu0
+        assert cached_tables(path) == [name]
+        assert np.array_equal(np.load(entry), table)
+
+    def test_a_file_in_place_of_the_cache_directory_blocks_it(self, tmp_path):
+        # unlike a read-only directory, this holds for every user, root too
+        path = tmp_path / "data.txt"
+        path.write_text(HEAD_FP_1D + "1.5 0.25\n2.0 0.5\n")
+        (tmp_path / "__ddcache__").write_text("not a directory\n")
+        for _ in range(2):
+            assert load_dataset(path).stresses.tolist() == [[0.25], [0.5]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["__ddcache__", "data.txt"]
+        assert (tmp_path / "__ddcache__").read_text() == "not a directory\n"
+
+    def test_a_file_that_fails_validation_keeps_no_copy(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(HEAD_FP_1D + "1.5 0.25\n\n2.0 nan\n")
+        for _ in range(2):
+            assert load_error(path) == f"{path}:5: non-finite component"
+            assert cached_tables(path) == []
+
+    def test_a_file_changed_while_it_is_parsed_keeps_no_copy(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.txt"
+        path.write_text(HEAD_FP_1D + "1.5 0.25\n")
+        rows = textio.TextFile.rows
+
+        def rewrite_after(src, *args):
+            table = rows(src, *args)
+            path.write_text(HEAD_FP_1D + "1.5 0.25\n2.0 0.5\n")
+            return table
+
+        monkeypatch.setattr(textio.TextFile, "rows", rewrite_after)
+        assert load_dataset(path).stresses.tolist() == [[0.25]]
+        assert cached_tables(path) == []
+        monkeypatch.undo()
+        assert load_dataset(path).stresses.tolist() == [[0.25], [0.5]]
+        assert len(cached_tables(path)) == 1
