@@ -32,7 +32,7 @@ of every step; the report is converged unless its termination is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -45,22 +45,18 @@ from .report import SolveReport
 class LoopConfig:
     """The assignment loop's knobs, which both solvers' configs share.
 
-    max_data_iterations = None takes the formulation's `default_passes`,
-    and mu0 = None the dataset's stored scale.  threads caps the workers of
-    the nearest-tuple queries, one per 4,096 queries of a search; every
-    query is independent, so results are identical for every value.
+    mu0 = None takes the dataset's stored scale.  threads caps the
+    workers of the nearest-tuple queries, one per 4,096 queries of a
+    search; every query is independent, so results are identical for
+    every value.
     """
 
-    default_passes: ClassVar[int] = 100
-
-    max_data_iterations: int | None = None
+    max_data_iterations: int = 100
     penalty_tol: float = 1e-12
     mu0: float | None = None
     threads: int = 1
 
     def __post_init__(self):
-        if self.max_data_iterations is None:
-            self.max_data_iterations = self.default_passes
         if self.max_data_iterations < 1:
             raise ValueError("max_data_iterations must be at least 1")
         if not 0.0 < self.penalty_tol < np.inf:

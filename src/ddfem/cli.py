@@ -101,8 +101,7 @@ def _get_bool(sec: str, key: str, raw: str) -> bool:
 
 # value parser by field annotation; a field of any other type is not a key
 _PARSERS = {str: _get_str, str | None: _get_str, float: _get_float,
-            float | None: _get_float_or_auto, int: _get_int, int | None: _get_int,
-            bool: _get_bool}
+            float | None: _get_float_or_auto, int: _get_int, bool: _get_bool}
 
 # [generator] keys that map onto GeneratorSpec's enum and range fields
 _GEN_MAPPED = {"family": str, "pairing": str, "stretch_min": float,

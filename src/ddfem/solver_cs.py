@@ -27,19 +27,19 @@ slowly between them.  Each step first tries a chord (simplified-Newton)
 step on the kept factor and accepts it when it cuts the residual norm by
 at least `CHORD_RATE`; otherwise it drops the factor, evaluates and
 factors the exact tangent at the current iterate and takes a full
-Newton step, under the line search when one is configured.  Most steps
-therefore cost one triangular solve and one residual.  Kinematics (F,
-grad(lam), C and S) are computed once per Newton iterate: both residuals
-of a trial (u, lam) come from one evaluation, and the accepted iterate's
-evaluation also feeds its tangent and, at convergence, the pass's state
-recovery.  Gradients and divergences are products with the mesh's sparse
-discrete gradient, which the mesh builds once and keeps.  One Newton solve is
-one pass of `assignment.assignment_loop`, which runs the load steps of
-the continuation ramp, reassigns the nearest tuples under the
-termination contract stated there, and builds the SolveReport.  Each
-pass loads to its step's fraction of the external load and prescribed
-displacements, and warm-starts Newton from the (u, lam) the loop hands
-it, or from zero fields on the first pass.
+Newton step.  Most steps therefore cost one triangular solve and one
+residual.  Kinematics (F, grad(lam), C and S) are computed once per
+Newton iterate: both residuals of a trial (u, lam) come from one
+evaluation, and the accepted iterate's evaluation also feeds its tangent
+and, at convergence, the pass's state recovery.  Gradients and
+divergences are products with the mesh's sparse discrete gradient, which
+the mesh builds once and keeps.  One Newton solve is one pass of
+`assignment.assignment_loop`, which runs the load steps of the
+continuation ramp, reassigns the nearest tuples under the termination
+contract stated there, and builds the SolveReport.  Each pass loads to
+its step's fraction of the external load and prescribed displacements,
+and warm-starts Newton from the (u, lam) the loop hands it, or from zero
+fields on the first pass.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ _AXES = "xyz"
 class CsConfig(LoopConfig):
     """The assignment loop's knobs plus Newton's and the load ramp's.
 
-    line_search "backtracking" guards each full Newton step with
-    residual-decrease backtracking (factor ls_factor, at most ls_maxsteps
-    cuts); the default "none" takes plain full steps.  Chord steps are
-    accepted only on a CHORD_RATE contraction in either mode.
     newton_maxit caps the steps of one Newton solve, chord and full
     Newton steps together.  load_steps > 1 ramps the external load (and
     prescribed displacements) linearly: the assignment loop runs one
@@ -78,9 +74,6 @@ class CsConfig(LoopConfig):
 
     newton_tol: float = 1e-10
     newton_maxit: int = 30
-    line_search: str = "none"
-    ls_factor: float = 0.5
-    ls_maxsteps: int = 8
     load_steps: int = 1
 
     def __post_init__(self):
@@ -91,12 +84,6 @@ class CsConfig(LoopConfig):
             raise ValueError("load_steps must be at least 1")
         if self.newton_maxit < 1:
             raise ValueError("newton_maxit must be at least 1")
-        if self.line_search not in ("none", "backtracking"):
-            raise ValueError(f"unknown line search '{self.line_search}'")
-        if not 0.0 < self.ls_factor < 1.0:
-            raise ValueError("ls_factor must lie in (0, 1)")
-        if self.ls_maxsteps < 0:
-            raise ValueError("ls_maxsteps must be at least 0")
 
 
 class NewtonError(RuntimeError):
@@ -305,9 +292,9 @@ def check_rigid_modes(mesh: Mesh, pattern: JacobianPattern) -> None:
 
 
 # A chord step on the kept factor is accepted when it cuts the residual
-# norm to at most this fraction; a slower step refactors.  The bound is
-# stricter than the line search's sufficient-decrease test, so a chord
-# step needs no line search.
+# norm to at most this fraction; a slower step refactors.  Every accepted
+# chord step thus cuts the residual at least fourfold, and a stale factor
+# costs one triangular solve and one residual before it is replaced.
 CHORD_RATE = 0.25
 
 
@@ -368,8 +355,8 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
     if solver is None:
         solver = _TangentSolver()
 
-    u = np.zeros(n) if u0 is None else u0.astype(float).copy()
-    lam = np.zeros(n) if lam0 is None else lam0.astype(float).copy()
+    u = np.zeros(n) if u0 is None else np.array(u0, dtype=float)
+    lam = np.zeros(n) if lam0 is None else np.array(lam0, dtype=float)
     u[pattern.fixed] = pattern.vals * bc_scale
     lam[pattern.fixed] = 0.0
 
@@ -383,10 +370,10 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
         res_try = np.concatenate([ru, rl])
         return u_try, lam_try, res_try, float(np.linalg.norm(res_try)), kin_try
 
-    def trial(dx, alpha=1.0):
+    def trial(dx):
         u_try, lam_try = u.copy(), lam.copy()
-        u_try[free] += alpha * dx[:free.size]
-        lam_try[free] += alpha * dx[free.size:]
+        u_try[free] += dx[:free.size]
+        lam_try[free] += dx[free.size:]
         return evaluate(u_try, lam_try)
 
     u, lam, res, norm, kin = evaluate(u, lam)
@@ -408,21 +395,9 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
             jac = pattern.assemble(tangent_blocks(mesh, u, lam, c_star, s_star, mu0,
                                                   kin=kin))
             solver.tangent_evaluations += 1
-            dx = solver.factor(jac).solve(-res)
-            if config.line_search == "backtracking":
-                alpha = 1.0
-                for _ in range(config.ls_maxsteps + 1):
-                    step = trial(dx, alpha)
-                    if np.isfinite(step[3]) and step[3] < norm * (1.0 - 1e-4 * alpha):
-                        break
-                    alpha *= config.ls_factor
-                else:
-                    raise NewtonError("line search could not reduce the residual",
-                                      history)
-            else:
-                step = trial(dx)
-                if step[3] > 1e8 * scale + 1e4 * history[0]:
-                    raise NewtonError("Newton iteration diverged", history + [step[3]])
+            step = trial(solver.factor(jac).solve(-res))
+            if step[3] > 1e8 * scale + 1e4 * history[0]:
+                raise NewtonError("Newton iteration diverged", history + [step[3]])
         u, lam, res, norm, kin = step
         history.append(norm)
     raise NewtonError(
@@ -449,11 +424,10 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
     pattern = JacobianPattern(mesh, bcs)
     check_rigid_modes(mesh, pattern)
     solver = _TangentSolver()
-    zeros = np.zeros(mesh.n_dofs)
     newton_history: list[int] = []
 
     def solve_pass(c_star: np.ndarray, s_star: np.ndarray, scale: float, start):
-        u0, lam0 = (zeros, zeros) if start is None else start
+        u0, lam0 = (None, None) if start is None else start
         try:
             # an overflow shows as a non-finite residual norm, which
             # newton_solve rejects

@@ -45,10 +45,11 @@ from .tensors import angular_momentum_defect
 
 @dataclass
 class FpConfig(LoopConfig):
-    """Knobs of the alternating scheme: the loop's alone, since both linear
-    systems are solved on one sparse LU per mesh, mu0 and constraint set."""
+    """Knobs of the alternating scheme: the loop's alone (both linear systems
+    are solved on one sparse LU per mesh, mu0 and constraint set), with a
+    pass cap of 200."""
 
-    default_passes = 200
+    max_data_iterations: int = 200
 
 
 def recover_states(mesh: Mesh, u: np.ndarray, lam: np.ndarray,

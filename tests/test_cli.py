@@ -196,9 +196,8 @@ pairing = CS
         ("FP", FpConfig, {"max_data_iterations": 77, "penalty_tol": 1e-9,
                           "mu0": 1.5e6}),
         ("CS", CsConfig, {"max_data_iterations": 41, "newton_tol": 1e-8,
-                          "newton_maxit": 12, "line_search": "backtracking",
-                          "ls_factor": 0.25, "ls_maxsteps": 5, "load_steps": 3,
-                          "mu0": 2.5e5, "penalty_tol": 1e-10})])
+                          "newton_maxit": 12, "load_steps": 3, "mu0": 2.5e5,
+                          "penalty_tol": 1e-10})])
     def test_every_solver_field_parses_and_round_trips(
             self, workspace, formulation, cls, values):
         _, mesh_path, data_path = workspace
@@ -511,6 +510,19 @@ dirichlet.clamp = x=0
         assert main(["solve", str(cfg), "--threads", "1"]) == 2
         assert capsys.readouterr().err == "NONCONVERGED: Newton iteration diverged\n"
         assert not (tmp_path / "diverged").exists()
+
+    @pytest.mark.parametrize("line", ["line_search = backtracking", "ls_factor = 0.5",
+                                      "ls_maxsteps = 8"])
+    def test_line_search_keys_are_unknown_to_cs(self, workspace, capsys, line):
+        # CS takes plain full Newton steps: there is no line search to configure
+        tmp_path, mesh_path, _ = workspace
+        cfg = cs_rod_config(tmp_path, mesh_path, outdir="ls")
+        cfg.write_text(cfg.read_text().replace("mu0 = auto", f"mu0 = auto\n{line}"))
+        assert main(["solve", str(cfg), "--threads", "1"]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == (f"error: config [solver] {key}: "
+                                           f"unknown key for formulation CS\n")
+        assert not (tmp_path / "ls").exists()
 
     def test_missing_config_file_is_an_input_error(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.ini")]) == 1
