@@ -192,6 +192,14 @@ pairing = CS
                 f"dataset = {data_path}\noutput = o\n")
         assert parse_config(text).solver.max_data_iterations == passes
 
+    @pytest.mark.parametrize("cls, passes", [(FpConfig, 200), (CsConfig, 100)])
+    def test_pass_cap_is_a_plain_int_field(self, cls, passes):
+        # FpConfig redeclares the loop's field: same place, same int parser
+        first = fields(cls)[0]
+        assert (first.name, first.default) == ("max_data_iterations", passes)
+        assert cli._keys(cls)["max_data_iterations"] is cli._get_int
+        assert cls().max_data_iterations == passes
+
     @pytest.mark.parametrize("formulation, cls, values", [
         ("FP", FpConfig, {"max_data_iterations": 77, "penalty_tol": 1e-9,
                           "mu0": 1.5e6}),

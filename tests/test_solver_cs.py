@@ -7,7 +7,7 @@ of the residuals themselves.
 
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -245,6 +245,36 @@ class TestNewton:
         assert_allclose(lam, 0.0, atol=1e-10)
         assert solver.tangent_evaluations <= 6
 
+    def test_a_full_step_that_raises_the_residual_is_taken(self, rod_mesh):
+        # F = 1.5 from a zero start: the first full step raises the residual
+        # sevenfold, and plain Newton still reaches the exact linear ramp
+        s_ex = 2.4e5
+        bcs = end_load_bcs(rod_mesh, 1.5 * s_ex * rod_mesh.area)
+        c_star = qp_field(rod_mesh, np.array([[2.25]]))
+        s_star = qp_field(rod_mesh, np.array([[s_ex]]))
+        u, lam, _, history, _ = newton_solve(rod_mesh, bcs, c_star, s_star, 4.0e5,
+                                             CsConfig())
+        assert history[1] > 5.0 * history[0]
+        assert_allclose(u, 0.5 * rod_mesh.nodes[:, 0], rtol=1e-9, atol=1e-12)
+        assert_allclose(lam, 0.0, atol=1e-10)
+
+    def test_the_warm_start_is_copied_and_left_unchanged(self, rod_mesh):
+        s_ex = 2.4e5
+        bcs = end_load_bcs(rod_mesh, 1.1 * s_ex * rod_mesh.area)
+        c_star = qp_field(rod_mesh, np.array([[1.21]]))
+        s_star = qp_field(rod_mesh, np.array([[s_ex]]))
+        # nonzero at the clamped dof; the multiplier start is an integer array
+        u0 = 0.05 * rod_mesh.nodes[:, 0] + 1.0e-3
+        lam0 = np.ones(rod_mesh.n_dofs, dtype=int)
+        kept_u0, kept_lam0 = u0.copy(), lam0.copy()
+        u, lam, _, _, _ = newton_solve(rod_mesh, bcs, c_star, s_star, 4.0e5,
+                                       CsConfig(), u0=u0, lam0=lam0)
+        assert np.array_equal(u0, kept_u0) and u0.dtype == kept_u0.dtype
+        assert np.array_equal(lam0, kept_lam0) and lam0.dtype == kept_lam0.dtype
+        assert u.dtype == lam.dtype == np.float64
+        assert u[0] == lam[0] == 0.0
+        assert_allclose(u, 0.1 * rod_mesh.nodes[:, 0], rtol=1e-9, atol=1e-12)
+
     def test_unreachable_load_raises_with_history(self, rod_mesh):
         bcs = end_load_bcs(rod_mesh, 500.0)
         c_star = qp_field(rod_mesh, np.eye(1))
@@ -411,6 +441,14 @@ class TestSolveCs:
     def test_invalid_config_raises(self, kwargs):
         with pytest.raises(ValueError):
             CsConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [("line_search", "backtracking"),
+                                             ("ls_factor", 0.5), ("ls_maxsteps", 8)])
+    def test_line_search_fields_are_gone(self, name, value):
+        # every full Newton step is the plain step: nothing tunes a line search
+        assert name not in {f.name for f in fields(CsConfig)}
+        with pytest.raises(TypeError, match=name):
+            CsConfig(**{name: value})
 
     @pytest.mark.parametrize("kwargs", [
         dict(newton_tol=np.inf), dict(newton_tol=np.nan), dict(newton_tol=-1e-10),
