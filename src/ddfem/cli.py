@@ -56,11 +56,7 @@ class RunConfig:
     dirichlet: tuple = ()       # (nodeset, component, value) triples
     traction: tuple = ()        # (faceset, vector) pairs
     body_force: tuple | None = None
-    emit_fields: bool = True
-    emit_states: bool = True
-    emit_history: bool = True
     emit_vtk: bool = False
-    emit_level_table: bool = True
     solver: object = None       # FpConfig or CsConfig
     multilevel: MultilevelSection | None = None
     reference: LinearElasticLaw | None = None
@@ -314,9 +310,7 @@ def _prepare(cfg: RunConfig, threads: int):
 
 
 def _emit(report: SolveReport, cfg: RunConfig, chash: str) -> list:
-    return emit_report(report, cfg.output, config_hash=chash,
-                       fields=cfg.emit_fields, states=cfg.emit_states,
-                       history=cfg.emit_history, vtk=cfg.emit_vtk)
+    return emit_report(report, cfg.output, config_hash=chash, vtk=cfg.emit_vtk)
 
 
 def _finish(report: SolveReport, paths: list) -> int:
@@ -345,11 +339,9 @@ def cmd_multilevel(args) -> int:
     mesh, initial, bcs, solver_cfg = _prepare(cfg, args.threads)
     records, report = run_multilevel(mesh, bcs, load_dataset(cfg.multilevel.source),
                                      solver_cfg, cfg.multilevel, initial)
-    paths = _emit(report, cfg, chash)
-    if cfg.emit_level_table:
-        table = Path(cfg.output) / "levels.tsv"
-        write_level_table(records, table)
-        paths.append(table)
+    # after _emit, which creates the output directory
+    paths = _emit(report, cfg, chash) + [Path(cfg.output) / "levels.tsv"]
+    write_level_table(records, paths[-1])
     for r in records:
         print(f"level {r.level}: |D|={r.n_data} |S|={r.n_support} "
               f"penalty {r.penalty:.6e} ({r.solver_iterations} iterations)")

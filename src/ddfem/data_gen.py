@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from . import textio
-from .phase_space import DataSet, DataTuple, PairingKind
+from .phase_space import DataSet, DataTuple, PairingKind, TupleError
 from .tensors import rotation_2d, rotation_z, voigt_to_tensor
 
 
@@ -209,7 +209,7 @@ def load_unit_loads(path=None) -> UnitLoadLibrary:
         path = resources.files("ddfem") / "data/unitloads.txt"
     src = textio.read(path, _UNITLOAD_MAGIC)
     alpha = src.field("alpha", float)
-    table = src.rows(src.header_line, None, 12)
+    table = src.rows(12)
     if len(table) != 6:
         raise ValueError(f"{src.name}: expected 6 unit-load rows, found {len(table)}")
     return UnitLoadLibrary(alpha, table[:, :6].copy(), table[:, 6:].copy())
@@ -282,7 +282,7 @@ def isotropic_grid_from_two_states(elong: DataTuple, shear: DataTuple,
 def _raise_first(bad: np.ndarray, what: str) -> None:
     """Raise for the lowest-index tuple flagged in `bad`, if any."""
     if bad.any():
-        raise ValueError(f"tuple {int(np.argmax(bad))}: {what}")
+        raise TupleError(int(np.argmax(bad)), what)
 
 
 def _spd_sqrt(c: np.ndarray) -> np.ndarray:

@@ -509,7 +509,7 @@ def load_mesh(path, area: float = 1.0) -> Mesh:
     dim, etype = src.field("dim"), src.field("etype", ElementType)
     if dim != str(etype.dim):
         raise src.error(src.header_line, f"dim={dim} contradicts {etype.value}")
-    body = iter(src.numbered(src.header_line))
+    body = iter(src.numbered())
 
     def take(n: int, expect: str) -> list[tuple[int, str]]:
         got = list(itertools.islice(body, n))
@@ -529,7 +529,7 @@ def load_mesh(path, area: float = 1.0) -> Mesh:
     def block(keyword: str, width: int, dtype) -> np.ndarray:
         [(ln, text)] = take(1, keyword)
         got = take(count(ln, text, f"{keyword} <count>")[1], f"{keyword[:-1]} line")
-        return src.rows(ln, got[-1][0] if got else ln, width, dtype)
+        return src.rows(width, dtype, got)
 
     def node_ids(ln: int, text: str, kind: str, name: str) -> list[int]:
         ids = src.numbers(ln, text.split())

@@ -110,6 +110,15 @@ def _asymmetric(t: np.ndarray, tol: float) -> np.ndarray:
 _BLOCK = 2048
 
 
+class TupleError(ValueError):
+    """An invalid tuple: its index among the tuples and the reason."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"tuple {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
 def _validate(kind: PairingKind, dim: int, strains: np.ndarray,
               stresses: np.ndarray) -> None:
     """Raise for the lowest-numbered invalid tuple, naming its first failed check.
@@ -136,7 +145,7 @@ def _validate(kind: PairingKind, dim: int, strains: np.ndarray,
             first = min(((int(np.argmax(bad)), order, msg)
                          for order, (msg, bad) in enumerate(failed) if bad.any()), default=None)
             if first is not None:
-                raise ValueError(f"tuple {lo + first[0]}: {first[2]}")
+                raise TupleError(lo + first[0], first[2])
 
 
 def _checked_mu0(mu0) -> float:
@@ -542,18 +551,14 @@ def load_dataset(path, mu0: float | None = None) -> DataSet:
         # a kept table that fails goes to the text below, which names the line
         with contextlib.suppress(ValueError):
             return DataSet(kind, dim, table[:, :dd], table[:, dd:], mu0=mu0)
-    table = src.rows(src.header_line, None, 2 * dd)
+    table = src.rows(2 * dd)
     if not len(table):
         raise ValueError(f"{src.name}: dataset contains no tuples")
     try:
         data = DataSet(kind, dim, table[:, :dd], table[:, dd:], mu0=mu0)
-    except ValueError as err:
-        # re-raise tuple-level complaints with the file position
-        msg = str(err)
-        if not msg.startswith("tuple "):
-            raise
-        row = int(msg.split()[1].rstrip(":"))
-        raise src.error(src.numbered(src.header_line)[row][0], msg.split(": ", 1)[1]) from None
+    except TupleError as err:
+        # re-raise with the tuple's line
+        raise src.error(src.numbered()[err.index][0], err.reason) from None
     stat = os.stat(path)
     if (stat.st_size, stat.st_mtime_ns) == stamp:
         # readable by whoever can read the file, as mkstemp's 0600 is not

@@ -118,17 +118,15 @@ def write_vtk(report: SolveReport, path, config_hash: str = "none") -> None:
 
 
 def emit_report(report: SolveReport, outdir, config_hash: str = "none",
-                fields: bool = True, states: bool = True, history: bool = True,
                 vtk: bool = False) -> list[Path]:
-    """Write the selected output files into `outdir`; returns their paths."""
+    """Write fields.tsv, states.tsv, history.tsv and, with `vtk`,
+    solution.vtk into `outdir`; returns their paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for wanted, name, writer in ((fields, "fields.tsv", write_fields),
-                                 (states, "states.tsv", write_states),
-                                 (history, "history.tsv", write_history),
-                                 (vtk, "solution.vtk", write_vtk)):
-        if wanted:
-            writer(report, outdir / name, config_hash)
-            written.append(outdir / name)
-    return written
+    writers = [("fields.tsv", write_fields), ("states.tsv", write_states),
+               ("history.tsv", write_history)]
+    if vtk:
+        writers.append(("solution.vtk", write_vtk))
+    for name, writer in writers:
+        writer(report, outdir / name, config_hash)
+    return [outdir / name for name, _ in writers]

@@ -29,11 +29,12 @@ at least `CHORD_RATE`; otherwise it drops the factor, evaluates and
 factors the exact tangent at the current iterate and takes a full
 Newton step.  Most steps therefore cost one triangular solve and one
 residual.  Kinematics (F, grad(lam), C and S) are computed once per
-Newton iterate: both residuals of a trial (u, lam) come from one
-evaluation, and the accepted iterate's evaluation also feeds its tangent
-and, at convergence, the pass's state recovery.  Gradients and
-divergences are products with the mesh's sparse discrete gradient, which
-the mesh builds once and keeps.  One Newton solve is one pass of
+Newton iterate: Newton evaluates `residual_u` and `residual_lambda` on
+that one evaluation of a trial (u, lam), and the accepted iterate's
+evaluation also feeds its tangent and, at convergence, gives the pass's
+recovered states C and S.  Gradients and divergences are products with
+the mesh's sparse discrete gradient, which the mesh builds once and
+keeps.  One Newton solve is one pass of
 `assignment.assignment_loop`, which runs the load steps of the
 continuation ramp, reassigns the nearest tuples under the termination
 contract stated there, and builds the SolveReport.  Each pass loads to
@@ -103,44 +104,31 @@ def _kinematics(mesh: Mesh, u: np.ndarray, lam: np.ndarray, s_star: np.ndarray,
     return f, lgrad, ft @ f, s_star + mu0 * (ft @ lgrad)
 
 
-def _strain_matching(kin, c_star: np.ndarray, mu0: float) -> np.ndarray:
-    """Per-qp integrand 2 mu0 F (C - C*) - grad(lam) S^T of R_u."""
-    f, lgrad, c, s = kin
-    return 2.0 * mu0 * (f @ (c - c_star)) - lgrad @ transposed(s)
+def residual_u(mesh: Mesh, u: np.ndarray, lam: np.ndarray, c_star: np.ndarray,
+               s_star: np.ndarray, mu0: float, kin=None) -> np.ndarray:
+    """Unconstrained nodal residual of the strain-matching equation.
 
-
-def _first_piola(kin) -> np.ndarray:
-    """Per-qp integrand P = F S of R_l."""
-    f, _, _, s = kin
-    return f @ s
-
-
-def recover_states_cs(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
-                      s_star: np.ndarray, mu0: float,
-                      kin=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-qp C = F^T F (symmetric by construction) and S = S* + mu0 F^T grad(lam).
-
-    `kin` is the kinematics already evaluated at (u, lam), if any.
+    Its integrand is 2 mu0 F (C - C*) - grad(lam) S^T.  `kin` is the
+    kinematics already evaluated at (u, lam); omitted, it is computed.
     """
     if kin is None:
         kin = _kinematics(mesh, u, lam, s_star, mu0)
-    _, _, c, s = kin
-    return c, s
-
-
-def residual_u(mesh: Mesh, u: np.ndarray, lam: np.ndarray, c_star: np.ndarray,
-               s_star: np.ndarray, mu0: float) -> np.ndarray:
-    """Unconstrained nodal residual of the strain-matching equation."""
-    kin = _kinematics(mesh, u, lam, s_star, mu0)
-    return divergence_rhs(mesh, _strain_matching(kin, c_star, mu0))
+    f, lgrad, c, s = kin
+    return divergence_rhs(mesh, 2.0 * mu0 * (f @ (c - c_star)) - lgrad @ transposed(s))
 
 
 def residual_lambda(mesh: Mesh, u: np.ndarray, lam: np.ndarray,
-                    s_star: np.ndarray, mu0: float,
-                    f_ext: np.ndarray) -> np.ndarray:
-    """Unconstrained nodal equilibrium residual of P = F S."""
-    kin = _kinematics(mesh, u, lam, s_star, mu0)
-    return divergence_rhs(mesh, _first_piola(kin)) - f_ext
+                    s_star: np.ndarray, mu0: float, f_ext: np.ndarray,
+                    kin=None) -> np.ndarray:
+    """Unconstrained nodal equilibrium residual of P = F S.
+
+    `kin` is the kinematics already evaluated at (u, lam); omitted, it
+    is computed.
+    """
+    if kin is None:
+        kin = _kinematics(mesh, u, lam, s_star, mu0)
+    f, _, _, s = kin
+    return divergence_rhs(mesh, f @ s) - f_ext
 
 
 def _node_pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -365,8 +353,8 @@ def newton_solve(mesh: Mesh, bcs: BoundaryConditions, c_star: np.ndarray,
     def evaluate(u_try, lam_try):
         """(u, lam, reduced residual, its norm, kinematics) at (u_try, lam_try)."""
         kin_try = _kinematics(mesh, u_try, lam_try, s_star, mu0)
-        ru = divergence_rhs(mesh, _strain_matching(kin_try, c_star, mu0))[free]
-        rl = (divergence_rhs(mesh, _first_piola(kin_try)) - f_ext)[free]
+        ru = residual_u(mesh, u_try, lam_try, c_star, s_star, mu0, kin=kin_try)[free]
+        rl = residual_lambda(mesh, u_try, lam_try, s_star, mu0, f_ext, kin=kin_try)[free]
         res_try = np.concatenate([ru, rl])
         return u_try, lam_try, res_try, float(np.linalg.norm(res_try)), kin_try
 
@@ -444,8 +432,7 @@ def solve_cs(mesh: Mesh, bcs: BoundaryConditions, dataset: DataSet,
                                  f"prescribed displacements are too large") from None
             raise
         newton_history.append(iters)
-        c_qp, s_qp = recover_states_cs(mesh, u, lam, s_star, mu0, kin=kin)
-        return u, lam, c_qp, s_qp, norms[-1]
+        return u, lam, kin[2], kin[3], norms[-1]
 
     report = assignment_loop(solve_pass, nearest_many, mesh, dataset, config,
                              config.load_steps)

@@ -55,9 +55,10 @@ class TextFile:
         except ValueError:
             raise self.error(self.header_line, f"bad header field {key}={self.header[key]}") from None
 
-    def numbered(self, start: int, stop: int | None = None) -> list[tuple[int, str]]:
-        """(line number, text) of the rows among lines[start:stop]."""
-        return [(ln, raw.strip()) for ln, raw in enumerate(self.lines[start:stop], start + 1)
+    def numbered(self) -> list[tuple[int, str]]:
+        """(line number, text) of the rows past the header."""
+        start = self.header_line
+        return [(ln, raw.strip()) for ln, raw in enumerate(self.lines[start:], start + 1)
                 if _is_row(raw)]
 
     def numbers(self, line: int, tokens: list[str], dtype=int) -> list:
@@ -68,42 +69,42 @@ class TextFile:
         except (ValueError, OverflowError):
             raise self.error(line, "malformed number") from None
 
-    def rows(self, start: int, stop: int | None, width: int, dtype=float) -> np.ndarray:
-        """The rows among lines[start:stop] as one (n, width) float or int array.
+    def rows(self, width: int, dtype=float,
+             numbered: list[tuple[int, str]] | None = None) -> np.ndarray:
+        """Rows as one (n, width) float or int array: the `numbered` rows
+        given, or every row past the header when they are omitted.
 
-        A block that runs from the header to the end of the file goes to
-        one np.loadtxt call on the open file, which skips blank lines;
-        any other block to one call on its lines.  A block that call
-        rejects is parsed once more from its rows alone, without blanks
+        The rows past the header go to one np.loadtxt call on the open
+        file, which skips blank lines; numbered rows to one call on their
+        texts.  Rows past the header that the first call rejects are
+        parsed once more from their numbered rows alone, without blanks
         and comments, and whatever loadtxt rejects then goes through the
-        line loop, which accepts exactly the tokens `numbers` accepts
-        and names the first bad line.
+        line loop, which accepts exactly the tokens `numbers` accepts and
+        names the first bad line.
         """
-        if start == self.header_line and stop is None:
+        if numbered is None:
             with open(self.name) as f:
-                for _ in range(start):
+                for _ in range(self.header_line):
                     f.readline()
                 table = _loadtxt(f, width, dtype)
-        else:
-            block = self.lines[start:stop]
-            table = _loadtxt(block, width, dtype, len(block))
-        if table is None:
-            numbered = self.numbered(start, stop)
-            table = _loadtxt([text for _, text in numbered], width, dtype, len(numbered))
-        if table is None:
-            parsed = []
-            for ln, text in numbered:
-                parts = text.split()
-                if len(parts) != width:
-                    raise self.error(ln, f"expected {width} components, got {len(parts)}")
-                parsed.append(self.numbers(ln, parts, dtype))
-            table = np.array(parsed, dtype=dtype).reshape(-1, width)
-        return table
+            if table is not None:
+                return table
+            numbered = self.numbered()
+        table = _loadtxt([text for _, text in numbered], width, dtype)
+        if table is not None:
+            return table
+        parsed = []
+        for ln, text in numbered:
+            parts = text.split()
+            if len(parts) != width:
+                raise self.error(ln, f"expected {width} components, got {len(parts)}")
+            parsed.append(self.numbers(ln, parts, dtype))
+        return np.array(parsed, dtype=dtype).reshape(-1, width)
 
 
-def _loadtxt(source, width: int, dtype, n: int | None = None) -> np.ndarray | None:
-    """np.loadtxt of a list of lines or an open file if it reads `n` rows
-    of `width` values (one or more rows when `n` is None).
+def _loadtxt(source, width: int, dtype) -> np.ndarray | None:
+    """np.loadtxt of a list of lines or an open file if it reads one or
+    more rows of `width` values.
 
     loadtxt accepts no token that `dtype()` rejects, and its comment
     stripping is off so that a `#` after a value stays an error.
@@ -115,8 +116,7 @@ def _loadtxt(source, width: int, dtype, n: int | None = None) -> np.ndarray | No
             table = np.loadtxt(source, dtype=dtype, comments=None, ndmin=2)
     except ValueError:
         return None
-    rows = len(table) if n is None else n
-    return table if rows and table.shape == (rows, width) else None
+    return table if len(table) and table.shape[1] == width else None
 
 
 def read(path, magic: str) -> TextFile:

@@ -532,6 +532,17 @@ dirichlet.clamp = x=0
                                            f"unknown key for formulation CS\n")
         assert not (tmp_path / "ls").exists()
 
+    @pytest.mark.parametrize("key", ["emit_fields", "emit_states", "emit_history",
+                                     "emit_level_table"])
+    def test_the_output_tables_have_no_switch(self, workspace, capsys, key):
+        # fields.tsv, states.tsv, history.tsv and levels.tsv are always written
+        tmp_path, mesh_path, data_path = workspace
+        cfg = rod_config(tmp_path, mesh_path, data_path, outdir="switch")
+        cfg.write_text(cfg.read_text().replace("area = 1e-4", f"area = 1e-4\n{key} = false"))
+        assert main(["solve", str(cfg), "--threads", "1"]) == 1
+        assert capsys.readouterr().err == f"error: config [run] {key}: unknown key\n"
+        assert not (tmp_path / "switch").exists()
+
     def test_missing_config_file_is_an_input_error(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.ini")]) == 1
         assert "error:" in capsys.readouterr().err

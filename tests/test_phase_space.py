@@ -14,9 +14,9 @@ from scipy.spatial import cKDTree
 
 from conftest import unchecked_tuples
 from ddfem import phase_space, textio
-from ddfem.phase_space import (DataSet, PairingKind, auto_mu0, load_dataset,
-                               median_nn_spacing, nearest_many, penalty_many,
-                               refine_around, save_dataset)
+from ddfem.phase_space import (DataSet, PairingKind, TupleError, auto_mu0,
+                               load_dataset, median_nn_spacing, nearest_many,
+                               penalty_many, refine_around, save_dataset)
 
 
 def flat_set(kind, dim, strains, stresses, mu0=1.0):
@@ -514,6 +514,13 @@ class TestDataSetValidation:
         with pytest.raises(ValueError, match=r"^tuple 5: strain tensor is not symmetric$"):
             DataSet(PairingKind.CS, 2, e, s, mu0=1.0)
 
+    def test_the_error_carries_the_tuple_index_and_reason(self):
+        e = np.ones((3, 1))
+        e[2, 0] = np.nan
+        with pytest.raises(TupleError) as err:
+            DataSet(PairingKind.FP, 1, e, np.zeros((3, 1)), mu0=1.0)
+        assert (err.value.index, err.value.reason) == (2, "non-finite component")
+
     def test_first_failed_check_of_a_tuple_is_named(self):
         # tuple 2 fails every check; finiteness is reported first
         e = np.tile(np.eye(2).reshape(1, 4), (3, 1))
@@ -949,6 +956,17 @@ class TestDatasetFiles:
                                "1.0 0.5 0.0 1.0 0.0 0.0 0.0 0.0"], newline)
             assert load_error(path) == f"{path}:6: strain tensor is not symmetric"
 
+    @pytest.mark.parametrize("rows, reason", [
+        (["1.0 0.0", "1.0 5.0"], "all strains sit at the reference state"),
+        (["1.2 0.0", "", "1.5 0.0"], "dataset carries no stress")],
+        ids=["reference strains", "no stress"])
+    def test_an_uncalibratable_file_names_no_line(self, tmp_path, rows, reason):
+        # mu0 belongs to the whole file, not to one of its tuples
+        path = tmp_path / "bad.txt"
+        for newline in ("\n", "\r\n"):
+            write_lines(path, ["# dd-dataset v1", "kind=FP dim=1 units=SI", *rows], newline)
+            assert load_error(path) == f"cannot calibrate mu0: {reason}"
+
     def test_every_float_token_is_accepted(self, tmp_path):
         # the batched parse rejects these; the line loop reads them like float()
         path = tmp_path / "data.txt"
@@ -1020,10 +1038,10 @@ class TestDatasetFiles:
                            *after], newline)
         src = textio.read(path, "# dd-dataset v1")
         assert src.header_line == 2 + len(before)
-        streamed = src.rows(src.header_line, None, 8)
+        streamed = src.rows(8)
         # a comment inside the block sends the parse to the file's lines
         assert ("lines" in vars(src)) == any(line.lstrip().startswith("#") for line in rows)
-        whole = src.rows(src.header_line, len(src.lines), 8)
+        whole = src.rows(8, numbered=src.numbered())
         assert streamed.dtype == whole.dtype == np.float64
         assert streamed.tobytes() == whole.tobytes() == table.tobytes()
 

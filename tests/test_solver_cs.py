@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 
 from conftest import (NON_FINITE_BCS, count_operator_builds, coupled_blocks, end_load_bcs,
                       fd_tangent_blocks, non_finite_bcs, random_admissible_state,
-                      relative_frobenius, scripted_search)
+                      relative_frobenius, same_report, scripted_search)
 from ddfem import fem, solver_cs
 from ddfem.data_gen import Family, GeneratorSpec, generate
 from ddfem.fem import (BoundaryConditions, box_mesh, free_dofs, gradient_field,
@@ -25,8 +25,8 @@ from ddfem.fem import (BoundaryConditions, box_mesh, free_dofs, gradient_field,
 from ddfem.phase_space import DataSet, PairingKind
 from ddfem.reference import LinearElasticLaw, solve_linear_elastic
 from ddfem.solver_cs import (CsConfig, JacobianPattern, NewtonError,
-                             newton_solve, recover_states_cs, residual_lambda,
-                             residual_u, solve_cs, tangent_blocks)
+                             newton_solve, residual_lambda, residual_u, solve_cs,
+                             tangent_blocks)
 
 
 def cs_set(strains, stresses, mu0):
@@ -117,7 +117,7 @@ class TestRecovery:
     def test_zero_multiplier_returns_the_data_stress(self, rod_mesh):
         z = np.zeros(rod_mesh.n_dofs)
         s_star = qp_field(rod_mesh, np.array([[4.2e5]]))
-        c, s = recover_states_cs(rod_mesh, z, z, s_star, 3.0)
+        c, s = solver_cs._kinematics(rod_mesh, z, z, s_star, 3.0)[2:]
         assert np.array_equal(s, s_star)
         assert_allclose(c, 1.0, atol=1e-18)
 
@@ -126,8 +126,8 @@ class TestRecovery:
         mesh = line_mesh(1.0, 1, area=1.0)
         u = 0.2 * mesh.nodes[:, 0]
         lam = 0.1 * mesh.nodes[:, 0]
-        c, s = recover_states_cs(mesh, u, lam,
-                                 qp_field(mesh, np.zeros((1, 1))), 1.0)
+        c, s = solver_cs._kinematics(mesh, u, lam,
+                                     qp_field(mesh, np.zeros((1, 1))), 1.0)[2:]
         assert_allclose(c, 1.44, rtol=1e-14)
         assert_allclose(s, 0.12, rtol=1e-14)
 
@@ -135,7 +135,7 @@ class TestRecovery:
         u = 0.1 * rng.normal(size=unit_square.n_dofs)
         lam = 0.05 * rng.normal(size=unit_square.n_dofs)
         s_star = qp_field(unit_square, np.zeros((2, 2)))
-        c, _ = recover_states_cs(unit_square, u, lam, s_star, 1.0)
+        c, _ = solver_cs._kinematics(unit_square, u, lam, s_star, 1.0)[2:]
         assert_allclose(c, np.swapaxes(c, -1, -2), atol=1e-15)
 
 
@@ -171,19 +171,21 @@ class TestTangents:
         assert relative_frobenius(k_lu, fd_lu) < 1e-6
         assert relative_frobenius(k_ll, fd_ll) < 1e-6
 
+    @pytest.mark.parametrize("name", ["tangent_blocks", "residual_u", "residual_lambda"])
     @pytest.mark.parametrize("builder", [
         lambda: line_mesh(1.0, 3, area=0.7),
         lambda: rect_mesh(1.0, 0.8, 2, 2),
         lambda: box_mesh(1.0, 0.6, 0.5, 2, 1, 1),
     ])
-    def test_passed_kinematics_give_bit_equal_blocks(self, builder, rng):
+    def test_passed_kinematics_give_the_same_bits(self, builder, name, rng):
         mesh = builder()
         mu0 = 1.7
         u, lam, c_star, s_star = random_admissible_state(mesh, rng, mu0)
         kin = solver_cs._kinematics(mesh, u, lam, s_star, mu0)
-        assert np.array_equal(
-            tangent_blocks(mesh, u, lam, c_star, s_star, mu0, kin=kin),
-            tangent_blocks(mesh, u, lam, c_star, s_star, mu0))
+        f_ext = np.linspace(-1.0, 1.0, mesh.n_dofs)
+        args = (s_star, mu0, f_ext) if name == "residual_lambda" else (c_star, s_star, mu0)
+        call = getattr(solver_cs, name)
+        assert np.array_equal(call(mesh, u, lam, *args, kin=kin), call(mesh, u, lam, *args))
 
     def test_contiguous_transposes_give_the_strided_bits(self, rng, monkeypatch):
         mesh = box_mesh(2.0, 1.0, 1.0, 3, 2, 2)
@@ -192,7 +194,7 @@ class TestTangents:
 
         def outputs():
             kin = solver_cs._kinematics(mesh, u, lam, s_star, mu0)
-            return (*kin, solver_cs._strain_matching(kin, c_star, mu0),
+            return (*kin, residual_u(mesh, u, lam, c_star, s_star, mu0, kin=kin),
                     tangent_blocks(mesh, u, lam, c_star, s_star, mu0))
 
         contiguous = outputs()
@@ -306,6 +308,26 @@ class TestSolveCs:
         assert report.global_penalty == 0.0
         assert np.all(report.assigned == 0)
         assert_allclose(report.u, 0.0, atol=1e-18)
+
+    def test_newton_evaluates_its_residuals_through_the_public_functions(
+            self, rod_mesh, monkeypatch):
+        data = cs_set([1.0, 1.5625, 2.2, 0.82], [0.0, 2.4e5, 6.0e5, -2.0e5], mu0=4.0e5)
+        bcs = end_load_bcs(rod_mesh, 1.25 * 2.4e5 * rod_mesh.area)
+        config = CsConfig(load_steps=2)
+        plain = solve_cs(rod_mesh, bcs, data, config)
+        calls = {"_kinematics": 0, "residual_u": 0, "residual_lambda": 0}
+        for name in calls:
+            def spy(*args, real=getattr(solver_cs, name), name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(solver_cs, name, spy)
+        spied = solve_cs(rod_mesh, bcs, data, config)
+        # one kinematics evaluation per trial (u, lam), and each residual
+        # evaluated once on it
+        assert calls["_kinematics"] > sum(plain.newton_history) > 0
+        assert calls["residual_u"] == calls["residual_lambda"] == calls["_kinematics"]
+        assert same_report(spied, plain)
+        assert spied.newton_history == plain.newton_history
 
     def test_two_solves_on_one_mesh_build_one_operator(self, rod_mesh, monkeypatch):
         builds = count_operator_builds(monkeypatch)
