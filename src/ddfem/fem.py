@@ -276,8 +276,7 @@ class BoundaryConditions:
                   pairs; LINE2 faces are single nodes and the traction
                   acts on the bar cross-section.
     point_loads : (node, force vector) pairs.
-    body_force  : force per unit reference volume, shape (dim,) or one
-                  row per element.
+    body_force  : force per unit reference volume, shape (dim,).
     """
 
     dirichlet: list = field(default_factory=list)
@@ -298,14 +297,9 @@ class BoundaryConditions:
         """Dead-load vector on displacement dofs; a non-finite load raises."""
         f = np.zeros((mesh.n_nodes, mesh.dim))
         if self.body_force is not None:
-            b = _finite_load(self.body_force, "body force")
+            b = _finite_load(self.body_force, "body force").reshape(mesh.dim)
             quad = mesh.quadrature()
-            if b.ndim == 1:
-                contrib = np.einsum("eq,qa,i->eai", quad.weights, quad.n,
-                                    b.reshape(mesh.dim))
-            else:
-                contrib = np.einsum("eq,qa,ei->eai", quad.weights, quad.n,
-                                    b.reshape(mesh.n_elements, mesh.dim))
+            contrib = np.einsum("eq,qa,i->eai", quad.weights, quad.n, b)
             np.add.at(f, mesh.elements, contrib)
         for face, traction in self.tractions:
             face = tuple(int(n) for n in np.atleast_1d(face))

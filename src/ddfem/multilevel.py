@@ -71,25 +71,21 @@ def _solver(config):
     raise TypeError(f"config must be FpConfig or CsConfig, got {type(config).__name__}")
 
 
-def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
+def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, pool: DataSet, config,
                    options: MultilevelOptions | None = None,
                    initial: DataSet | None = None) -> tuple[list[LevelRecord], SolveReport]:
     """Iterated solve / refine loop over progressively denser datasets.
 
     Parameters
     ----------
-    source : DataSet or callable
-        Pool the refinement draws from, or a generator of fresh tuples:
-        ``source(centers, radius)`` gets the used tuples as a DataSet and
-        the refinement radius, and returns an iterable of
-        ``(strain, stress)`` pairs, each of d*d values in any shape.
+    pool : DataSet
+        Tuples the refinement draws from (the ``[multilevel] source`` file).
     config : FpConfig or CsConfig
         Picks the solver formulation and, when it sets mu0, every level's metric.
     options : MultilevelOptions, optional
         Refinement and stopping settings; None takes the defaults.
     initial : DataSet, optional
-        Level-1 dataset.  Defaults to ``source`` itself when the source is
-        a plain DataSet; required for a generator source.
+        Level-1 dataset.  Defaults to the pool itself.
 
     Returns
     -------
@@ -101,15 +97,13 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
     """
     options = options or MultilevelOptions()
     solve = _solver(config)
-    if initial is None and not isinstance(source, DataSet):
-        raise ValueError("initial dataset is required when source is a generator")
-    dataset = source if initial is None else initial
+    dataset = pool if initial is None else initial
     if config.mu0 is not None and config.mu0 != dataset.mu0:
         dataset = dataset.with_mu0(config.mu0)
-    if isinstance(source, DataSet) and source.mu0 != dataset.mu0:
+    if pool.mu0 != dataset.mu0:
         # every level keeps the first level's mu0: convert the pool once
         # so that refine_around reuses its tree
-        source = source.with_mu0(dataset.mu0)
+        pool = pool.with_mu0(dataset.mu0)
 
     records: list[LevelRecord] = []
     prev_support = None
@@ -136,7 +130,7 @@ def run_multilevel(mesh: Mesh, bcs: BoundaryConditions, source, config,
                 break
         if level == options.max_levels:
             break
-        dataset = refine_around(source, support, dataset,
+        dataset = refine_around(pool, support, dataset,
                                 radius=options.radius, keep_all=options.keep_all)
         prev_support = support.size
     return records, report

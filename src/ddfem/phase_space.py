@@ -359,23 +359,19 @@ def median_nn_spacing(dataset: DataSet) -> float:
     return float(np.median(np.sqrt(d2)))
 
 
-def refine_around(source, assigned: np.ndarray, current: DataSet,
+def refine_around(pool: DataSet, assigned: np.ndarray, current: DataSet,
                   radius: float | None = None, keep_all: bool = False) -> DataSet:
     """Build the next-level dataset around the tuples a solve actually used.
 
-    `assigned` holds tuple ids into `current`.  New tuples come either
-    from a larger pool (`source` is a DataSet; all pool tuples within
-    `radius` of a used tuple are added, in pool order) or from a generator
-    of fresh tuples: `source(centers, radius)` gets the used tuples as a
-    DataSet and the radius, and returns an iterable of (strain, stress)
-    pairs, each of d*d values in any shape.  Unused tuples of `current`
-    are dropped unless `keep_all` is set.  The metric scale mu0 carries
-    over unchanged so penalties stay comparable across levels.  The new
-    dataset checks its tuples like any other, so a generated pair that is
-    not finite, or not symmetric in a symmetric pairing, raises naming its
-    tuple in the new dataset.
+    `assigned` holds tuple ids into `current`.  Every tuple of `pool`
+    within `radius` of a used tuple is added, in pool order, after the
+    used tuples; unused tuples of `current` are dropped unless `keep_all`
+    is set, and byte-identical rows keep their first occurrence.  The
+    metric scale mu0 carries over unchanged so penalties stay comparable
+    across levels.  The pool's tuples were checked when it was built, so
+    the new dataset holds no unchecked tuple.
 
-    A pool is searched on its own tree in the current mu0; a pool under
+    The pool is searched on its own tree in the current mu0; a pool under
     another mu0 is converted first, so a caller refining repeatedly from
     one pool converts it once and reuses its tree.  One join of that tree
     with the used tuples, rotated into its frame, finds every pair within
@@ -392,55 +388,40 @@ def refine_around(source, assigned: np.ndarray, current: DataSet,
         raise ValueError("assignment ids outside the current dataset")
     if radius is None:
         radius = 2.0 * median_nn_spacing(current)
+    if (pool.kind, pool.dim) != (current.kind, current.dim):
+        raise ValueError("source and current datasets disagree in kind or dimension")
+    mu0 = current.mu0
+    if pool.mu0 != mu0:
+        pool = pool.with_mu0(mu0)
+    centres = _scaled(current.strains[assigned], current.stresses[assigned], mu0)
+    # one join of the pool's tree with the used tuples rotated into its
+    # frame.  m bounds the rounding of the rotation at every centre, so
+    # a pair within radius - m is within `radius`, and a tuple without
+    # a pair within radius + m is not
+    m = 2.0 * float(np.max(_tie_margin(radius, centres)))
+    pairs = pool.tree().sparse_distance_matrix(
+        cKDTree(centres @ pool.axes), radius + m, output_type="ndarray")
+    inside = pairs["v"] <= radius - m
+    keep = np.zeros(len(pool), dtype=bool)
+    keep[pairs["i"][inside]] = True
+    # a tuple with pairs only in the band is measured: its distance to
+    # the nearest used tuple on the unrotated scaled coordinates
+    band = np.unique(pairs["i"][~inside])
+    band = band[~keep[band]]
+    if band.size:
+        d, _ = cKDTree(centres).query(
+            _scaled(pool.strains[band], pool.stresses[band], mu0), k=1)
+        keep[band[d <= radius]] = True
+    near = np.flatnonzero(keep)
     base_ids = np.arange(len(current)) if keep_all else assigned
-    strains = [current.strains[base_ids]]
-    stresses = [current.stresses[base_ids]]
-
-    if isinstance(source, DataSet):
-        if (source.kind, source.dim) != (current.kind, current.dim):
-            raise ValueError("source and current datasets disagree in kind or dimension")
-        mu0 = current.mu0
-        if source.mu0 != mu0:
-            source = source.with_mu0(mu0)
-        centres = _scaled(current.strains[assigned], current.stresses[assigned], mu0)
-        # one join of the pool's tree with the used tuples rotated into its
-        # frame.  m bounds the rounding of the rotation at every centre, so
-        # a pair within radius - m is within `radius`, and a tuple without
-        # a pair within radius + m is not
-        m = 2.0 * float(np.max(_tie_margin(radius, centres)))
-        pairs = source.tree().sparse_distance_matrix(
-            cKDTree(centres @ source.axes), radius + m, output_type="ndarray")
-        inside = pairs["v"] <= radius - m
-        keep = np.zeros(len(source), dtype=bool)
-        keep[pairs["i"][inside]] = True
-        # a tuple with pairs only in the band is measured: its distance to
-        # the nearest used tuple on the unrotated scaled coordinates
-        band = np.unique(pairs["i"][~inside])
-        band = band[~keep[band]]
-        if band.size:
-            d, _ = cKDTree(centres).query(
-                _scaled(source.strains[band], source.stresses[band], mu0), k=1)
-            keep[band[d <= radius]] = True
-        near = np.flatnonzero(keep)
-        strains.append(source.strains[near])
-        stresses.append(source.stresses[near])
-    else:
-        centers = DataSet(current.kind, current.dim, current.strains[assigned],
-                          current.stresses[assigned], mu0=current.mu0)
-        pairs = list(source(centers, radius))
-        if pairs:
-            dd = current.dim ** 2
-            strains.append(np.array([np.asarray(e, dtype=float).reshape(dd) for e, _ in pairs]))
-            stresses.append(np.array([np.asarray(s, dtype=float).reshape(dd) for _, s in pairs]))
-
-    all_e = np.vstack(strains)
-    all_s = np.vstack(stresses)
+    all_e = np.vstack([current.strains[base_ids], pool.strains[near]])
+    all_s = np.vstack([current.stresses[base_ids], pool.stresses[near]])
     # first occurrences of byte-identical rows, in their original order
     rows = np.hstack([all_e, all_s])
     _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))),
                          return_index=True)
     keep = np.sort(first)
-    return DataSet(current.kind, current.dim, all_e[keep], all_s[keep], mu0=current.mu0)
+    return DataSet(current.kind, current.dim, all_e[keep], all_s[keep], mu0=mu0)
 
 
 # -- file format -------------------------------------------------------

@@ -562,6 +562,141 @@ dirichlet.clamp = x=0
         assert main(["solve", str(cfg), "--threads", "1"]) == 1
         assert f"error: {mesh_path}:7: malformed number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("formulation", ["FP", "CS"])
+    def test_a_generator_solves_as_the_file_generate_writes(self, workspace, formulation):
+        # one spec, given as a [generator] section and as `ddfem generate`
+        # flags: every emitted byte matches but the config hash
+        tmp_path, mesh_path, _ = workspace
+        data_path = tmp_path / f"generated_{formulation}.data"
+        assert main(["generate", "--family", "neohooke", "--c1", repr(C1_RUBBER),
+                     "--n", "300", "--range", "1.0:3.2", "--pairing", formulation,
+                     "--out", str(data_path)]) == 0
+        trees = {}
+        for source in ("dataset", "generator"):
+            outdir = f"{source}_{formulation}"
+            cfg = rod_config(tmp_path, mesh_path, data_path, outdir=outdir)
+            text = cfg.read_text().replace("formulation = FP", f"formulation = {formulation}")
+            text = text.replace("area = 1e-4", "area = 1e-4\nemit_vtk = true")
+            if source == "generator":
+                text = re.sub(r"dataset = .*\n", "", text) + (
+                    f"[generator]\nfamily = neohooke\nc1 = {C1_RUBBER!r}\nn = 300\n"
+                    f"stretch_min = 1.0\nstretch_max = 3.2\npairing = {formulation}\n")
+            cfg.write_text(text)
+            assert main(["solve", str(cfg), "--threads", "1"]) == 0
+            out = tmp_path / outdir
+            trees[source] = {p.relative_to(out): p.read_text()
+                             for p in sorted(out.rglob("*")) if p.is_file()}
+        hashes = {source: {h for text in tree.values()
+                           for h in re.findall(r"config=(\w+)", text)}
+                  for source, tree in trees.items()}
+        assert all(len(h) == 1 for h in hashes.values())
+        assert hashes["dataset"] != hashes["generator"]
+        assert len(trees["dataset"]) == 4
+        for tree in trees.values():
+            for path, text in tree.items():
+                tree[path] = re.sub(r"config=\w+", "config=-", text)
+        assert trees["generator"] == trees["dataset"]
+
+
+# a valid two-element rod mesh, the base of the mesh-file error cases
+ROD_MESH = """\
+# dd-mesh v1
+dim=1 etype=LINE2
+nodes 3
+0.0
+0.05
+0.1
+elements 2
+0 1
+1 2
+nodeset left 1
+0
+faceset right 1
+2
+"""
+
+
+class TestInputErrors:
+    """Faulty input exits 1 with one stderr line, before any output is written."""
+
+    @staticmethod
+    def assert_input_error(capsys, argv, message, outdir):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("old, new, section, message", [
+        (r"mesh = .*\n", "", "", "config [run] mesh: required key is missing"),
+        (r"dataset = .*\n", "", "[generator]\nn = 100\n",
+         "config [generator]: family and c1 are required"),
+        (r"dataset = .*\n", "", "[generator]\nfamily = foo\nc1 = 1.0\n",
+         "config [generator] family: unknown family 'foo'"),
+        (r"dataset = .*\n", "", "[generator]\nfamily = neohooke\nc1 = 1.0\npairing = XY\n",
+         "config [generator] pairing: unknown pairing 'XY'"),
+        (r"dirichlet.left = .*", "dirichlet.left = x", "",
+         "config [bc] dirichlet.left: expected comp=value, got 'x'"),
+        (r"dirichlet.left = .*", "dirichlet.left = y=0", "",
+         "config [bc] dirichlet.left: component 1 out of range for a 1D mesh"),
+        (r"traction.right = .*", "traction.top = 1.0", "",
+         "config [bc] traction.top: faceset 'top' not found in mesh (available: ['right'])"),
+        (r"traction.right = .*", "traction.right = 1.0 2.0", "",
+         "config [bc] traction.right: traction vector has 2 components, mesh is 1D"),
+        (r"dirichlet.left = .*", "dirichlet.left = x=0\nbody_force = 1.0 2.0", "",
+         "config [bc] body_force: vector has 2 components, mesh is 1D"),
+        (r"traction.right = .*", "traction.right =", "",
+         "config [bc] traction.right: empty traction vector"),
+        (r"dirichlet.left = .*", "dirichlet.left = x=0\ngravity = 9.81", "",
+         "config [bc] gravity: unknown key")],
+        ids=["run-mesh", "generator-required", "generator-family", "generator-pairing",
+             "dirichlet-no-equals", "dirichlet-component", "traction-faceset",
+             "traction-components", "body-force-components", "traction-empty", "bc-key"])
+    def test_config_errors(self, workspace, capsys, old, new, section, message):
+        tmp_path, mesh_path, data_path = workspace
+        cfg = rod_config(tmp_path, mesh_path, data_path, outdir="bad_config")
+        cfg.write_text(re.sub(old, new, cfg.read_text()) + section)
+        self.assert_input_error(capsys, ["solve", str(cfg), "--threads", "1"], message,
+                                tmp_path / "bad_config")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("dim=1", "dim=2", "{path}:2: dim=2 contradicts LINE2"),
+        ("elements 2\n0 1\n1 2\nnodeset left 1\n0\nfaceset right 1\n2\n", "",
+         "{path}: missing 'elements' section"),
+        ("nodes 3", "nodes 3 x", "{path}:3: expected 'nodes <count>'"),
+        ("nodeset left 1\n0\n", "nodeset left 1\n0 1\n",
+         "{path}:11: nodeset 'left' id count mismatch")],
+        ids=["dim-etype", "no-elements", "count-line", "nodeset-count"])
+    def test_mesh_file_errors(self, workspace, capsys, old, new, message):
+        tmp_path, _, data_path = workspace
+        mesh_path = tmp_path / "bad.mesh"
+        assert old in ROD_MESH
+        mesh_path.write_text(ROD_MESH.replace(old, new))
+        cfg = rod_config(tmp_path, mesh_path, data_path, outdir="bad_mesh")
+        self.assert_input_error(capsys, ["solve", str(cfg), "--threads", "1"],
+                                message.format(path=mesh_path), tmp_path / "bad_mesh")
+
+    @pytest.mark.parametrize("header, message", [
+        ("kind=FP dim=4 units=SI", "{path}:2: dim must be 1, 2 or 3"),
+        ("kind=FP dim=1 units=mm", "{path}:2: unsupported units 'mm'")],
+        ids=["dim", "units"])
+    def test_dataset_header_errors(self, workspace, capsys, header, message):
+        tmp_path, mesh_path, _ = workspace
+        data_path = tmp_path / "bad.data"
+        data_path.write_text(f"# dd-dataset v1\n{header}\n1.0 0.0\n")
+        cfg = rod_config(tmp_path, mesh_path, data_path, outdir="bad_data")
+        self.assert_input_error(capsys, ["solve", str(cfg), "--threads", "1"],
+                                message.format(path=data_path), tmp_path / "bad_data")
+
+    def test_a_pool_of_another_pairing(self, workspace, capsys):
+        tmp_path = workspace[0]
+        pool_path = tmp_path / "pool_cs.data"
+        save_dataset(generate(GeneratorSpec(Family.NEOHOOKE, c1=C1_RUBBER, n=200,
+                                            pairing=PairingKind.CS)), pool_path)
+        cfg = multilevel_config(workspace, "ml_kind")
+        cfg.write_text(re.sub(r"source = .*", f"source = {pool_path}", cfg.read_text()))
+        self.assert_input_error(capsys, ["multilevel", str(cfg), "--threads", "1"],
+                                "source and current datasets disagree in kind or dimension",
+                                tmp_path / "ml_kind")
+
 
 def spy_solver_entries(monkeypatch):
     """Replace the solver entry points of `cli` and `multilevel` with spies

@@ -191,37 +191,6 @@ class TestRunMultilevel:
             assert a.penalty == b.penalty
         assert np.array_equal(rep_a.u, rep_b.u)
 
-    def test_generator_source_needs_an_initial_dataset(self, rod_mesh):
-        def src(centers, radius):
-            return []
-
-        with pytest.raises(ValueError, match="initial"):
-            run_multilevel(rod_mesh, end_load_bcs(rod_mesh, 1.0), src,
-                           FpConfig())
-
-    def test_generator_source_supplies_fresh_tuples(self, rod_mesh,
-                                                    graded_bcs):
-        coarse = rubber_set(20)
-        calls = []
-
-        def src(centers, radius):
-            calls.append(len(centers))
-            pairs = []
-            for i in range(len(centers)):
-                lam0 = float(centers.strains[i, 0])
-                for lam in np.linspace(lam0 - 0.05, lam0 + 0.05, 9):
-                    p = float(piola_stress_1d(Family.NEOHOOKE, lam,
-                                              C1_RUBBER))
-                    pairs.append((np.array([[lam]]), np.array([[p]])))
-            return pairs
-
-        records, report = run_multilevel(rod_mesh, graded_bcs, src,
-                                         FpConfig(), refining(2), initial=coarse)
-        assert len(calls) >= 1
-        assert len(records) == 2
-        assert records[1].n_data > records[0].n_support
-        assert records[1].penalty <= records[0].penalty
-
     def test_nonconverged_level_aborts_with_partial_records(self, rod_mesh):
         data = rubber_set(500)
         bcs = end_load_bcs(rod_mesh, 40.0)

@@ -26,6 +26,16 @@ def flat_set(kind, dim, strains, stresses, mu0=1.0):
                        np.asarray(stresses, dtype=float), mu0=mu0)
 
 
+def first_occurrences(rows):
+    """Indices of the first row of each byte pattern, by a byte-key loop."""
+    seen, keep = set(), []
+    for i, row in enumerate(rows):
+        if row.tobytes() not in seen:
+            seen.add(row.tobytes())
+            keep.append(i)
+    return keep
+
+
 def direct_metric(strain, stress, ds):
     """Metric from one state to every tuple, by direct differences."""
     de = ds.strains - np.asarray(strain, dtype=float).reshape(-1)
@@ -634,49 +644,20 @@ class TestRefineAround:
         with pytest.raises(ValueError, match="assignment"):
             refine_around(line_set, np.array([], dtype=int), line_set)
 
-    def test_generator_callback(self, line_set):
-        def gen(centers, radius):
-            for e in centers.strains[:, 0]:
-                yield (np.array([e + 0.01]), np.array([0.0]))
-
-        out = refine_around(gen, np.array([2, 4]), line_set, radius=0.05)
-        assert len(out) == 4
-        assert out.mu0 == line_set.mu0
-
-    def test_a_non_finite_generated_pair_is_named_by_its_tuple(self, line_set):
-        def gen(centers, radius):
-            return [(np.array([1.21]), np.array([0.0])), (np.array([np.nan]), np.array([0.0]))]
-
-        # tuples 0 and 1 are the used ones, 2 and 3 the generated pairs
-        with pytest.raises(ValueError, match="^tuple 3: non-finite component$"):
-            refine_around(gen, np.array([2, 4]), line_set, radius=0.05)
-
-    def test_an_asymmetric_generated_cs_pair_is_named_by_its_tuple(self):
-        eye = np.eye(2)
-        current = DataSet(PairingKind.CS, 2, [eye, 1.1 * eye, 1.2 * eye],
-                          [0.0 * eye, 0.1 * eye, 0.2 * eye], mu0=1.0)
-
-        def gen(centers, radius):
-            return [(1.05 * eye, 0.05 * eye), ([[1.0, 0.3], [0.0, 1.0]], 0.0 * eye)]
-
-        with pytest.raises(ValueError, match="^tuple 3: strain tensor is not symmetric$"):
-            refine_around(gen, np.array([0, 2]), current, radius=0.1)
-
     def test_duplicates_collapse(self, line_set):
         out = refine_around(line_set, np.arange(len(line_set)), line_set,
                             radius=10.0)
         assert len(out) == len(line_set)
 
     def test_duplicates_keep_first_occurrences_in_order(self, line_set):
-        def gen(centers, radius):
-            zero, minus_zero = np.array([0.0]), np.array([-0.0])
-            return [(np.array([1.25]), zero),
-                    (centers.strains[1], centers.stresses[1]),   # tuple 5 again
-                    (np.array([1.25]), minus_zero),               # other bytes: kept
-                    (np.array([1.25]), zero),
-                    (np.array([1.05]), zero)]
-
-        out = refine_around(gen, np.array([5, 2]), line_set, radius=0.05)
+        zero, minus_zero = [0.0], [-0.0]
+        pool = flat_set(PairingKind.FP, 1,
+                        [[1.25], line_set.strains[5], [1.25], [1.25], [1.05]],
+                        [zero, line_set.stresses[5],      # tuple 5 again
+                         minus_zero,                      # other bytes: kept
+                         zero, zero], mu0=line_set.mu0)
+        # the radius reaches every pool tuple
+        out = refine_around(pool, np.array([5, 2]), line_set, radius=1.0)
         assert out.strains[:, 0].tolist() == [line_set.strains[2, 0],
                                               line_set.strains[5, 0],
                                               1.25, 1.25, 1.05]
@@ -692,22 +673,54 @@ class TestRefineAround:
         pool_e[100:200], pool_s[100:200] = pool_e[:100], pool_s[:100]
         # rows 150-199 equal rows 50-99 but for the sign of their zeros
         pool_s[150:200] = np.where(pool_s[150:200] == 0.0, -0.0, pool_s[150:200])
+        pool = flat_set(PairingKind.CS, 2, pool_e, pool_s)
 
-        def gen(centers, radius):
-            return list(zip(pool_e, pool_s))
-
+        # every pair of rows lies within a metric distance of 4
         with unchecked_tuples():
-            out = refine_around(gen, support, current, radius=1.0)
+            out = refine_around(pool, support, current, radius=10.0)
         rows = np.vstack([np.hstack([current.strains[support], current.stresses[support]]),
                           np.hstack([pool_e, pool_s])])
-        seen, keep = set(), []
-        for i, row in enumerate(rows):
-            if row.tobytes() not in seen:
-                seen.add(row.tobytes())
-                keep.append(i)
+        keep = first_occurrences(rows)
         assert len(keep) < len(rows)
         assert np.array_equal(np.hstack([out.strains, out.stresses]), rows[keep])
         assert np.array_equal(np.signbit(out.stresses), np.signbit(rows[keep, 4:]))
+
+    def test_pool_duplicates_keep_the_first_selected_copy(self, line_set):
+        """A pool with copies of its own rows, of used tuples and of unused
+        ones, refined at a radius that selects only some of them.
+
+        Tuple 6 of the current level is not used, so its first copy lies
+        outside the selection; the pool's later copy lies inside the
+        radius and is kept, once.
+        """
+        e, s = line_set.strains, line_set.stresses
+        zero, minus_zero = [0.0], [-0.0]
+        pool_rows = [([1.9], zero),          # outside the radius
+                     (e[6], s[6]),           # unused tuple 6, inside: kept
+                     ([1.45], zero),         # inside: kept
+                     (e[5], s[5]),           # used tuple 5: dropped
+                     ([1.9], zero),          # copy of pool row 0, outside
+                     ([1.45], zero),         # copy of pool row 2: dropped
+                     (e[6], s[6]),           # copy of pool row 1: dropped
+                     (e[4], s[4]),           # used tuple 4: dropped
+                     (e[0], s[0]),           # unused tuple 0, outside
+                     ([1.45], minus_zero)]   # other bytes: kept
+        pool = flat_set(PairingKind.FP, 1, [r[0] for r in pool_rows],
+                        [r[1] for r in pool_rows], mu0=line_set.mu0)
+        support = np.array([5, 4])
+        radius = 0.12
+        out = refine_around(pool, support, line_set, radius=radius)
+        assert out.strains[:, 0].tolist() == [e[4, 0], e[5, 0], e[6, 0], 1.45, 1.45]
+        assert np.signbit(out.stresses[:, 0]).tolist() == [False] * 4 + [True]
+
+        centers = flat_set(PairingKind.FP, 1, e[[4, 5]], s[[4, 5]], mu0=line_set.mu0)
+        d = np.sqrt([direct_metric(pe, ps, centers).min()
+                     for pe, ps in zip(pool.strains, pool.stresses)])
+        rows = np.vstack([np.hstack([e[[4, 5]], s[[4, 5]]]),
+                          np.hstack([pool.strains, pool.stresses])[d <= radius]])
+        keep = first_occurrences(rows)
+        assert np.array_equal(np.hstack([out.strains, out.stresses]), rows[keep])
+        assert np.array_equal(np.signbit(out.stresses), np.signbit(rows[keep, 1:]))
 
     def test_spacing_on_uniform_grid(self, line_set):
         expected = np.sqrt(0.5 * line_set.mu0) * 0.1
@@ -829,11 +842,7 @@ class TestRefineAround:
                      for e, s in zip(pool.strains, pool.stresses)])
         rows = np.vstack([np.hstack([current.strains[support], current.stresses[support]]),
                           pool_rows[d <= radius]])
-        seen, keep = set(), []
-        for i, row in enumerate(rows):
-            if row.tobytes() not in seen:
-                seen.add(row.tobytes())
-                keep.append(i)
+        keep = first_occurrences(rows)
         # the oracle sees every edge tuple on its side of the radius
         n_edge = 4 * support.size
         assert np.count_nonzero(d == radius) >= n_edge
